@@ -160,18 +160,14 @@ def cmd_conjecture(args, out) -> int:
 
 
 def cmd_density(args, out) -> int:
-    rows = [
-        {"x": pt.x, "phi": pt.phi, "v": pt.v}
-        for pt in density_grid(args.grid)
-        if math.isfinite(pt.phi)
-    ]
+    rows = [{"x": pt.x, "phi": pt.phi, "v": pt.v} for pt in density_grid(args.grid)]
     _emit(rows, args.format, out)
     check = []
     for p in range(0, args.p_max + 1):
         got = density_moment(p, max_p=max(args.p_max, 8))
         want = float(tstt_moment(p)) if p >= 1 else 1.0
         check.append({"p": p, "quadrature": got, "closed_form": want, "abs_err": abs(got - want)})
-    _emit(check, args.format, sys.stdout)
+    _emit(check, args.format, out)
     return EXIT_OK
 
 

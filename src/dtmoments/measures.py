@@ -250,18 +250,26 @@ def conjugate(mu: MeasureModel) -> MeasureModel:
 
 
 def measure_fingerprint(mu: MeasureModel) -> tuple:
-    """A hashable identity used as part of memo keys."""
+    """A hashable identity used as part of memo keys.
+
+    Parameters that may be exact or float carry their type, since 1 and 1.0
+    hash alike but give exact and float moments respectively.
+    """
     if isinstance(mu, Atomic):
         return ("atomic", mu.atoms)
     if isinstance(mu, UniformDisk):
-        return ("disk", mu.radius)
+        return ("disk", _typed(mu.radius))
     if isinstance(mu, UniformAnnulus):
-        return ("annulus", mu.c)
+        return ("annulus", _typed(mu.c))
     if isinstance(mu, UniformEllipse):
-        return ("ellipse", mu.a, mu.b)
+        return ("ellipse", _typed(mu.a), _typed(mu.b))
     if isinstance(mu, MomentTable):
         return ("table", mu.max_degree, mu.entries)
     return ("scaled", mu.lam, measure_fingerprint(mu.base))
+
+
+def _typed(x: Fraction | float) -> tuple:
+    return type(x).__name__, x
 
 
 # -- JSON specification ------------------------------------------------------

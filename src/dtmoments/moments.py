@@ -133,14 +133,24 @@ def t_word_moment(eps: StarWord) -> MomentValue:
 
 def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
     """Limit trace of a canonical D/T word under the base measure ``mu``."""
+    return MomentValue.wrap(_dt_word_value(w, mu, {}))
+
+
+def _dt_word_value(w: DTWord, mu: MeasureModel, table: dict):
+    """The raw value of :func:`dt_word_moment`; ``table`` caches ``mu.moment``
+    by (r, s) for as long as its owner keeps it."""
+
+    def moment(r: int, s: int):
+        value = table.get((r, s))
+        if value is None:
+            value = table[r, s] = mu.moment(r, s)
+        return value
+
     k = len(w.eps)
     if k == 0:
-        if not w.blocks:
-            return MomentValue.wrap(CQ_ONE)
-        a, b = w.blocks[0]
-        return MomentValue.wrap(mu.moment(a, b))
+        return moment(*w.blocks[0]) if w.blocks else CQ_ONE
     if w.is_pure_t():
-        return t_word_moment(w.eps)
+        return t_word_moment(w.eps).value
 
     total = 0
     for sigma in enumerate_compatible_ncp(w.eps):
@@ -150,9 +160,9 @@ def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
         for js in q.merge_classes().values():
             r = sum(w.blocks[j - 1][0] for j in js)
             s = sum(w.blocks[j - 1][1] for j in js)
-            weight = weight * mu.moment(r, s)
+            weight = weight * moment(r, s)
         total = weight * nto + total
-    return MomentValue.wrap(total * Fraction(1, factorial(k // 2 + 1)))
+    return total * Fraction(1, factorial(k // 2 + 1))
 
 
 _Z_CACHE: dict[tuple, MomentValue] = {}
@@ -170,10 +180,12 @@ def z_word_moment(
 ) -> MomentValue:
     """Limit trace of Z^{e(1)} ... Z^{e(k)} for Z = D + c*T over ``mu``.
 
-    Each letter expands to its diagonal or scaled triangular part; the 2^k
-    resulting D/T words are evaluated and combined with the matching powers
-    of c.  Words are rotated to their least cyclic representative first
-    (the trace is cyclic), and results are memoized per (word, c, measure).
+    Each letter expands to its diagonal or scaled triangular part; of the 2^k
+    resulting D/T words, those whose triangular part is balanced (the others
+    have no compatible pairing) are evaluated, sharing one table of the
+    measure's moments, and combined with the matching powers of c.  Words are
+    rotated to their least cyclic representative first (the trace is
+    cyclic), and results are memoized per (word, c, measure).
     """
     k = len(zw.eps)
     if k > max_len:
@@ -190,18 +202,20 @@ def z_word_moment(
         return hit
 
     c_sq = zw.c * zw.c
+    ones = sum(1 << j for j in range(k) if symbols[j] == ONE)
+    table: dict = {}  # mu's moments, shared by the 2^k D/T words
     total = 0
     for mask in range(1 << k):
         t_count = mask.bit_count()
-        if t_count % 2 == 1:
-            continue  # odd triangular degree has no pairings
+        if 2 * (mask & ones).bit_count() != t_count:
+            continue  # an unbalanced triangular part has no compatible pairing
         letters = []
         for j in range(k):
             if mask >> j & 1:
                 letters.append("T" if symbols[j] == ONE else "T*")
             else:
                 letters.append("D" if symbols[j] == ONE else "D*")
-        term = dt_word_moment(DTWord.from_letters(letters), mu).value
+        term = _dt_word_value(DTWord.from_letters(letters), mu, table)
         total = term * c_sq ** (t_count // 2) + total
     result = MomentValue.wrap(total)
     with _Z_CACHE_LOCK:

@@ -9,7 +9,6 @@ classes drive the downstream weight and ordering counts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -168,14 +167,6 @@ def is_noncrossing(sigma: Pairing) -> bool:
             for a, b in pairs
         }
     return True
-
-
-def crosses_brute_force(sigma: Pairing) -> bool:
-    """Direct four-index definition: some i1 < i2 < j1 < j2 with both arcs paired."""
-    for (i1, j1), (i2, j2) in itertools.permutations(sigma.pairs, 2):
-        if i1 < i2 < j1 < j2:
-            return True
-    return False
 
 
 def quotient_graph(sigma: Pairing, eps: StarWord) -> OrientedQuotientGraph:

@@ -1,9 +1,10 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here is deliberately independent of the package's own algorithms:
-matchings by direct recursion over all partners, non-crossing set partitions
-by direct block insertion, measure moments by 2-D quadrature, and bivariate
-series arithmetic by dict-of-exponents convolution.
+matchings by direct recursion over all partners, crossings by the four-index
+definition, linear extensions by filtering all permutations, non-crossing set
+partitions by direct block insertion, measure moments by 2-D quadrature, and
+bivariate series arithmetic by dict-of-exponents convolution.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def has_crossing(pairs) -> bool:
         if i1 < i2 < j1 < j2:
             return True
     return False
+
+
+def count_linear_extensions_brute(p) -> int:
+    """Linear extensions of a ``TreePoset`` by filtering all n! permutations."""
+    count = 0
+    for perm in itertools.permutations(range(p.n_vertices)):
+        pos = {v: i for i, v in enumerate(perm)}
+        if all(pos[a] < pos[b] for a, b in p.covers):
+            count += 1
+    return count
 
 
 def noncrossing_partitions(n: int):

@@ -133,6 +133,18 @@ class TestDensity:
         assert abs(float(check[0]["quadrature"]) - 1.0) <= 1e-10
         assert abs(float(check[1]["quadrature"]) - 0.5) <= 1e-8
 
+    def test_out_file_holds_both_tables(self, capsys, tmp_path):
+        target = tmp_path / "density.csv"
+        code, out, _ = run(
+            capsys, "density", "--grid", "20", "--p-max", "2", "--out", str(target)
+        )
+        assert code == 0
+        assert out == ""
+        grid_text, check_text = target.read_text().split("p,quadrature")
+        assert len(list(csv.DictReader(io.StringIO(grid_text)))) == 20
+        check = list(csv.DictReader(io.StringIO("p,quadrature" + check_text)))
+        assert [row["p"] for row in check] == ["0", "1", "2"]
+
 
 class TestSeries:
     def test_identity_table(self, capsys):

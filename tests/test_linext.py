@@ -1,14 +1,11 @@
+import math
 import random
 
 import pytest
+from conftest import count_linear_extensions_brute
 
 from dtmoments.errors import CapExceededError
-from dtmoments.linext import (
-    TreePoset,
-    count_linear_extensions,
-    count_linear_extensions_brute,
-    nto,
-)
+from dtmoments.linext import TreePoset, count_linear_extensions, nto
 from dtmoments.ncpair import ONE, STAR, Pairing, StarWord
 
 
@@ -69,9 +66,41 @@ def test_counts_are_exact_big_integers():
     # an antichain above a single root: (n-1)! orderings of the leaves
     n = 22
     star = TreePoset(n, tuple((0, v) for v in range(1, n)))
-    import math
-
     assert count_linear_extensions(star) == math.factorial(n - 1)
+
+
+def test_hook_length_formula_on_rooted_trees():
+    # a tree ordered away from its root counts n! / prod of subtree sizes,
+    # whichever way all its arrows point
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(25, 60)
+        parent = [None] + [rng.randrange(v) for v in range(1, n)]
+        size = [1] * n
+        for v in range(n - 1, 0, -1):
+            size[parent[v]] += size[v]
+        want = math.factorial(n) // math.prod(size)
+        up = TreePoset(n, tuple((parent[v], v) for v in range(1, n)))
+        down = TreePoset(n, tuple((v, parent[v]) for v in range(1, n)))
+        assert count_linear_extensions(up, cap=n) == want
+        assert count_linear_extensions(down, cap=n) == want
+
+
+def test_stars_up_to_sixty_vertices():
+    for n in range(2, 61):
+        below = TreePoset(n, tuple((0, v) for v in range(1, n)))
+        above = TreePoset(n, tuple((v, 0) for v in range(1, n)))
+        assert count_linear_extensions(below, cap=n) == math.factorial(n - 1)
+        assert count_linear_extensions(above, cap=n) == math.factorial(n - 1)
+
+
+def test_arrow_reversal_preserves_count_on_large_trees():
+    rng = random.Random(4096)
+    for _ in range(30):
+        n = rng.randint(20, 40)
+        p = random_oriented_tree(rng, n)
+        reversed_p = TreePoset(n, tuple((b, a) for a, b in p.covers))
+        assert count_linear_extensions(p, cap=n) == count_linear_extensions(reversed_p, cap=n)
 
 
 class TestNTO:

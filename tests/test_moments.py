@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -43,6 +44,11 @@ class TestTWordMoment:
 
     def test_empty_word_is_one(self):
         assert t_word_moment(StarWord(())).as_fraction() == 1
+
+    def test_squared_generator_tenth_power(self):
+        # (T*T)^p = p^p/(p+1)!; at p = 10 the trees reach 11 vertices
+        value = t_word_moment(StarWord((STAR, ONE) * 10)).as_fraction()
+        assert value == F(10**10, factorial(11))
 
 
 class TestDTWord:
@@ -114,6 +120,23 @@ class TestZWordMoment:
         assert not got.exact
         assert abs(got.as_complex() - 0.625) < 1e-12
 
+    @pytest.mark.parametrize(
+        "exact_mu, float_mu",
+        [
+            (UniformDisk(1), UniformDisk(1.0)),
+            (UniformAnnulus(F(3, 2)), UniformAnnulus(1.5)),
+            (UniformEllipse(1, F(1, 2)), UniformEllipse(1.0, 0.5)),
+        ],
+    )
+    def test_float_measure_after_exact_call_stays_float(self, exact_mu, float_mu):
+        # equal parameters of different types must not share a memo slot
+        zw = ZWord.from_letters(["Z*", "Z", "Z", "Z*"])
+        exact = z_word_moment(zw, exact_mu)
+        assert exact.exact
+        got = z_word_moment(zw, float_mu)
+        assert not got.exact
+        assert abs(got.as_complex() - exact.as_complex()) < 1e-12
+
     def test_length_cap(self):
         zw = ZWord(StarWord((ONE,) * 18))
         with pytest.raises(CapExceededError):
@@ -122,6 +145,35 @@ class TestZWordMoment:
 
     def test_empty_word(self):
         assert z_word_moment(ZWord(StarWord(())), DELTA0).as_fraction() == 1
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [UniformDisk(1), UniformAnnulus(F(3, 2)), UniformEllipse(1, F(1, 2)), DELTA0],
+    ids=["disk:1", "annulus:3/2", "ellipse:1,1/2", "delta0"],
+)
+def test_z_words_equal_the_sum_over_all_masks(mu):
+    # every Z-word of up to 8 letters against the plain expansion into all
+    # 2^k D/T words, unbalanced triangular parts included; the expansion is
+    # taken once per rotation class, on the first word met in it
+    c = F(2, 3)
+    expanded = {}
+    for k in range(9):
+        for symbols in itertools.product((ONE, STAR), repeat=k):
+            cls = min((symbols[i:] + symbols[:i] for i in range(k)), default=())
+            if cls not in expanded:
+                total = 0
+                for mask in range(1 << k):
+                    letters = [
+                        ("T" if s == ONE else "T*") if mask >> j & 1 else ("D" if s == ONE else "D*")
+                        for j, s in enumerate(symbols)
+                    ]
+                    term = dt_word_moment(DTWord.from_letters(letters), mu).value
+                    total = term * c ** mask.bit_count() + total
+                expanded[cls] = total
+            got = z_word_moment(ZWord(StarWord(symbols), c), mu)
+            assert got.exact
+            assert got.value == expanded[cls], symbols
 
 
 class TestInvariants:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dtmoments
 from dtmoments.errors import CapExceededError
 from dtmoments.quasinil import tstt_moment
 from dtmoments.spectral import (
@@ -123,6 +127,11 @@ class TestDensityMoments:
         for p in range(1, 7):
             assert abs(density_moment(p) - float(tstt_moment(p))) <= 1e-8
 
+    def test_fixed_rule_error_through_eight(self):
+        for p in range(0, 9):
+            want = p**p / math.factorial(p + 1)  # 0**0 == 1: the mass
+            assert abs(density_moment(p) - want) <= 1e-13
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             density_moment(9)
@@ -131,6 +140,14 @@ class TestDensityMoments:
     def test_support_stays_below_e(self):
         pts = density_grid(500)
         assert max(p.x for p in pts) <= SUPPORT_UPPER
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package itself must not load it
+    code = "import sys, dtmoments; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dtmoments.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def _log_phi_of_v(v):
