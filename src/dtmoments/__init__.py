@@ -27,7 +27,6 @@ from .measures import (
     UniformDisk,
     UniformEllipse,
     conjugate,
-    ellipse_mixed_moment,
     measure_from_json,
     mixed_moment,
     scale,
@@ -63,17 +62,11 @@ from .quasinil import (
     ttn_moment,
 )
 from .rmt import (
-    DiagDeterministic,
-    DiagIID,
-    Elliptic,
     Estimate,
-    SGRM,
-    UTGRM,
     deterministic_diagonal_run,
     estimate_elliptic_moment,
     estimate_word_moment,
     pure_t_word_sweep,
-    sample,
 )
 from .spectral import (
     DensityPoint,

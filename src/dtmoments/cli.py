@@ -24,6 +24,7 @@ from .measures import (
     measure_from_json,
 )
 from .moments import (
+    DEFAULT_Z_LEN_CAP,
     DTWord,
     T_LETTERS,
     Z_LETTERS,
@@ -121,15 +122,7 @@ def cmd_moment(args, out) -> int:
     else:
         letters = parse_word(args.word)
         mu = parse_measure_arg(args.measure)
-        if any(t in Z_LETTERS for t in letters):
-            zw = ZWord.from_letters(letters, parse_rational(args.c))
-            value = z_word_moment(zw, mu, max_len=args.max_degree or 16)
-        elif all(t in T_LETTERS for t in letters):
-            value = t_word_moment(
-                StarWord(tuple(ONE if t == "T" else STAR for t in letters))
-            )
-        else:
-            value = dt_word_moment(DTWord.from_letters(letters), mu)
+        value = _word_value(letters, mu, args.c, args.max_degree or DEFAULT_Z_LEN_CAP)
         payload = _moment_payload(args.word, value)
     _emit(payload, args.format, out)
     return EXIT_OK
@@ -203,7 +196,7 @@ def cmd_mc(args, out) -> int:
     mu = parse_measure_arg(args.measure)
     c = parse_rational(args.c)
     if args.theta is not None:
-        eps = StarWord(tuple(ONE if t in ("Z", "T") else STAR for t in letters))
+        eps = _star_word(letters)
         est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
         a, b = math.cos(args.theta), math.sin(args.theta)
         target = z_word_moment(
@@ -213,19 +206,23 @@ def cmd_mc(args, out) -> int:
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
-        target = _word_target(letters, mu, c)
+        target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
     return EXIT_OK
 
 
-def _word_target(letters, mu, c: Fraction) -> complex | None:
+def _star_word(letters) -> StarWord:
+    return StarWord(tuple(ONE if t in ("T", "Z") else STAR for t in letters))
+
+
+def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
+    """Exact moment of a T-only, Z or D/T word; ``c`` is parsed for Z words only."""
     if all(t in T_LETTERS for t in letters):
-        eps = StarWord(tuple(ONE if t == "T" else STAR for t in letters))
-        return t_word_moment(eps).as_complex()
+        return t_word_moment(_star_word(letters))
     if any(t in Z_LETTERS for t in letters):
-        return z_word_moment(ZWord.from_letters(letters, c), mu).as_complex()
-    return dt_word_moment(DTWord.from_letters(letters), mu).as_complex()
+        return z_word_moment(ZWord.from_letters(letters, parse_rational(c)), mu, max_len=max_len)
+    return dt_word_moment(DTWord.from_letters(letters), mu)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -219,10 +219,6 @@ def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
     return MomentValue.wrap(mu.moment(r, s))
 
 
-def ellipse_mixed_moment(a, b, r: int, s: int) -> MomentValue:
-    return mixed_moment(UniformEllipse(a, b), r, s)
-
-
 def scale(mu: MeasureModel, lam: ComplexRational) -> MeasureModel:
     """The measure of ``lam * z`` when z is distributed by ``mu``."""
     if not isinstance(lam, ComplexRational):

@@ -154,18 +154,15 @@ def enumerate_compatible_ncp(eps: StarWord) -> list[Pairing]:
 
 
 def is_noncrossing(sigma: Pairing) -> bool:
-    """Non-crossing test by successively removing paired neighbors {i, i+1}."""
-    pairs = set(sigma.pairs)
-    while pairs:
-        neighbor = next(((i, j) for i, j in pairs if j == i + 1), None)
-        if neighbor is None:
+    """Non-crossing test by one stack scan over 1..k: each pair must close the
+    most recently opened one."""
+    partner = sigma.partner()
+    opened: list[int] = []
+    for pos in range(1, sigma.k + 1):
+        if partner[pos] > pos:
+            opened.append(pos)
+        elif opened.pop() != partner[pos]:
             return False
-        i = neighbor[0]
-        pairs.remove(neighbor)
-        pairs = {
-            tuple(sorted((a - 2 if a > i + 1 else a, b - 2 if b > i + 1 else b)))
-            for a, b in pairs
-        }
     return True
 
 

@@ -6,13 +6,16 @@ bit-reproducible.  Complex N(0, sigma^2) entries are built from two
 independent real normals of variance sigma^2/2 each, generated by numpy's
 ziggurat ``standard_normal`` on that stream.
 
-The estimators return a mean over trials of the normalized matrix trace of
-the requested word, with the standard error taken per real/imaginary part
-(the larger of the two is reported).
+All estimators share one trial runner: each trial draws one matrix per
+letter and traces every requested word, walking the words' prefix tree so a
+shared prefix is multiplied out once.  Each estimate is a mean over trials of
+the normalized matrix trace of a word, with the standard error taken per
+real/imaginary part (the larger of the two is reported).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,7 +33,7 @@ from .measures import (
     UniformEllipse,
 )
 from .moments import D_LETTERS, T_LETTERS, Z_LETTERS
-from .ncpair import ONE, StarWord
+from .ncpair import ONE, STAR, StarWord
 
 DEFAULT_SIZE_CAP = 2048
 _MASK64 = (1 << 64) - 1
@@ -47,65 +50,13 @@ def _complex_normal(rng: np.random.Generator, shape, sigma_sq: float) -> np.ndar
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-# -- models -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UTGRM:
-    """Strictly upper triangular, i.i.d. complex N(0, sigma_sq) above the diagonal."""
-
-    n: int
-    sigma_sq: float
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class SGRM:
-    """Self-adjoint: complex N(0, sigma_sq) above the diagonal, real on it."""
-
-    n: int
-    sigma_sq: float
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class DiagIID:
-    """Diagonal of i.i.d. draws from a sampleable measure model."""
-
-    mu: MeasureModel
-    n: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class DiagDeterministic:
-    """Fixed diagonal entries (the seed is carried but unused)."""
-
-    entries: tuple
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class Elliptic:
-    """cos(theta) H1 + i sin(theta) H2 with independent SGRM(n, 1/n) factors."""
-
-    theta: float
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError("theta must lie in (0, pi/2)")
-
-
-RandomMatrixModel = UTGRM | SGRM | DiagIID | DiagDeterministic | Elliptic
-
-
 def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
+    """Strictly upper triangular, i.i.d. complex N(0, sigma_sq) above the diagonal."""
     return np.triu(_complex_normal(rng, (n, n), sigma_sq), k=1)
 
 
 def _sample_sgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
+    """Self-adjoint: complex N(0, sigma_sq) above the diagonal, real on it."""
     upper = np.triu(_complex_normal(rng, (n, n), sigma_sq), k=1)
     diag = math.sqrt(sigma_sq) * rng.standard_normal(n)
     return upper + upper.conj().T + np.diag(diag)
@@ -154,24 +105,6 @@ def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.nda
     raise TypeError(f"cannot sample measure model {mu!r}")
 
 
-def sample(model: RandomMatrixModel, trial_index: int) -> np.ndarray:
-    """One matrix realization, reproducible from (model.seed, trial_index)."""
-    rng = _rng(model.seed, trial_index)
-    if isinstance(model, UTGRM):
-        return _sample_utgrm(rng, model.n, model.sigma_sq)
-    if isinstance(model, SGRM):
-        return _sample_sgrm(rng, model.n, model.sigma_sq)
-    if isinstance(model, DiagIID):
-        return np.diag(sample_measure(model.mu, model.n, rng))
-    if isinstance(model, DiagDeterministic):
-        return np.diag(np.asarray(model.entries, dtype=complex))
-    if isinstance(model, Elliptic):
-        h1 = _sample_sgrm(rng, model.n, 1.0 / model.n)
-        h2 = _sample_sgrm(rng, model.n, 1.0 / model.n)
-        return math.cos(model.theta) * h1 + 1j * math.sin(model.theta) * h2
-    raise TypeError(f"unknown model {model!r}")
-
-
 # -- estimators ---------------------------------------------------------------
 
 
@@ -202,23 +135,62 @@ class Estimate:
 
 
 def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
-    trials = values.size
-    mean = complex(values.mean())
-    if trials > 1:
-        se = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(trials)
-    else:
-        se = math.inf
-    return Estimate(mean, float(se), n, trials, seed)
+    se = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(values.size)
+    return Estimate(complex(values.mean()), float(se), n, values.size, seed)
 
 
-def _word_trace(letters: Sequence[str], mats: dict[str, np.ndarray], n: int) -> complex:
-    prod = None
-    for tok in letters:
-        m = mats[tok]
-        prod = m if prod is None else prod @ m
-    if prod is None:
-        return 1.0 + 0.0j
-    return complex(np.trace(prod)) / n
+def _check_size(n: int, trials: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
+    if n > size_cap:
+        raise ValueError(f"matrix size {n} exceeds the cap of {size_cap}")
+
+
+def _prefix_tree(words: Sequence[Sequence[str]]) -> dict:
+    """Nested ``{letter: [word index or None, subtree]}`` over the words' prefixes."""
+    root: dict = {}
+    for i, word in enumerate(words):
+        node = root
+        for tok in word[:-1]:
+            node = node.setdefault(tok, [None, {}])[1]
+        if word:
+            node.setdefault(word[-1], [None, {}])[0] = i
+    return root
+
+
+def _walk(node: dict, prod: np.ndarray | None, mats: dict, n: int, out: np.ndarray) -> None:
+    # depth first: a word's trace is an einsum of its prefix's product with
+    # its last letter, and each product is formed only for prefixes of longer
+    # words.  A module-level function, so a trial's matrices are freed on
+    # return rather than held by a closure cycle until the next collection.
+    for tok, (index, children) in node.items():
+        mat = mats[tok]
+        if index is not None:
+            if prod is None:
+                out[index] = complex(np.trace(mat)) / n
+            else:
+                out[index] = complex(np.einsum("ij,ji->", prod, mat)) / n
+        if children:
+            _walk(children, mat if prod is None else prod @ mat, mats, n, out)
+
+
+def _run_trials(
+    draw: Callable[[np.random.Generator], dict[str, np.ndarray]],
+    words: Sequence[Sequence[str]],
+    n: int,
+    trials: int,
+    seed: int,
+) -> list[Estimate]:
+    """One estimate per word; trial t traces every word in ``draw(_rng(seed, t))``.
+
+    ``draw`` returns the trial's matrix for each letter.  The empty word has
+    trace 1.
+    """
+    tree = _prefix_tree(words)
+    values = np.ones((len(words), trials), dtype=complex)
+    for t in range(trials):
+        _walk(tree, None, draw(_rng(seed, t)), n, values[:, t])
+    return [_summarize(row, n, seed) for row in values]
 
 
 def estimate_word_moment(
@@ -233,20 +205,17 @@ def estimate_word_moment(
     """Monte Carlo normalized trace of a word in {D, D*, T, T*} or {Z, Z*}.
 
     The diagonal is i.i.d. from ``mu`` (required for D or Z words) and the
-    triangular factor is UTGRM(n, 1/n), drawn independently per trial; a
-    Z letter stands for D + c*T.
+    triangular factor is strictly upper triangular with i.i.d. complex
+    N(0, 1/n) entries, drawn independently per trial; a Z letter stands for
+    D + c*T.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    if n > size_cap:
-        raise ValueError(f"matrix size {n} exceeds the cap of {size_cap}")
+    _check_size(n, trials, size_cap)
     uses_z = any(t in Z_LETTERS for t in letters)
     uses_d = uses_z or any(t in D_LETTERS for t in letters)
     if uses_d and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
-    values = np.empty(trials, dtype=complex)
-    for t in range(trials):
-        rng = _rng(seed, t)
+
+    def draw(rng):
         d = np.diag(sample_measure(mu, n, rng)) if uses_d else None
         tm = _sample_utgrm(rng, n, 1.0 / n)
         mats = {"T": tm, "T*": tm.conj().T}
@@ -255,23 +224,30 @@ def estimate_word_moment(
             if uses_z:
                 z = d + c * tm
                 mats.update({"Z": z, "Z*": z.conj().T})
-        values[t] = _word_trace(letters, mats, n)
-    return _summarize(values, n, seed)
+        return mats
+
+    return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
 
 
 def estimate_elliptic_moment(
     theta: float, eps: StarWord, n: int, trials: int, seed: int
 ) -> Estimate:
-    """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    model = Elliptic(theta, n, seed)
-    values = np.empty(trials, dtype=complex)
-    for t in range(trials):
-        y = sample(model, t)
-        mats = {ONE: y, "*": y.conj().T}
-        values[t] = _word_trace([s for s in eps.symbols], mats, n)
-    return _summarize(values, n, seed)
+    """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2.
+
+    H1 and H2 are independent self-adjoint Gaussian matrices with entry
+    variance 1/n; theta must lie in (0, pi/2).
+    """
+    _check_size(n, trials)
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError("theta must lie in (0, pi/2)")
+
+    def draw(rng):
+        h1 = _sample_sgrm(rng, n, 1.0 / n)
+        h2 = _sample_sgrm(rng, n, 1.0 / n)
+        y = math.cos(theta) * h1 + 1j * math.sin(theta) * h2
+        return {ONE: y, STAR: y.conj().T}
+
+    return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
 
 
 def deterministic_diagonal_run(
@@ -287,16 +263,14 @@ def deterministic_diagonal_run(
     Only the triangular factor is random; the diagonal comes from
     ``entries_generator(n)`` and is reused across trials.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+    _check_size(n, trials)
     d = np.diag(np.asarray(list(entries_generator(n)), dtype=complex))
-    values = np.empty(trials, dtype=complex)
-    for t in range(trials):
-        rng = _rng(seed, t)
+
+    def draw(rng):
         z = d + c * _sample_utgrm(rng, n, 1.0 / n)
-        mats = {ONE: z, "*": z.conj().T}
-        values[t] = _word_trace([s for s in eps.symbols], mats, n)
-    return _summarize(values, n, seed)
+        return {ONE: z, STAR: z.conj().T}
+
+    return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
 
 
 def pure_t_word_sweep(
@@ -304,40 +278,18 @@ def pure_t_word_sweep(
 ) -> dict[tuple[str, ...], Estimate]:
     """Traces of every word in T, T* up to ``max_len`` letters, per trial.
 
-    One triangular sample per trial serves all words: products are built
-    depth-first over the prefix tree, and each word's trace comes from an
-    einsum against its parent's product, so a sweep costs far fewer
+    One triangular sample per trial serves all words, and the runner forms
+    each internal node of the word tree once, so a sweep costs far fewer
     multiplications than estimating each word separately.
     """
-    words: list[tuple[str, ...]] = []
+    _check_size(n, trials)
+    # "T" < "T*", so sorting puts the words in the tree's preorder
+    words = sorted(
+        w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
+    )
 
-    def grow(prefix: tuple[str, ...]):
-        if len(prefix) == max_len:
-            return
-        for tok in T_LETTERS:
-            words.append(prefix + (tok,))
-            grow(prefix + (tok,))
-
-    grow(())
-    traces = {w: np.empty(trials, dtype=complex) for w in words}
-
-    for t in range(trials):
-        rng = _rng(seed, t)
+    def draw(rng):
         tm = _sample_utgrm(rng, n, 1.0 / n)
-        letter = {"T": tm, "T*": tm.conj().T}
+        return {"T": tm, "T*": tm.conj().T}
 
-        def walk(prefix: tuple[str, ...], prod: np.ndarray | None):
-            for tok in T_LETTERS:
-                word = prefix + (tok,)
-                if prod is None:
-                    traces[word][t] = complex(np.trace(letter[tok])) / n
-                else:
-                    traces[word][t] = complex(
-                        np.einsum("ij,ji->", prod, letter[tok])
-                    ) / n
-                if len(word) < max_len:
-                    walk(word, letter[tok] if prod is None else prod @ letter[tok])
-
-        walk((), None)
-
-    return {w: _summarize(vals, n, seed) for w, vals in traces.items()}
+    return dict(zip(words, _run_trials(draw, words, n, trials, seed)))

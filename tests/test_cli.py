@@ -7,6 +7,7 @@ import pytest
 
 from dtmoments.cli import main, parse_measure_arg
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, measure_to_json
+from dtmoments.rmt import DEFAULT_SIZE_CAP
 
 
 def run(capsys, *argv):
@@ -187,3 +188,11 @@ class TestMC:
         assert code == 0
         rec = json.loads(out)
         assert abs(rec["target_re"] - 1.0) < 1e-9
+
+    def test_elliptic_mode_enforces_the_size_cap(self, capsys):
+        code, _, err = run(
+            capsys, "mc", "--word", "Z", "--theta", str(math.pi / 4),
+            "--n", str(DEFAULT_SIZE_CAP + 1), "--trials", "2",
+        )
+        assert code == 4
+        assert "cap" in err

@@ -14,7 +14,6 @@ from dtmoments.measures import (
     UniformDisk,
     UniformEllipse,
     conjugate,
-    ellipse_mixed_moment,
     measure_from_json,
     measure_to_json,
     mixed_moment,
@@ -106,12 +105,12 @@ class TestEllipse:
                 assert mixed_moment(mu, r, s).value == want
 
     def test_centered(self):
-        assert ellipse_mixed_moment(F(1), F(1, 2), 1, 0).value == 0
+        assert mixed_moment(UniformEllipse(F(1), F(1, 2)), 1, 0).value == 0
 
     def test_frozen_quadrature_value(self):
         # E[z^2] for (a, b) = (1, 1/2); quadrature over the ellipse region
         # froze this at 3/4 before the closed form was written
-        got = ellipse_mixed_moment(F(1), F(1, 2), 2, 0)
+        got = mixed_moment(UniformEllipse(F(1), F(1, 2)), 2, 0)
         assert got.value == F(3, 4)
         a2, b2 = 1.0, 0.25
         half_x = 2 * a2 / math.sqrt(a2 + b2)
@@ -126,10 +125,10 @@ class TestEllipse:
         # E|z|^2 = (a^4 + b^4) / (a^2 + b^2)
         for a, b in [(F(1), F(1, 2)), (F(2), F(3)), (F(1, 3), F(1, 5))]:
             want = (a**4 + b**4) / (a**2 + b**2)
-            assert ellipse_mixed_moment(a, b, 1, 1).value == want
+            assert mixed_moment(UniformEllipse(a, b), 1, 1).value == want
 
     def test_float_parameters_give_float_backend(self):
-        mv = ellipse_mixed_moment(math.cos(1.0), math.sin(1.0), 1, 1)
+        mv = mixed_moment(UniformEllipse(math.cos(1.0), math.sin(1.0)), 1, 1)
         assert not mv.exact
         a2, b2 = math.cos(1.0) ** 2, math.sin(1.0) ** 2
         assert abs(mv.as_complex() - (a2 * a2 + b2 * b2) / (a2 + b2)) < 1e-12

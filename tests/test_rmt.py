@@ -19,42 +19,40 @@ from dtmoments.measures import (
 from dtmoments.moments import ZWord, t_word_moment, z_word_moment
 from dtmoments.ncpair import ONE, STAR, StarWord
 from dtmoments.rmt import (
-    DiagDeterministic,
-    DiagIID,
-    Elliptic,
-    SGRM,
-    UTGRM,
+    DEFAULT_SIZE_CAP,
+    _rng,
+    _sample_sgrm,
+    _sample_utgrm,
     deterministic_diagonal_run,
     estimate_elliptic_moment,
     estimate_word_moment,
     pure_t_word_sweep,
-    sample,
     sample_measure,
 )
 
 
 class TestSamplers:
     def test_utgrm_shape(self):
-        m = sample(UTGRM(6, 0.5, seed=1), 0)
+        m = _sample_utgrm(_rng(1, 0), 6, 0.5)
         assert np.allclose(np.tril(m), 0)
         assert m[0, 1] != 0
 
     def test_sgrm_hermitian_real_diagonal(self):
-        m = sample(SGRM(6, 0.5, seed=1), 0)
+        m = _sample_sgrm(_rng(1, 0), 6, 0.5)
         assert np.allclose(m, m.conj().T)
         assert np.allclose(np.diag(m).imag, 0)
 
     def test_reproducible_across_calls(self):
-        a = sample(UTGRM(8, 1.0, seed=42), 3)
-        b = sample(UTGRM(8, 1.0, seed=42), 3)
+        a = _sample_utgrm(_rng(42, 3), 8, 1.0)
+        b = _sample_utgrm(_rng(42, 3), 8, 1.0)
         assert np.array_equal(a, b)
-        c = sample(UTGRM(8, 1.0, seed=42), 4)
+        c = _sample_utgrm(_rng(42, 4), 8, 1.0)
         assert not np.array_equal(a, c)
 
     def test_entry_second_moment(self):
         # one large draw gives ~10^5 independent entries of variance 1/n
         n = 450
-        m = sample(UTGRM(n, 1.0 / n, seed=9), 0)
+        m = _sample_utgrm(_rng(9, 0), n, 1.0 / n)
         entries = m[np.triu_indices(n, k=1)]
         values = np.abs(entries) ** 2
         stderr = values.std(ddof=1) / math.sqrt(values.size)
@@ -62,18 +60,13 @@ class TestSamplers:
 
     def test_point_mass_diagonal_is_constant(self):
         w = CQ(F(1, 2), F(-1, 3))
-        m = sample(DiagIID(Atomic.delta(w), 5, seed=0), 0)
-        assert np.allclose(np.diag(m), complex(w.to_complex()))
-
-    def test_deterministic_diagonal(self):
-        m = sample(DiagDeterministic((1.0, 2.0, 3.0)), 17)
-        assert np.allclose(np.diag(m), [1, 2, 3])
+        d = sample_measure(Atomic.delta(w), 5, _rng(0, 0))
+        assert np.allclose(d, complex(w.to_complex()))
 
     def test_disk_and_annulus_supports(self):
-        rngmat = sample(DiagIID(UniformDisk(F(3, 2)), 4000, seed=5), 0)
-        d = np.diag(rngmat)
+        d = sample_measure(UniformDisk(F(3, 2)), 4000, _rng(5, 0))
         assert np.all(np.abs(d) <= 1.5 + 1e-12)
-        ann = np.diag(sample(DiagIID(UniformAnnulus(F(2)), 4000, seed=5), 0))
+        ann = sample_measure(UniformAnnulus(F(2)), 4000, _rng(5, 0))
         assert np.all(np.abs(ann) >= 1.0 - 1e-12)
         assert np.all(np.abs(ann) <= math.sqrt(2) + 1e-12)
 
@@ -107,8 +100,9 @@ class TestSamplers:
             sample_measure(table, 3, np.random.default_rng(0))
 
     def test_elliptic_theta_domain(self):
-        with pytest.raises(ValueError):
-            Elliptic(0.0, 8)
+        for theta in (0.0, math.pi / 2):
+            with pytest.raises(ValueError, match="theta"):
+                estimate_elliptic_moment(theta, StarWord((ONE,)), n=8, trials=2, seed=0)
 
 
 class TestEstimators:
@@ -223,3 +217,105 @@ def test_pure_t_sweep_against_limits():
         eps = StarWord(tuple(ONE if tok == "T" else STAR for tok in letters))
         limit = t_word_moment(eps).as_complex()
         assert abs(est.mean - limit) < 3 * est.stderr + 10 / 64, letters
+
+
+# (mean re, mean im, stderr) as float.hex, recorded from the per-estimator
+# trial loops that preceded the shared runner; the runner must reproduce them
+# to 1e-12 of max(|mean|, stderr).
+FROZEN = {
+    "dt": ("0x1.7683fbeb55292p-9", "-0x1.329ba9cfefd2fp-7", "0x1.c840d591dcbc7p-8"),
+    "z": ("0x1.b46a6fa796ed5p-1", "0x1.3ffffffffffffp-58", "0x1.69994209eeb4ep-5"),
+    "elliptic": ("0x1.9923c5b34c09ep-7", "0x1.a14a36e83fc87p-5", "0x1.6700db155ac63p-3"),
+    "fixed": ("0x1.35254ee9c79c6p+0", "-0x1.1fffffffffffep-61", "0x1.35a6ca59389e7p-7"),
+}
+FROZEN_SWEEP = {
+    "T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T T T T*": ("-0x1.937696e0a3988p-11", "-0x1.0f8d21c416184p-12", "0x1.a2ccbe4412241p-10"),
+    "T T T*": ("0x1.6ccb8b2941f1bp-10", "0x1.e1adaa4cbe535p-11", "0x1.351fc4e95adf8p-8"),
+    "T T T* T": ("-0x1.937696e0a3983p-11", "-0x1.0f8d21c416170p-12", "0x1.a2ccbe4412243p-10"),
+    "T T T* T*": ("0x1.f63f492a7d6b8p-4", "0x1.c0b0000000002p-62", "0x1.082e0f64fdc19p-7"),
+    "T T*": ("0x1.c4ad964b2abf2p-2", "0x0.0p+0", "0x1.bb211d40af08ep-7"),
+    "T T* T": ("0x1.6ccb8b2941f14p-10", "0x1.e1adaa4cbe535p-11", "0x1.351fc4e95adf7p-8"),
+    "T T* T T": ("-0x1.937696e0a398ap-11", "-0x1.0f8d21c416180p-12", "0x1.a2ccbe4412242p-10"),
+    "T T* T T*": ("0x1.1a86e79eca5e2p-1", "-0x1.6680000000000p-61", "0x1.73f420b2f6554p-5"),
+    "T T* T*": ("0x1.6ccb8b2941f19p-10", "-0x1.e1adaa4cbe527p-11", "0x1.351fc4e95adf7p-8"),
+    "T T* T* T": ("0x1.f63f492a7d6b8p-4", "-0x1.3400000000001p-62", "0x1.082e0f64fdc1bp-7"),
+    "T T* T* T*": ("-0x1.937696e0a398dp-11", "0x1.0f8d21c416164p-12", "0x1.a2ccbe4412243p-10"),
+    "T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T* T": ("0x1.c4ad964b2abf2p-2", "0x0.0p+0", "0x1.bb211d40af08ep-7"),
+    "T* T T": ("0x1.6ccb8b2941f1ap-10", "0x1.e1adaa4cbe527p-11", "0x1.351fc4e95adf7p-8"),
+    "T* T T T": ("-0x1.937696e0a398bp-11", "-0x1.0f8d21c41616cp-12", "0x1.a2ccbe4412243p-10"),
+    "T* T T T*": ("0x1.f63f492a7d6b8p-4", "-0x1.4ffffffffffffp-61", "0x1.082e0f64fdc1ap-7"),
+    "T* T T*": ("0x1.6ccb8b2941f0fp-10", "-0x1.e1adaa4cbe531p-11", "0x1.351fc4e95adf7p-8"),
+    "T* T T* T": ("0x1.1a86e79eca5e2p-1", "-0x1.180aaaaaaaaaap-59", "0x1.73f420b2f6556p-5"),
+    "T* T T* T*": ("-0x1.937696e0a398dp-11", "0x1.0f8d21c416180p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T* T* T": ("0x1.6ccb8b2941f1fp-10", "-0x1.e1adaa4cbe52dp-11", "0x1.351fc4e95adf8p-8"),
+    "T* T* T T": ("0x1.f63f492a7d6b8p-4", "0x1.cf92aaaaaaaaap-61", "0x1.082e0f64fdc1ap-7"),
+    "T* T* T T*": ("-0x1.937696e0a3984p-11", "0x1.0f8d21c416168p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "T* T* T* T": ("-0x1.937696e0a3984p-11", "0x1.0f8d21c416170p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+}
+
+FROZEN_CALLS = {
+    "dt": lambda: estimate_word_moment(
+        ["D", "T", "D*", "T*"], n=12, trials=16, seed=5, mu=UniformDisk(1)
+    ),
+    "z": lambda: estimate_word_moment(
+        ["Z*", "Z", "Z", "Z*"], n=12, trials=16, seed=6, mu=UniformDisk(1), c=1.0
+    ),
+    "elliptic": lambda: estimate_elliptic_moment(
+        math.pi / 3, StarWord((ONE, STAR, ONE, ONE, STAR)), n=12, trials=16, seed=7
+    ),
+    "fixed": lambda: deterministic_diagonal_run(
+        lambda n: np.exp(2j * math.pi * np.arange(n) / n), 0.5,
+        StarWord((STAR, ONE, ONE, STAR)), n=12, trials=16, seed=8,
+    ),
+}
+
+
+def assert_frozen(est, frozen):
+    re, im, se = (float.fromhex(x) for x in frozen)
+    tol = 1e-12 * max(abs(complex(re, im)), se)
+    assert abs(est.mean - complex(re, im)) <= tol
+    assert abs(est.stderr - se) <= tol
+
+
+class TestFrozenEstimates:
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_estimator_matches_frozen_value(self, name):
+        assert_frozen(FROZEN_CALLS[name](), FROZEN[name])
+
+    def test_sweep_matches_frozen_values(self):
+        sweep = pure_t_word_sweep(4, n=12, trials=16, seed=9)
+        assert {" ".join(w) for w in sweep} == set(FROZEN_SWEEP)
+        for letters, est in sweep.items():
+            assert_frozen(est, FROZEN_SWEEP[" ".join(letters)])
+
+
+class TestSizeCap:
+    # one-letter words and two trials: an unchecked path allocates a few
+    # matrices of the oversize n and returns, so the test fails fast
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: estimate_word_moment(["T"], n, 2, 0),
+            lambda n: estimate_elliptic_moment(math.pi / 4, StarWord((ONE,)), n, 2, 0),
+            lambda n: deterministic_diagonal_run(
+                lambda m: [0.0] * m, 1.0, StarWord((ONE,)), n, 2, 0
+            ),
+            lambda n: pure_t_word_sweep(1, n, 2, 0),
+        ],
+        ids=["word", "elliptic", "fixed", "sweep"],
+    )
+    def test_every_estimator_enforces_the_cap(self, run):
+        with pytest.raises(ValueError, match="cap"):
+            run(DEFAULT_SIZE_CAP + 1)
+
+    def test_sweep_needs_two_trials(self):
+        with pytest.raises(ValueError, match="2 trials"):
+            pure_t_word_sweep(2, n=4, trials=1, seed=0)
