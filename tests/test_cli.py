@@ -189,6 +189,17 @@ class TestMC:
         rec = json.loads(out)
         assert abs(rec["target_re"] - 1.0) < 1e-9
 
+    def test_elliptic_mode_refuses_diagonal_letters(self, capsys):
+        # theta mode samples the elliptic operator alone; a D letter has no
+        # meaning there and must not be read as an adjoint
+        code, out, err = run(
+            capsys, "mc", "--word", "D T", "--theta", "0.5",
+            "--n", "8", "--trials", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "D" in err
+
     def test_elliptic_mode_enforces_the_size_cap(self, capsys):
         code, _, err = run(
             capsys, "mc", "--word", "Z", "--theta", str(math.pi / 4),

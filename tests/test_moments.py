@@ -137,6 +137,16 @@ class TestZWordMoment:
         assert not got.exact
         assert abs(got.as_complex() - exact.as_complex()) < 1e-12
 
+    @pytest.mark.parametrize(
+        "letters, mu",
+        [(["Z"] * 3 + ["Z*"] * 5, UniformAnnulus(1.5)), (["Z", "Z", "Z*"], UniformDisk(1.0))],
+        ids=["z3zs5-annulus", "unbalanced-disk"],
+    )
+    def test_float_measure_keeps_the_float_tag_on_a_zero_value(self, letters, mu):
+        got = z_word_moment(ZWord.from_letters(letters), mu)
+        assert got.value == 0
+        assert got.backend == "float"
+
     def test_length_cap(self):
         zw = ZWord(StarWord((ONE,) * 18))
         with pytest.raises(CapExceededError):
