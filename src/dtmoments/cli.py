@@ -25,6 +25,7 @@ from .measures import (
 )
 from .moments import (
     DEFAULT_Z_LEN_CAP,
+    D_LETTERS,
     DTWord,
     T_LETTERS,
     Z_LETTERS,
@@ -196,6 +197,8 @@ def cmd_mc(args, out) -> int:
     mu = parse_measure_arg(args.measure)
     c = parse_rational(args.c)
     if args.theta is not None:
+        if any(t in D_LETTERS for t in letters):
+            raise WordParseError("--theta samples the elliptic operator; D letters are not allowed")
         eps = _star_word(letters)
         est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
         a, b = math.cos(args.theta), math.sin(args.theta)

@@ -22,6 +22,7 @@ from .ncpair import (
     Pairing,
     StarWord,
     is_compatible,
+    is_connected,
     is_noncrossing,
     quotient_graph,
 )
@@ -46,20 +47,10 @@ class TreePoset:
             raise ValueError("poset needs at least one vertex")
         if len(self.covers) != n - 1:
             raise ValueError("cover support of a tree has exactly n-1 edges")
-        adj: dict[int, set[int]] = {v: set() for v in range(n)}
         for a, b in self.covers:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad cover pair ({a}, {b})")
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
+        if not is_connected(range(n), self.covers):
             raise ValueError("cover support is not connected")
         # connected with n-1 edges => acyclic; transitive closure is antisymmetric
 
@@ -105,14 +96,15 @@ def count_linear_extensions(p: TreePoset, cap: int = DEFAULT_VERTEX_CAP) -> int:
     return sum(ranks[0])
 
 
-def _glue(f: list[int], g: list[int], below: bool) -> list[int]:
+def _glue(f: list, g: list, below: bool) -> list:
     """Rank vector of a vertex after hanging one more subtree on it.
 
     ``f`` is the vertex's vector over its m glued elements, ``g`` the child's
     over its q elements.  With j child-side elements before the vertex, the
     child fits if it is among the first j (``below``) or not (above), so
     h[j] is a prefix or suffix sum of ``g``; the two sides then interleave
-    freely before and after the vertex.
+    freely before and after the vertex.  The result is bilinear in ``f`` and
+    ``g``, so their entries may be weighted sums (exact or float) of counts.
     """
     m, q = len(f), len(g)
     h = [0] * (q + 1)

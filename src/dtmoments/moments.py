@@ -2,11 +2,17 @@
 
 The trace of a word D(a_1,b_1) T^{e(1)} ... D(a_k,b_k) T^{e(k)} in the limit
 is a sum over the non-crossing pairings compatible with the star-word: each
-pairing contributes the product, over the merge classes of its quotient tree,
-of the base measure's mixed moments at the class exponent totals, times the
-tree's linear-extension count, all divided by (k/2 + 1)!.
+pairing folds the k-gon of corners into a tree and contributes the product,
+over the tree's vertices (merge classes of corners), of the base measure's
+mixed moments at the class exponent totals, times the tree's
+linear-extension count, all divided by (k/2 + 1)!.
 
-Words in the combined generator Z = D + c*T expand into 2^k such terms.
+The pairings are never enumerated: :func:`_pairing_sum` sums over all of them
+at once by an interval DP, in O(k^5) integer operations for a T-word of k
+letters instead of Catalan(k/2) tree counts.  It builds no tree, so linext's
+vertex cap does not apply.
+
+Words in the combined generator Z = D + c*T expand into 2^k D/T words.
 """
 
 from __future__ import annotations
@@ -14,14 +20,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import CapExceededError, WordParseError
 from .exact import CQ_ONE, ComplexRational, MomentValue, rational_sqrt
-from .linext import TreePoset, count_linear_extensions
+from .linext import _glue
 from .measures import MeasureModel, conjugate, measure_fingerprint, scale
-from .ncpair import ONE, STAR, StarWord, enumerate_compatible_ncp, quotient_graph
+from .ncpair import ONE, STAR, StarWord
 
 DEFAULT_Z_LEN_CAP = 16
 
@@ -88,9 +93,6 @@ class DTWord:
             return cls(StarWord(()), ((current[0], current[1]),))
         return cls(StarWord(()), ())
 
-    def is_pure_t(self) -> bool:
-        return all(a == 0 and b == 0 for a, b in self.blocks)
-
 
 @dataclass(frozen=True)
 class ZWord:
@@ -115,15 +117,64 @@ class ZWord:
         return cls(StarWord(tuple(eps)), c)
 
 
-@lru_cache(maxsize=None)
-def _t_word_value(symbols: tuple[str, ...]) -> Fraction:
-    eps = StarWord(symbols)
-    k = len(eps)
+def _pairing_sum(symbols: tuple[str, ...], blocks, moment):
+    """Sum over the compatible non-crossing pairings of a k-slot word of the
+    product of class moments times the tree's linear-extension count.
+
+    An interval DP over 1-based slot intervals [a, b], each paired off inside
+    itself.  The interval folds to a tree rooted at the class holding corners
+    a and b + 1; ``F[a, b]`` maps that root's exponents (r, s), summed over the
+    corners a..b it holds, to the root's Atkinson rank vector, summed over all
+    pairings of the interval with their closed classes' moments applied.
+    Pairing a with j puts corner a and corner j + 1 in the root, and hangs the
+    class of corners a + 1 and j on it across edge a.  That class is the root
+    of [a + 1, j - 1]; it closes here, so its moment is taken and its vector
+    glued on.  Gluing is bilinear, so sums of vectors glue as one.
+    """
+    k = len(symbols)
+    if k % 2:
+        return 0
+    empty = {(0, 0): [1]}
+    F: dict[tuple[int, int], dict] = {}
+    for length in range(2, k + 1, 2):
+        for a in range(1, k - length + 2):
+            b = a + length - 1
+            ra, sa = blocks[a - 1]
+            below = symbols[a - 1] == STAR
+            root: dict[tuple[int, int], list] = {}
+            for j in range(a + 1, b + 1, 2):
+                if symbols[j - 1] == symbols[a - 1]:
+                    continue
+                rj, sj = blocks[j - 1]
+                child = None
+                for (r, s), vec in F.get((a + 1, j - 1), empty).items():
+                    m = moment(r + rj, s + sj)
+                    if not m:
+                        continue
+                    if child is None:
+                        child = [m * x for x in vec]
+                    else:
+                        child = [y + m * x for x, y in zip(vec, child)]
+                if child is None:
+                    continue
+                for (r, s), vec in F.get((j + 1, b), empty).items():
+                    glued = _glue(vec, child, below)
+                    key = (r + ra, s + sa)
+                    acc = root.get(key)
+                    root[key] = glued if acc is None else [x + y for x, y in zip(glued, acc)]
+            F[a, b] = root
     total = 0
-    for sigma in enumerate_compatible_ncp(eps):
-        q = quotient_graph(sigma, eps)
-        total += count_linear_extensions(TreePoset.from_quotient(q))
-    return Fraction(total, factorial(k // 2 + 1))
+    for (r, s), vec in F.get((1, k), empty).items():
+        m = moment(r, s)
+        if m:
+            total = m * sum(vec) + total
+    return total
+
+
+def _t_word_value(symbols: tuple[str, ...]) -> Fraction:
+    # a T-word is the D/T word with empty diagonal blocks and unit moments
+    total = _pairing_sum(symbols, ((0, 0),) * len(symbols), lambda r, s: 1)
+    return Fraction(total, factorial(len(symbols) // 2 + 1))
 
 
 def t_word_moment(eps: StarWord) -> MomentValue:
@@ -138,31 +189,25 @@ def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
 
 def _dt_word_value(w: DTWord, mu: MeasureModel, table: dict):
     """The raw value of :func:`dt_word_moment`; ``table`` caches ``mu.moment``
-    by (r, s) for as long as its owner keeps it."""
+    by (r, s) for as long as its owner keeps it, real exact moments as
+    ``Fraction`` (cheaper to multiply than ``ComplexRational``)."""
 
     def moment(r: int, s: int):
         value = table.get((r, s))
         if value is None:
-            value = table[r, s] = mu.moment(r, s)
+            value = mu.moment(r, s)
+            if isinstance(value, ComplexRational) and value.is_real():
+                value = value.re
+            table[r, s] = value
         return value
 
     k = len(w.eps)
     if k == 0:
         return moment(*w.blocks[0]) if w.blocks else CQ_ONE
-    if w.is_pure_t():
-        return t_word_moment(w.eps).value
-
-    total = 0
-    for sigma in enumerate_compatible_ncp(w.eps):
-        q = quotient_graph(sigma, w.eps)
-        nto = count_linear_extensions(TreePoset.from_quotient(q))
-        weight = CQ_ONE
-        for js in q.merge_classes().values():
-            r = sum(w.blocks[j - 1][0] for j in js)
-            s = sum(w.blocks[j - 1][1] for j in js)
-            weight = weight * moment(r, s)
-        total = weight * nto + total
-    return total * Fraction(1, factorial(k // 2 + 1))
+    total = _pairing_sum(w.eps.symbols, w.blocks, moment)
+    # M(0, 0) = 1 in the measure's own arithmetic: a float measure keeps its
+    # float tag even when every term vanished and no float moment was taken
+    return total * moment(0, 0) * Fraction(1, factorial(k // 2 + 1))
 
 
 _Z_CACHE: dict[tuple, MomentValue] = {}

@@ -100,21 +100,26 @@ class OrientedQuotientGraph:
         return {v: tuple(sorted(js)) for v, js in out.items()}
 
     def is_tree(self) -> bool:
-        if len(self.edges) != len(self.vertices) - 1:
-            return False
-        # connectivity of the undirected support
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(self.edges) == len(self.vertices) - 1 and is_connected(
+            self.vertices, self.edges
+        )
+
+
+def is_connected(vertices, edges) -> bool:
+    """Whether the undirected graph on ``vertices`` (nonempty) with ``edges``
+    is connected."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def is_compatible(sigma: Pairing, eps: StarWord) -> bool:

@@ -4,13 +4,17 @@ Everything here is deliberately independent of the package's own algorithms:
 matchings by direct recursion over all partners, crossings by the four-index
 definition, linear extensions by filtering all permutations, non-crossing set
 partitions by direct block insertion, measure moments by 2-D quadrature, and
-bivariate series arithmetic by dict-of-exponents convolution.
+bivariate series arithmetic by dict-of-exponents convolution.  The one
+exception is the pairing sum, the oracle of the interval DP in
+``dtmoments.moments``: it enumerates the compatible pairings one by one with
+the package's ``ncpair`` and counts each folded tree with ``linext.nto``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational
 
@@ -148,3 +152,31 @@ def biv_exp_minus_one(s: dict, max_total: int) -> dict:
         for key, val in power.items():
             out[key] = out.get(key, CQ_ZERO) + val * inv
     return out
+
+
+# -- the word-moment pairing sum ----------------------------------------------
+
+
+def pairing_sum(w, mu):
+    """Limit trace of a canonical ``DTWord`` under ``mu``, pairing by pairing.
+
+    Each compatible non-crossing pairing contributes its folded tree's
+    linear-extension count times the product over merge classes of
+    ``mu.moment`` at the class's summed diagonal exponents; the sum is
+    divided by (k/2 + 1)!.  A word without T-slots is the moment of its block.
+    """
+    from dtmoments.linext import nto
+    from dtmoments.ncpair import enumerate_compatible_ncp, quotient_graph
+
+    k = len(w.eps)
+    if k == 0:
+        return mu.moment(*w.blocks[0]) if w.blocks else CQ_ONE
+    total = 0
+    for sigma in enumerate_compatible_ncp(w.eps):
+        weight = CQ_ONE
+        for js in quotient_graph(sigma, w.eps).merge_classes().values():
+            r = sum(w.blocks[j - 1][0] for j in js)
+            s = sum(w.blocks[j - 1][1] for j in js)
+            weight = weight * mu.moment(r, s)
+        total = weight * nto(sigma, w.eps) + total
+    return total * Fraction(1, factorial(k // 2 + 1))

@@ -1,12 +1,24 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from conftest import pairing_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.exact import ComplexRational as CQ
-from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, UniformEllipse
+from dtmoments.exact import MomentValue
+from dtmoments.measures import (
+    Atomic,
+    MomentTable,
+    ScaledMeasure,
+    UniformAnnulus,
+    UniformDisk,
+    UniformEllipse,
+)
 from dtmoments.moments import (
     DTWord,
     ZWord,
@@ -50,6 +62,41 @@ class TestTWordMoment:
         value = t_word_moment(StarWord((STAR, ONE) * 10)).as_fraction()
         assert value == F(10**10, factorial(11))
 
+    def test_squared_generator_closed_form_up_to_p_20(self):
+        for p in range(21):
+            value = t_word_moment(StarWord((STAR, ONE) * p)).as_fraction()
+            assert value == F(p**p, factorial(p + 1)), p
+
+    def test_sniady_closed_form(self):
+        # ((T*)^k T^k)^n = n^(nk)/(nk + 1)! (Sniady, JCTA 2003), past the
+        # subset recursion's nk = 12 cap
+        for n in range(1, 21):
+            for k in range(1, 20 // n + 1):
+                eps = StarWord(((STAR,) * k + (ONE,) * k) * n)
+                assert t_word_moment(eps).as_fraction() == F(n ** (n * k), factorial(n * k + 1))
+
+    def test_no_vertex_cap(self):
+        # (T*)^24 T^24 folds to a 25-vertex path, one past linext's cap, which
+        # the pairing-by-pairing sum raised on; the interval DP builds no tree
+        value = t_word_moment(StarWord((STAR,) * 24 + (ONE,) * 24)).as_fraction()
+        assert value == F(1, factorial(25))
+
+    def test_every_balanced_word_up_to_14_letters_equals_the_pairing_sum(self):
+        # the oracle runs once per rotation class, on its least rotation;
+        # the DP roots every interval at slot 1, so each rotation is its own
+        # decomposition
+        oracle = {}
+        for k in range(0, 15, 2):
+            for symbols in itertools.product((ONE, STAR), repeat=k):
+                if symbols.count(ONE) != symbols.count(STAR):
+                    continue
+                least = min((symbols[i:] + symbols[:i] for i in range(k)), default=())
+                if least not in oracle:
+                    oracle[least] = pairing_sum(DTWord(StarWord(least), ((0, 0),) * k), DELTA0)
+                got = t_word_moment(StarWord(symbols))
+                assert got.exact
+                assert got.value == oracle[least], symbols
+
 
 class TestDTWord:
     def test_from_letters_merges_blocks(self):
@@ -88,6 +135,48 @@ class TestDTWord:
     def test_pure_t_words_route_exactly(self):
         w = DTWord.from_letters(["T", "T*", "T*", "T"])
         assert dt_word_moment(w, DELTA0).value == t_word_moment(w.eps).value
+
+
+MEASURE_KINDS = [
+    DELTA0,
+    Atomic(((CQ(F(1, 2), F(1, 5)), F(1, 3)), (CQ(F(-1), F(1)), F(2, 3)))),
+    UniformDisk(F(3, 4)),
+    UniformAnnulus(F(3, 2)),
+    UniformEllipse(F(1), F(1, 2)),
+    MomentTable(18, (((1, 0), CQ(F(1, 2), F(1, 4))), ((1, 1), CQ(F(2, 3))), ((2, 1), CQ(F(-1, 5), F(1, 7))))),
+    ScaledMeasure(UniformEllipse(F(1), F(1, 2)), CQ(F(1, 2), F(1))),
+    UniformDisk(1.0),
+    UniformAnnulus(1.5),
+    UniformEllipse(1.0, 0.5),
+    ScaledMeasure(UniformDisk(0.75), CQ(F(0), F(1))),
+]
+
+
+def is_float_measure(mu) -> bool:
+    return not isinstance(mu.moment(0, 0), CQ)
+
+
+@st.composite
+def dt_words(draw, max_letters=18):
+    """A D/T word with a balanced triangular part, its D letters placed freely."""
+    m = draw(st.integers(0, max_letters // 2))
+    letters = list(draw(st.permutations(["T"] * m + ["T*"] * m)))
+    for d in draw(st.lists(st.sampled_from(["D", "D*"]), max_size=max_letters - 2 * m)):
+        letters.insert(draw(st.integers(0, len(letters))), d)
+    return DTWord.from_letters(letters)
+
+
+@given(w=dt_words(), mu=st.sampled_from(MEASURE_KINDS))
+@settings(max_examples=150, deadline=None)
+def test_dt_words_equal_the_pairing_sum(w, mu):
+    got = dt_word_moment(w, mu)
+    expected = MomentValue.wrap(pairing_sum(w, mu))
+    if w.eps.symbols:
+        assert got.exact == (not is_float_measure(mu))
+    if got.exact:
+        assert got.value == expected.value
+    else:
+        assert abs(got.as_complex() - expected.as_complex()) < 1e-12
 
 
 class TestZWordMoment:
@@ -186,6 +275,15 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
             assert got.value == expanded[cls], symbols
 
 
+def adjoint(w: DTWord) -> DTWord:
+    """The word of the adjoint operator: letters reversed, each starred."""
+    star = {"D": "D*", "D*": "D", "T": "T*", "T*": "T"}
+    letters = []
+    for (a, b), s in zip(w.blocks, w.eps.symbols):
+        letters += ["D"] * a + ["D*"] * b + ["T" if s == ONE else "T*"]
+    return DTWord.from_letters([star[t] for t in reversed(letters)])
+
+
 class TestInvariants:
     MEASURES = [
         DELTA0,
@@ -217,14 +315,34 @@ class TestInvariants:
                 )
                 assert dt_word_moment(rotated, mu).value == base
 
-    def test_cyclic_invariance_of_z_words(self):
-        for mu in self.MEASURES:
-            for eps in self.all_words(5):
-                zw = ZWord(eps, F(2, 3))
-                base = z_word_moment(zw, mu).value
-                for shift in range(1, len(eps)):
-                    rot = StarWord(eps.symbols[shift:] + eps.symbols[:shift])
-                    assert z_word_moment(ZWord(rot, F(2, 3)), mu).value == base
+    def test_rotation_and_adjoint_invariance_of_dt_and_t_words(self):
+        # the DP roots every interval at slot 1, so a rotated or adjoint word
+        # reaches its trace through other decompositions; z_word_moment would
+        # hide a rotation bug, since it evaluates the least rotation only
+        measures = [
+            Atomic.delta(CQ(F(1, 2), F(1, 3))),
+            UniformDisk(F(3, 4)),
+            UniformEllipse(F(1), F(1, 2)),
+            ScaledMeasure(UniformEllipse(F(1), F(1, 2)), CQ(F(1, 2), F(1))),
+        ]
+        rng = random.Random(11)
+        for k in range(2, 11, 2):
+            for symbols in itertools.product((ONE, STAR), repeat=k):
+                if symbols.count(ONE) != symbols.count(STAR):
+                    continue
+                eps = StarWord(symbols)
+                value = t_word_moment(eps).value
+                for shift in range(1, k):
+                    assert t_word_moment(StarWord(symbols[shift:] + symbols[:shift])).value == value
+                assert t_word_moment(adjoint(DTWord(eps, ((0, 0),) * k)).eps).value == value
+
+                w = DTWord(eps, tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(k)))
+                shift = rng.randrange(1, k)
+                rotated = DTWord(StarWord(symbols[shift:] + symbols[:shift]), w.blocks[shift:] + w.blocks[:shift])
+                for mu in measures:
+                    value = dt_word_moment(w, mu).value
+                    assert dt_word_moment(rotated, mu).value == value, (w, shift, mu)
+                    assert dt_word_moment(adjoint(w), mu).value == value.conjugate(), (w, mu)
 
     def test_adjoint_symmetry(self):
         swap = {ONE: STAR, STAR: ONE}
