@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import factorial
 
 from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational
+from dtmoments.linext import nto
+from dtmoments.ncpair import enumerate_compatible_ncp, quotient_graph
 
 
 def all_perfect_matchings(k: int):
@@ -165,9 +167,6 @@ def pairing_sum(w, mu):
     ``mu.moment`` at the class's summed diagonal exponents; the sum is
     divided by (k/2 + 1)!.  A word without T-slots is the moment of its block.
     """
-    from dtmoments.linext import nto
-    from dtmoments.ncpair import enumerate_compatible_ncp, quotient_graph
-
     k = len(w.eps)
     if k == 0:
         return mu.moment(*w.blocks[0]) if w.blocks else CQ_ONE
