@@ -44,9 +44,6 @@ class ComplexRational:
         return None  # float/complex handled by the caller
 
     def __add__(self, other):
-        # a rational operand needs no full complex operation (here and in __mul__)
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re + other, self.im)
         o = self._coerce(other)
         if o is None:
             return self.to_complex() + other
@@ -64,8 +61,6 @@ class ComplexRational:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return self.to_complex() * other

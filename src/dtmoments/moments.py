@@ -183,7 +183,11 @@ def t_word_moment(eps: StarWord) -> MomentValue:
 
 
 def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
-    """Limit trace of a canonical D/T word under the base measure ``mu``."""
+    """Limit trace of a canonical D/T word under the base measure ``mu``.
+
+    Over a float-parameter measure every word with T-slots comes back tagged
+    float, pure-T, unbalanced and odd words included, whatever its value.
+    """
     return MomentValue.wrap(_dt_word_value(w, mu, {}))
 
 

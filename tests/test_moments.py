@@ -136,6 +136,16 @@ class TestDTWord:
         w = DTWord.from_letters(["T", "T*", "T*", "T"])
         assert dt_word_moment(w, DELTA0).value == t_word_moment(w.eps).value
 
+    @pytest.mark.parametrize(
+        "letters, value",
+        [(["T", "T*"], 0.5), (["D", "T", "T"], 0), (["T", "D*", "T*", "T"], 0)],
+        ids=["pure-t", "unbalanced", "odd"],
+    )
+    def test_float_measure_tags_every_t_word_float(self, letters, value):
+        got = dt_word_moment(DTWord.from_letters(letters), UniformDisk(1.0))
+        assert got.backend == "float"
+        assert got.value == value
+
 
 MEASURE_KINDS = [
     DELTA0,
