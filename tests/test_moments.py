@@ -146,6 +146,11 @@ class TestDTWord:
         assert got.backend == "float"
         assert got.value == value
 
+    def test_float_measure_tags_a_word_without_t_slots_float(self):
+        got = dt_word_moment(DTWord.from_letters(["D", "D"]), UniformDisk(1.0))
+        assert got.backend == "float"
+        assert got.value == 0
+
 
 MEASURE_KINDS = [
     DELTA0,
@@ -213,11 +218,19 @@ class TestZWordMoment:
         got = z_word_moment(zw, UniformDisk(1))
         assert got.as_fraction() == F(1, 2) + F(1, 8)
 
-    def test_float_scale_downgrades_backend(self):
-        zw = ZWord(StarWord((STAR, ONE)), 0.5)
-        got = z_word_moment(zw, UniformDisk(1))
+    @pytest.mark.parametrize(
+        "zw, mu, value",
+        [
+            (ZWord(StarWord((STAR, ONE)), 0.5), UniformDisk(1), 0.625),
+            (ZWord.from_letters(["Z", "Z*"], 1.0), DELTA0, 0.5),
+            (ZWord.from_letters(["Z", "Z"], 1.0), DELTA0, 0),
+        ],
+        ids=["disk", "delta0-unit-scale", "delta0-zero"],
+    )
+    def test_float_scale_downgrades_backend(self, zw, mu, value):
+        got = z_word_moment(zw, mu)
         assert not got.exact
-        assert abs(got.as_complex() - 0.625) < 1e-12
+        assert abs(got.as_complex() - value) < 1e-12
 
     @pytest.mark.parametrize(
         "exact_mu, float_mu",
@@ -238,8 +251,12 @@ class TestZWordMoment:
 
     @pytest.mark.parametrize(
         "letters, mu",
-        [(["Z"] * 3 + ["Z*"] * 5, UniformAnnulus(1.5)), (["Z", "Z", "Z*"], UniformDisk(1.0))],
-        ids=["z3zs5-annulus", "unbalanced-disk"],
+        [
+            (["Z"] * 3 + ["Z*"] * 5, UniformAnnulus(1.5)),
+            (["Z", "Z", "Z*"], UniformDisk(1.0)),
+            (["Z", "Z"], UniformDisk(1.0)),
+        ],
+        ids=["z3zs5-annulus", "unbalanced-disk", "no-t-part-disk"],
     )
     def test_float_measure_keeps_the_float_tag_on_a_zero_value(self, letters, mu):
         got = z_word_moment(ZWord.from_letters(letters), mu)
