@@ -8,7 +8,7 @@ Because the order's Hasse diagram is a tree, Atkinson's count applies
 Order 7 (1990) 23-25): root the tree, give every vertex the vector of
 extension counts of its subtree by the vertex's rank, and glue each child on
 through a prefix sum and a binomial convolution.  That is O(n^2) operations
-on exact Python integers (counts exceed 64 bits well before the cap).
+on exact Python integers, so trees of any size are counted exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceededError
 from .ncpair import (
     OrientedQuotientGraph,
     Pairing,
@@ -26,8 +25,6 @@ from .ncpair import (
     is_noncrossing,
     quotient_graph,
 )
-
-DEFAULT_VERTEX_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class TreePoset:
         return cls(len(q.vertices), covers)
 
 
-def count_linear_extensions(p: TreePoset, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def count_linear_extensions(p: TreePoset) -> int:
     """Exact number of total orders of 0..n-1 extending the cover relation.
 
     Atkinson's count for tree-shaped orders, O(n^2) big-integer operations:
@@ -72,8 +69,6 @@ def count_linear_extensions(p: TreePoset, cap: int = DEFAULT_VERTEX_CAP) -> int:
     is the sum of the root's vector.
     """
     n = p.n_vertices
-    if n > cap:
-        raise CapExceededError(f"poset has {n} vertices, exceeding the cap of {cap}")
     adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
     for a, b in p.covers:
         adj[b].append((a, True))  # a is a lower cover of b
@@ -123,7 +118,7 @@ def _glue(f: list, g: list, below: bool) -> list:
     return out
 
 
-def nto(sigma: Pairing, eps: StarWord, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def nto(sigma: Pairing, eps: StarWord) -> int:
     """Ordering count of the folded tree.
 
     Crossing pairings count 0 outright; a non-crossing pairing must be
@@ -134,4 +129,4 @@ def nto(sigma: Pairing, eps: StarWord, cap: int = DEFAULT_VERTEX_CAP) -> int:
     if not is_compatible(sigma, eps):
         raise ValueError("pairing is not compatible with the star-word")
     q = quotient_graph(sigma, eps)
-    return count_linear_extensions(TreePoset.from_quotient(q), cap=cap)
+    return count_linear_extensions(TreePoset.from_quotient(q))

@@ -245,29 +245,6 @@ def conjugate(mu: MeasureModel) -> MeasureModel:
     return ScaledMeasure(conjugate(mu.base), mu.lam.conjugate())
 
 
-def measure_fingerprint(mu: MeasureModel) -> tuple:
-    """A hashable identity used as part of memo keys.
-
-    Parameters that may be exact or float carry their type, since 1 and 1.0
-    hash alike but give exact and float moments respectively.
-    """
-    if isinstance(mu, Atomic):
-        return ("atomic", mu.atoms)
-    if isinstance(mu, UniformDisk):
-        return ("disk", _typed(mu.radius))
-    if isinstance(mu, UniformAnnulus):
-        return ("annulus", _typed(mu.c))
-    if isinstance(mu, UniformEllipse):
-        return ("ellipse", _typed(mu.a), _typed(mu.b))
-    if isinstance(mu, MomentTable):
-        return ("table", mu.max_degree, mu.entries)
-    return ("scaled", mu.lam, measure_fingerprint(mu.base))
-
-
-def _typed(x: Fraction | float) -> tuple:
-    return type(x).__name__, x
-
-
 # -- JSON specification ------------------------------------------------------
 
 

@@ -7,28 +7,30 @@ over the tree's vertices (merge classes of corners), of the base measure's
 mixed moments at the class exponent totals, times the tree's
 linear-extension count, all divided by (k/2 + 1)!.
 
-The pairings are never enumerated: :func:`_pairing_sum` sums over all of them
-at once by an interval DP, in O(k^5) integer operations for a T-word of k
-letters instead of Catalan(k/2) tree counts.  It builds no tree, so linext's
-vertex cap does not apply.
-
-Words in the combined generator Z = D + c*T expand into 2^k D/T words.
+The pairings are never enumerated: :func:`_word_sum` sums over all of them
+at once by an interval DP over letter positions, in O(k^5) integer
+operations for a T-word of k letters instead of Catalan(k/2) tree counts.
+A letter of the combined generator Z = D + c*T offers both its diagonal and
+its triangular part, so one DP sums over all 2^k choices of parts; a D/T
+word gives each nonempty block one diagonal position ahead of its T-slot.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import CapExceededError, WordParseError
-from .exact import CQ_ONE, ComplexRational, MomentValue, rational_sqrt
+from .exact import ComplexRational, MomentValue, rational_sqrt
 from .linext import _glue
-from .measures import MeasureModel, conjugate, measure_fingerprint, scale
+from .measures import MeasureModel, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
-DEFAULT_Z_LEN_CAP = 16
+# a cold (Z*Z)^12 on the unit disk takes about 2 s, and two more letters
+# multiply that by about 1.6
+DEFAULT_Z_LEN_CAP = 24
 
 T_LETTERS = ("T", "T*")
 D_LETTERS = ("D", "D*")
@@ -117,84 +119,71 @@ class ZWord:
         return cls(StarWord(tuple(eps)), c)
 
 
-def _pairing_sum(symbols: tuple[str, ...], blocks, moment):
-    """Sum over the compatible non-crossing pairings of a k-slot word of the
-    product of class moments times the tree's linear-extension count.
+def _word_sum(parts, moment, c_sq=1):
+    """Limit trace of a word given letter by letter, summed over every choice
+    of part per letter and every compatible non-crossing pairing.
 
-    An interval DP over 1-based slot intervals [a, b], each paired off inside
-    itself.  The interval folds to a tree rooted at the class holding corners
-    a and b + 1; ``F[a, b]`` maps that root's exponents (r, s), summed over the
-    corners a..b it holds, to the root's Atkinson rank vector, summed over all
-    pairings of the interval with their closed classes' moments applied.
-    Pairing a with j puts corner a and corner j + 1 in the root, and hangs the
-    class of corners a + 1 and j on it across edge a.  That class is the root
-    of [a + 1, j - 1]; it closes here, so its moment is taken and its vector
-    glued on.  Gluing is bilinear, so sums of vectors glue as one.
+    ``parts[p]`` is position p's diagonal exponents (r, s), or None, and its
+    triangular symbol, or None; each triangular part weighs c.  An interval
+    DP over positions a..e-1: the interval folds to a tree rooted at the
+    class of the corners just before a and just after e - 1, and ``G[a][e]``
+    maps that root's exponents (r, s), summed over the diagonal parts it
+    holds, and its tree's vertex count L to the root's Atkinson rank vector
+    (of length L), summed over the interval's part choices and pairings with
+    the closed classes' moments applied.  A diagonal part at a joins the
+    root.  A triangular part at a paired with one at j puts the corner after
+    j in the root and hangs the class of the corners after a and before j,
+    the root of a+1..j-1, on it across the arc; that class closes, so its
+    moment is taken, once per pair (a, j) in ``closed[a][j]``, and its vector
+    glued on.  Gluing is bilinear, so sums of vectors of one length glue as
+    one.  The trace is the sum over the keys
+    of the whole word of moment(r, s) * sum(vec) * c^(2(L-1)) / L!.
     """
-    k = len(symbols)
-    if k % 2:
-        return 0
-    empty = {(0, 0): [1]}
-    F: dict[tuple[int, int], dict] = {}
-    for length in range(2, k + 1, 2):
-        for a in range(1, k - length + 2):
-            b = a + length - 1
-            ra, sa = blocks[a - 1]
-            below = symbols[a - 1] == STAR
-            root: dict[tuple[int, int], list] = {}
-            for j in range(a + 1, b + 1, 2):
-                if symbols[j - 1] == symbols[a - 1]:
-                    continue
-                rj, sj = blocks[j - 1]
-                child = None
-                for (r, s), vec in F.get((a + 1, j - 1), empty).items():
-                    m = moment(r + rj, s + sj)
+    n = len(parts)
+    empty = {(0, 0, 1): [1]}
+    G = [[empty] * (n + 1) for _ in range(n + 1)]
+    closed: list[dict] = [{} for _ in range(n)]
+    for length in range(1, n + 1):
+        for a in range(n - length + 1):
+            e = a + length
+            diag, sym = parts[a]
+            if sym is not None and parts[e - 1][1] not in (None, sym):
+                child: dict[int, list] = {}
+                for (r, s, size), vec in G[a + 1][e - 1].items():
+                    m = moment(r, s)
                     if not m:
                         continue
-                    if child is None:
-                        child = [m * x for x in vec]
-                    else:
-                        child = [y + m * x for x, y in zip(vec, child)]
-                if child is None:
-                    continue
-                for (r, s), vec in F.get((j + 1, b), empty).items():
-                    glued = _glue(vec, child, below)
-                    key = (r + ra, s + sa)
-                    acc = root.get(key)
-                    root[key] = glued if acc is None else [x + y for x, y in zip(glued, acc)]
-            F[a, b] = root
+                    acc = child.get(size)
+                    child[size] = [m * x for x in vec] if acc is None else [y + m * x for x, y in zip(vec, acc)]
+                if child:
+                    closed[a][e - 1] = child
+            root = {}
+            if diag is not None:
+                for (r, s, size), vec in G[a + 1][e].items():
+                    root[r + diag[0], s + diag[1], size] = vec
+            for j, child in closed[a].items():
+                for child_size, child_vec in child.items():
+                    for (r, s, size), vec in G[j + 1][e].items():
+                        glued = _glue(vec, child_vec, sym == STAR)
+                        key = (r, s, size + child_size)
+                        acc = root.get(key)
+                        root[key] = glued if acc is None else [x + y for x, y in zip(glued, acc)]
+            G[a][e] = root
     total = 0
-    for (r, s), vec in F.get((1, k), empty).items():
+    for (r, s, size), vec in G[0][n].items():
         m = moment(r, s)
         if m:
-            total = m * sum(vec) + total
-    return total
+            total = m * sum(vec) * c_sq ** (size - 1) * Fraction(1, factorial(size)) + total
+    # M(0, 0) and c^0 are 1 in the measure's and the scale's own arithmetic:
+    # a float measure or scale keeps its float tag when every term vanished
+    return total * moment(0, 0) * c_sq**0
 
 
-def _t_word_value(symbols: tuple[str, ...]) -> Fraction:
-    # a T-word is the D/T word with empty diagonal blocks and unit moments
-    total = _pairing_sum(symbols, ((0, 0),) * len(symbols), lambda r, s: 1)
-    return Fraction(total, factorial(len(symbols) // 2 + 1))
-
-
-def t_word_moment(eps: StarWord) -> MomentValue:
-    """Limit trace of T^{e(1)} ... T^{e(k)}; exact, and 0 with no pairings."""
-    return MomentValue.wrap(_t_word_value(tuple(eps.symbols)))
-
-
-def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
-    """Limit trace of a canonical D/T word under the base measure ``mu``.
-
-    Over a float-parameter measure every word with T-slots comes back tagged
-    float, pure-T, unbalanced and odd words included, whatever its value.
-    """
-    return MomentValue.wrap(_dt_word_value(w, mu, {}))
-
-
-def _dt_word_value(w: DTWord, mu: MeasureModel, table: dict):
-    """The raw value of :func:`dt_word_moment`; ``table`` caches ``mu.moment``
-    by (r, s) for as long as its owner keeps it, real exact moments as
-    ``Fraction`` (cheaper to multiply than ``ComplexRational``)."""
+def _moments_of(mu: MeasureModel):
+    """``mu.moment``, cached by (r, s) for one word; real exact moments come
+    back as ``Fraction``, which is cheaper to multiply than
+    ``ComplexRational``."""
+    table: dict = {}
 
     def moment(r: int, s: int):
         value = table.get((r, s))
@@ -205,23 +194,28 @@ def _dt_word_value(w: DTWord, mu: MeasureModel, table: dict):
             table[r, s] = value
         return value
 
-    k = len(w.eps)
-    if k == 0:
-        return moment(*w.blocks[0]) if w.blocks else CQ_ONE
-    total = _pairing_sum(w.eps.symbols, w.blocks, moment)
-    # M(0, 0) = 1 in the measure's own arithmetic: a float measure keeps its
-    # float tag even when every term vanished and no float moment was taken
-    return total * moment(0, 0) * Fraction(1, factorial(k // 2 + 1))
+    return moment
 
 
-_Z_CACHE: dict[tuple, MomentValue] = {}
-_Z_CACHE_LOCK = threading.Lock()
+def t_word_moment(eps: StarWord) -> MomentValue:
+    """Limit trace of T^{e(1)} ... T^{e(k)}; exact, and 0 with no pairings."""
+    return MomentValue.wrap(_word_sum([(None, s) for s in eps.symbols], lambda r, s: 1))
 
 
-def _least_rotation(symbols: tuple[str, ...]) -> tuple[str, ...]:
-    if not symbols:
-        return symbols
-    return min(symbols[i:] + symbols[:i] for i in range(len(symbols)))
+def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
+    """Limit trace of a canonical D/T word under the base measure ``mu``.
+
+    Each nonempty block is a diagonal position ahead of its slot.  Over a
+    float-parameter measure every word comes back tagged float, whatever its
+    value.
+    """
+    parts = []
+    for block, sym in itertools.zip_longest(w.blocks, w.eps.symbols):
+        if block != (0, 0):
+            parts.append((block, None))
+        if sym is not None:
+            parts.append((None, sym))
+    return MomentValue.wrap(_word_sum(parts, _moments_of(mu)))
 
 
 def z_word_moment(
@@ -229,47 +223,16 @@ def z_word_moment(
 ) -> MomentValue:
     """Limit trace of Z^{e(1)} ... Z^{e(k)} for Z = D + c*T over ``mu``.
 
-    Each letter expands to its diagonal or scaled triangular part; of the 2^k
-    resulting D/T words, those whose triangular part is balanced (the others
-    have no compatible pairing) are evaluated, sharing one table of the
-    measure's moments, and combined with the matching powers of c.  Words are
-    rotated to their least cyclic representative first (the trace is
-    cyclic), and results are memoized per (word, c, measure).
+    Each letter offers its diagonal part and its triangular part to one
+    interval DP, which sums over both choices at every position at once.
     """
     k = len(zw.eps)
     if k > max_len:
         raise CapExceededError(
             f"Z-word length {k} exceeds the cap of {max_len}; raise max_len to override"
         )
-    symbols = _least_rotation(tuple(zw.eps.symbols))
-    # Fraction(1, 2) and 0.5 hash alike; the type tag keeps exact and float
-    # scales in separate cache slots
-    key = (symbols, type(zw.c).__name__, zw.c, measure_fingerprint(mu))
-    with _Z_CACHE_LOCK:
-        hit = _Z_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    c_sq = zw.c * zw.c
-    ones = sum(1 << j for j in range(k) if symbols[j] == ONE)
-    table: dict = {}  # mu's moments, shared by the 2^k D/T words
-    total = 0
-    for mask in range(1 << k):
-        t_count = mask.bit_count()
-        if 2 * (mask & ones).bit_count() != t_count:
-            continue  # an unbalanced triangular part has no compatible pairing
-        letters = []
-        for j in range(k):
-            if mask >> j & 1:
-                letters.append("T" if symbols[j] == ONE else "T*")
-            else:
-                letters.append("D" if symbols[j] == ONE else "D*")
-        term = _dt_word_value(DTWord.from_letters(letters), mu, table)
-        total = term * c_sq ** (t_count // 2) + total
-    result = MomentValue.wrap(total)
-    with _Z_CACHE_LOCK:
-        _Z_CACHE.setdefault(key, result)
-    return result
+    parts = [((1, 0) if sym == ONE else (0, 1), sym) for sym in zw.eps.symbols]
+    return MomentValue.wrap(_word_sum(parts, _moments_of(mu), zw.c * zw.c))
 
 
 def scaled_dt(

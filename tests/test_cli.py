@@ -7,6 +7,7 @@ import pytest
 
 from dtmoments.cli import main, parse_measure_arg
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, measure_to_json
+from dtmoments.moments import DEFAULT_Z_LEN_CAP
 from dtmoments.rmt import DEFAULT_SIZE_CAP
 
 
@@ -58,7 +59,7 @@ class TestMoment:
         assert code == 2
 
     def test_cap_exit_code(self, capsys):
-        word = " ".join(["Z"] * 18)
+        word = " ".join(["Z"] * (DEFAULT_Z_LEN_CAP + 2))
         code, _, err = run(capsys, "moment", "--word", word, "--measure", "disk:1")
         assert code == 3
         assert "cap" in err

@@ -4,7 +4,6 @@ import random
 import pytest
 from conftest import count_linear_extensions_brute
 
-from dtmoments.errors import CapExceededError
 from dtmoments.linext import TreePoset, count_linear_extensions, nto
 from dtmoments.ncpair import ONE, STAR, Pairing, StarWord
 
@@ -55,13 +54,6 @@ def test_hamiltonian_chain_has_one_extension():
         assert count_linear_extensions(chain) == 1
 
 
-def test_cap_error_names_the_cap():
-    chain = TreePoset(25, tuple((i, i + 1) for i in range(24)))
-    with pytest.raises(CapExceededError, match="24"):
-        count_linear_extensions(chain)
-    assert count_linear_extensions(chain, cap=25) == 1
-
-
 def test_counts_are_exact_big_integers():
     # an antichain above a single root: (n-1)! orderings of the leaves
     n = 22
@@ -82,16 +74,16 @@ def test_hook_length_formula_on_rooted_trees():
         want = math.factorial(n) // math.prod(size)
         up = TreePoset(n, tuple((parent[v], v) for v in range(1, n)))
         down = TreePoset(n, tuple((v, parent[v]) for v in range(1, n)))
-        assert count_linear_extensions(up, cap=n) == want
-        assert count_linear_extensions(down, cap=n) == want
+        assert count_linear_extensions(up) == want
+        assert count_linear_extensions(down) == want
 
 
 def test_stars_up_to_sixty_vertices():
     for n in range(2, 61):
         below = TreePoset(n, tuple((0, v) for v in range(1, n)))
         above = TreePoset(n, tuple((v, 0) for v in range(1, n)))
-        assert count_linear_extensions(below, cap=n) == math.factorial(n - 1)
-        assert count_linear_extensions(above, cap=n) == math.factorial(n - 1)
+        assert count_linear_extensions(below) == math.factorial(n - 1)
+        assert count_linear_extensions(above) == math.factorial(n - 1)
 
 
 def test_arrow_reversal_preserves_count_on_large_trees():
@@ -100,7 +92,7 @@ def test_arrow_reversal_preserves_count_on_large_trees():
         n = rng.randint(20, 40)
         p = random_oriented_tree(rng, n)
         reversed_p = TreePoset(n, tuple((b, a) for a, b in p.covers))
-        assert count_linear_extensions(p, cap=n) == count_linear_extensions(reversed_p, cap=n)
+        assert count_linear_extensions(p) == count_linear_extensions(reversed_p)
 
 
 class TestNTO:
