@@ -136,8 +136,8 @@ def _word_sum(parts, moment, c_sq=1):
     the root of a+1..j-1, on it across the arc; that class closes, so its
     moment is taken, once per pair (a, j) in ``closed[a][j]``, and its vector
     glued on.  Gluing is bilinear, so sums of vectors of one length glue as
-    one.  The trace is the sum over the keys
-    of the whole word of moment(r, s) * sum(vec) * c^(2(L-1)) / L!.
+    one.  The trace is the sum over the keys of the whole word of
+    moment(r, s) * sum(vec) * c^(2(L-1)) / L!.
     """
     n = len(parts)
     empty = {(0, 0, 1): [1]}

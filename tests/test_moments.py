@@ -139,18 +139,13 @@ class TestDTWord:
 
     @pytest.mark.parametrize(
         "letters, value",
-        [(["T", "T*"], 0.5), (["D", "T", "T"], 0), (["T", "D*", "T*", "T"], 0)],
-        ids=["pure-t", "unbalanced", "odd"],
+        [(["T", "T*"], 0.5), (["D", "T", "T"], 0), (["T", "D*", "T*", "T"], 0), (["D", "D"], 0)],
+        ids=["pure-t", "unbalanced", "odd", "no-t-slots"],
     )
     def test_float_measure_tags_every_t_word_float(self, letters, value):
         got = dt_word_moment(DTWord.from_letters(letters), UniformDisk(1.0))
         assert got.backend == "float"
         assert got.value == value
-
-    def test_float_measure_tags_a_word_without_t_slots_float(self):
-        got = dt_word_moment(DTWord.from_letters(["D", "D"]), UniformDisk(1.0))
-        assert got.backend == "float"
-        assert got.value == 0
 
 
 MEASURE_KINDS = [
@@ -239,7 +234,8 @@ class TestZWordMoment:
         ],
     )
     def test_float_measure_after_exact_call_stays_float(self, exact_mu, float_mu):
-        # equal parameters of different types must not share a memo slot
+        # an exact call first must not make the float call with equal
+        # parameters come back exact
         zw = ZWord.from_letters(["Z*", "Z", "Z", "Z*"])
         exact = z_word_moment(zw, exact_mu)
         assert exact.exact
