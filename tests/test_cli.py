@@ -9,6 +9,7 @@ from dtmoments.cli import main, parse_measure_arg
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, measure_to_json
 from dtmoments.moments import DEFAULT_Z_LEN_CAP
 from dtmoments.rmt import DEFAULT_SIZE_CAP
+from dtmoments.spectral import DEFAULT_MOMENT_CAP
 
 
 def run(capsys, *argv):
@@ -123,6 +124,13 @@ class TestConjecture:
         skipped = [r for r in rows if r["equal"] == "skipped"]
         assert skipped and all(int(r["n"]) * int(r["k"]) > 6 for r in skipped)
 
+    @pytest.mark.parametrize("flag", ["--n-max", "--k-max"])
+    def test_empty_table_is_a_parse_error(self, capsys, flag):
+        code, out, err = run(capsys, "conjecture", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
 
 class TestDensity:
     def test_grid_and_check_table(self, capsys):
@@ -146,6 +154,20 @@ class TestDensity:
         assert len(list(csv.DictReader(io.StringIO(grid_text)))) == 20
         check = list(csv.DictReader(io.StringIO("p,quadrature" + check_text)))
         assert [row["p"] for row in check] == ["0", "1", "2"]
+
+    def test_negative_p_max_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "density", "--grid", "20", "--p-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--p-max" in err
+
+    def test_p_max_over_the_cap_writes_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "density", "--grid", "20", "--p-max", str(DEFAULT_MOMENT_CAP + 1)
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
 
 class TestSeries:

@@ -297,24 +297,33 @@ class TestFrozenEstimates:
             assert_frozen(est, FROZEN_SWEEP[" ".join(letters)])
 
 
+# one-letter words and two trials: an unchecked path allocates a few
+# matrices of the oversize n and returns, so the tests fail fast
+EVERY_ESTIMATOR = pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: estimate_word_moment(["T"], n, 2, 0),
+        lambda n: estimate_elliptic_moment(math.pi / 4, StarWord((ONE,)), n, 2, 0),
+        lambda n: deterministic_diagonal_run(
+            lambda m: [0.0] * m, 1.0, StarWord((ONE,)), n, 2, 0
+        ),
+        lambda n: pure_t_word_sweep(1, n, 2, 0),
+    ],
+    ids=["word", "elliptic", "fixed", "sweep"],
+)
+
+
 class TestSizeCap:
-    # one-letter words and two trials: an unchecked path allocates a few
-    # matrices of the oversize n and returns, so the test fails fast
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda n: estimate_word_moment(["T"], n, 2, 0),
-            lambda n: estimate_elliptic_moment(math.pi / 4, StarWord((ONE,)), n, 2, 0),
-            lambda n: deterministic_diagonal_run(
-                lambda m: [0.0] * m, 1.0, StarWord((ONE,)), n, 2, 0
-            ),
-            lambda n: pure_t_word_sweep(1, n, 2, 0),
-        ],
-        ids=["word", "elliptic", "fixed", "sweep"],
-    )
+    @EVERY_ESTIMATOR
     def test_every_estimator_enforces_the_cap(self, run):
         with pytest.raises(ValueError, match="cap"):
             run(DEFAULT_SIZE_CAP + 1)
+
+    @EVERY_ESTIMATOR
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_every_estimator_refuses_an_empty_matrix(self, run, n):
+        with pytest.raises(ValueError, match=f"size {n}"):
+            run(n)
 
     def test_sweep_needs_two_trials(self):
         with pytest.raises(ValueError, match="2 trials"):
