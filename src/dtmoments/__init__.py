@@ -54,7 +54,6 @@ from .ncpair import (
 from .quasinil import (
     ZERO,
     canonicalize,
-    conjecture_check,
     conjecture_value,
     m_recursive,
     stn_moment,

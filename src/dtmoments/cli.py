@@ -130,6 +130,8 @@ def cmd_moment(args, out) -> int:
 
 
 def cmd_conjecture(args, out) -> int:
+    if args.n_max < 1 or args.k_max < 1:
+        raise WordParseError("--n-max and --k-max must be at least 1")
     rows = []
     for n in range(1, args.n_max + 1):
         for k in range(1, args.k_max + 1):
@@ -154,13 +156,16 @@ def cmd_conjecture(args, out) -> int:
 
 
 def cmd_density(args, out) -> int:
-    rows = [{"x": pt.x, "phi": pt.phi, "v": pt.v} for pt in density_grid(args.grid)]
-    _emit(rows, args.format, out)
+    if args.p_max < 0:
+        raise WordParseError("--p-max must be nonnegative")
+    # the check table is built first, so a --p-max over the cap writes nothing
     check = []
     for p in range(0, args.p_max + 1):
-        got = density_moment(p, max_p=max(args.p_max, 8))
+        got = density_moment(p)
         want = float(tstt_moment(p)) if p >= 1 else 1.0
         check.append({"p": p, "quadrature": got, "closed_form": want, "abs_err": abs(got - want)})
+    rows = [{"x": pt.x, "phi": pt.phi, "v": pt.v} for pt in density_grid(args.grid)]
+    _emit(rows, args.format, out)
     _emit(check, args.format, out)
     return EXIT_OK
 

@@ -209,8 +209,6 @@ class ScaledMeasure:
 
 MeasureModel = Atomic | UniformDisk | UniformAnnulus | UniformEllipse | MomentTable | ScaledMeasure
 
-DELTA_ZERO = Atomic.delta(0)
-
 
 def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
     """M(r, s) of the model, tagged with the backend that produced it."""

@@ -29,10 +29,6 @@ class StarWord:
                 raise ValueError(f"bad star-word symbol {s!r}")
 
     @classmethod
-    def of(cls, *symbols: str) -> "StarWord":
-        return cls(tuple(symbols))
-
-    @classmethod
     def parse(cls, text: str) -> "StarWord":
         """Parse compact forms like "*1*1" or whitespace-separated symbols."""
         toks = text.split() if " " in text.strip() else list(text.strip())

@@ -19,8 +19,6 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .errors import CapExceededError
-
 DEFAULT_NK_CAP = 12
 
 
@@ -34,8 +32,6 @@ class _Zero:
 
 
 ZERO = _Zero()
-
-AltExponentSeq = tuple  # alternating (k_1, l_1, ..., k_n, l_n)
 
 
 def _merge_runs(seq) -> tuple[tuple[str, int], ...]:
@@ -185,14 +181,3 @@ def conjecture_value(k: int, n: int) -> Fraction:
     if k < 1 or n < 1:
         raise ValueError("need k, n >= 1")
     return Fraction(n ** (n * k), factorial(n * k + 1))
-
-
-def conjecture_check(k: int, n: int, nk_cap: int = DEFAULT_NK_CAP) -> bool:
-    """Does the recursion reproduce the conjectured closed form at (k, n)?"""
-    if k < 1 or n < 1:
-        raise ValueError("need k, n >= 1")
-    if n * k > nk_cap:
-        raise CapExceededError(
-            f"n*k = {n * k} exceeds the recursion feasibility cap of {nk_cap}"
-        )
-    return m_recursive((k, k) * n) == conjecture_value(k, n)

@@ -139,11 +139,13 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
     return Estimate(complex(values.mean()), float(se), n, values.size, seed)
 
 
-def _check_size(n: int, trials: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+def _check_size(n: int, trials: int) -> None:
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    if n > size_cap:
-        raise ValueError(f"matrix size {n} exceeds the cap of {size_cap}")
+    if n < 1:
+        raise ValueError(f"matrix size {n} is below 1")
+    if n > DEFAULT_SIZE_CAP:
+        raise ValueError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
 def _prefix_tree(words: Sequence[Sequence[str]]) -> dict:
@@ -200,7 +202,6 @@ def estimate_word_moment(
     seed: int,
     mu: MeasureModel | None = None,
     c: float = 1.0,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Estimate:
     """Monte Carlo normalized trace of a word in {D, D*, T, T*} or {Z, Z*}.
 
@@ -209,7 +210,7 @@ def estimate_word_moment(
     N(0, 1/n) entries, drawn independently per trial; a Z letter stands for
     D + c*T.
     """
-    _check_size(n, trials, size_cap)
+    _check_size(n, trials)
     uses_z = any(t in Z_LETTERS for t in letters)
     uses_d = uses_z or any(t in D_LETTERS for t in letters)
     if uses_d and mu is None:

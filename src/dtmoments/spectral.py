@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError
 
 SUPPORT_UPPER = math.e  # the spectral law of T*T lives on [0, e]
-DEFAULT_MOMENT_CAP = 8
+DEFAULT_MOMENT_CAP = 300
 _V_EPS = 1e-8
 _LOG_RHO_TOL = 1e-15
 _QUADRATURE_NODES = 64
@@ -56,14 +56,6 @@ def rho(v: float) -> float:
     if sinc <= 0.0:
         return 0.0
     return sinc * math.exp(_v_cot_v(v))
-
-
-def rho_prime(v: float) -> float:
-    """d rho/dv via the logarithmic derivative 2 cot v - 1/v - v/sin^2 v."""
-    if not 0.0 < v < math.pi:
-        raise ValueError(f"rho_prime requires 0 < v < pi, got {v}")
-    s = math.sin(v)
-    return rho(v) * (2.0 * math.cos(v) / s - 1.0 / v - v / (s * s))
 
 
 def _phi_of_v(v: float) -> float:
@@ -120,14 +112,6 @@ def phi_at(x: float) -> float:
     return _phi_of_v(_solve_v(x))
 
 
-def density_point_at(x: float) -> DensityPoint:
-    """Like :func:`phi_at` but keeping the located parameter value."""
-    if not 0.0 < x < SUPPORT_UPPER:
-        raise ValueError(f"phi is defined on (0, e); got {x}")
-    v = _solve_v(x)
-    return DensityPoint(x, _phi_of_v(v), v)
-
-
 def _weight(v: float) -> float:
     # -phi(rho(v)) * rho'(v), simplified; smooth with limits 0 at 0, 1/pi at pi
     if v < 1e-9:
@@ -136,16 +120,17 @@ def _weight(v: float) -> float:
     return ((v - s) ** 2 + 2.0 * v * s * (1.0 - math.cos(v))) / (math.pi * v * v)
 
 
-def density_moment(p: int, max_p: int = DEFAULT_MOMENT_CAP) -> float:
+def density_moment(p: int) -> float:
     """integral of x^p phi(x) dx over (0, e), by a fixed Gauss-Legendre rule in v.
 
-    The 64-node rule is within 6.4e-14 of the closed form p^p/(p+1)! for
-    every p up to 8.
+    The 64-node rule is within a relative 3.4e-14 of the closed form
+    p^p/(p+1)! for every p up to the cap of 300; its error passes 1e-13 at
+    p = 332, as rho(v)^p crowds the integrand toward v = 0.
     """
     if p < 0:
         raise ValueError("moment order must be nonnegative")
-    if p > max_p:
-        raise CapExceededError(f"moment order {p} exceeds the cap of {max_p}")
+    if p > DEFAULT_MOMENT_CAP:
+        raise CapExceededError(f"moment order {p} exceeds the cap of {DEFAULT_MOMENT_CAP}")
     from numpy.polynomial.legendre import leggauss  # numpy only once a moment is asked for
 
     nodes, weights = leggauss(_QUADRATURE_NODES)

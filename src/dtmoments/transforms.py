@@ -114,11 +114,6 @@ class Series:
         return Series(tuple(g))
 
 
-def geometric(value, order: int) -> Series:
-    """The series value * (1 + z + z^2 + ...) truncated to ``order``."""
-    return Series((Fraction(value),) * order)
-
-
 # -- moment / free-cumulant conversion ---------------------------------------
 
 

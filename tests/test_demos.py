@@ -1,8 +1,10 @@
 """Smoke test of the demos: every name a demo imports from dtmoments exists,
-and the quick demos run to completion."""
+and the quick demos run to completion.  Also checks that every name the
+benchmark in ``perfbench/`` looks up in the package still exists."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,7 +14,8 @@ import pytest
 
 import dtmoments
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the Monte Carlo demo takes about 10 s, so only its imports are checked
 SLOW = {"06_monte_carlo"}
 
@@ -46,3 +49,32 @@ def test_demo_runs(path, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("name", ["child.py", "oracles.py"])
+def test_benchmark_names_exist(name):
+    # the benchmark calls the package from fresh interpreters, where a
+    # missing name would only show as a failed item
+    path = ROOT / "perfbench" / name
+    tree = ast.parse(path.read_text())
+    attrs = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dtmoments"
+    ]
+    names = list(dtmoments_imports(path))
+    assert attrs or names, f"{name} uses nothing from dtmoments"
+    for attr in attrs:
+        assert hasattr(dtmoments, attr), f"{name}: dtmoments.{attr}"
+    for module, attr in names:
+        assert hasattr(importlib.import_module(module), attr), f"{name}: {module}.{attr}"
+
+
+def test_benchmark_trace_lookups_resolve():
+    # tracing.install looks each (owner, attribute) up only once a traced run starts
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lookups = [(span[1], span[2]) for span in tracing.SPANS] + [(count[1], count[2]) for count in tracing.COUNTS]
+    assert lookups
+    for owner, attr in lookups:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

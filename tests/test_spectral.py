@@ -10,13 +10,12 @@ import dtmoments
 from dtmoments.errors import CapExceededError
 from dtmoments.quasinil import tstt_moment
 from dtmoments.spectral import (
+    DEFAULT_MOMENT_CAP,
     SUPPORT_UPPER,
     density_grid,
     density_moment,
-    density_point_at,
     phi_at,
     rho,
-    rho_prime,
 )
 
 
@@ -39,16 +38,6 @@ class TestRho:
         with pytest.raises(ValueError):
             rho(3.2)
 
-    def test_prime_negative(self):
-        for v in (0.3, 1.0, 2.0, 3.0):
-            assert rho_prime(v) < 0
-
-    def test_prime_matches_finite_difference(self):
-        for v in (0.5, 1.2, 2.4):
-            h = 1e-6
-            fd = (rho(v + h) - rho(v - h)) / (2 * h)
-            assert abs(rho_prime(v) - fd) < 1e-7
-
 
 class TestPhi:
     def test_value_where_exponentials_cancel(self):
@@ -63,11 +52,6 @@ class TestPhi:
         pts = density_grid(1000)
         assert all(p.phi >= 0 for p in pts)
         assert all(0 < p.x < SUPPORT_UPPER for p in pts)
-
-    def test_located_parameter_is_consistent(self):
-        pt = density_point_at(1.0)
-        assert abs(rho(pt.v) - 1.0) < 1e-12
-        assert pt.phi == phi_at(1.0)
 
     def test_near_edge_square_root_shape(self):
         x = math.e - 1e-3
@@ -132,10 +116,14 @@ class TestDensityMoments:
             want = p**p / math.factorial(p + 1)  # 0**0 == 1: the mass
             assert abs(density_moment(p) - want) <= 1e-13
 
+    def test_relative_error_up_to_the_cap(self):
+        for p in range(1, DEFAULT_MOMENT_CAP + 1):
+            want = float(tstt_moment(p))
+            assert abs(density_moment(p) / want - 1) <= 1e-13, p
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            density_moment(9)
-        assert density_moment(9, max_p=9) > 0
+            density_moment(DEFAULT_MOMENT_CAP + 1)
 
     def test_support_stays_below_e(self):
         pts = density_grid(500)
@@ -163,8 +151,6 @@ class TestRangeEnds:
         for x in (sys.float_info.min / 2, 1e-310, 5e-324):
             with pytest.raises(ValueError):
                 phi_at(x)
-            with pytest.raises(ValueError):
-                density_point_at(x)
 
     def test_grid_drops_only_underflowing_or_overflowing_tail(self):
         n = 40_000  # fine enough that its last points leave the float range
