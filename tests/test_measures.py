@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import quadrature_mixed_moment
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.exact import ComplexRational as CQ
@@ -148,6 +150,40 @@ def test_hermitian_symmetry_all_models():
                 if r + s > 12:
                     continue
                 assert mu.moment(r, s) == mu.moment(s, r).conjugate()
+
+
+def _positive(max_value):
+    return st.fractions(min_value=F(1, 10), max_value=max_value, max_denominator=12)
+
+
+@st.composite
+def float_twins(draw):
+    """A measure model with rational parameters and its float-parameter twin."""
+    kind = draw(st.sampled_from(["disk", "annulus", "ellipse", "scaled"]))
+    if kind == "annulus":
+        params = [draw(st.fractions(min_value=1, max_value=3, max_denominator=12))]
+    else:
+        params = [draw(_positive(F(3, 2))) for _ in range(2 if kind == "ellipse" else 1)]
+    model = {"disk": UniformDisk, "annulus": UniformAnnulus, "ellipse": UniformEllipse,
+             "scaled": UniformDisk}[kind]
+    exact, inexact = model(*params), model(*map(float, params))
+    if kind == "scaled":
+        lam = CQ(draw(_positive(F(3, 2))), draw(st.fractions(-1, 1, max_denominator=12)))
+        exact, inexact = scale(exact, lam), scale(inexact, lam)
+    return exact, inexact
+
+
+@given(twins=float_twins())
+@example(twins=(UniformEllipse(F(11, 12), F(10, 11)), UniformEllipse(11 / 12, 10 / 11)))
+@settings(max_examples=100, deadline=None)
+def test_float_twin_agrees_with_the_rational_model(twins):
+    exact, inexact = twins
+    for r in range(11):
+        for s in range(11):
+            want = mixed_moment(exact, r, s)
+            assert want.exact
+            got = mixed_moment(inexact, r, s).as_complex()
+            assert abs(got - want.as_complex()) <= 1e-12 * abs(want.as_complex()), (r, s)
 
 
 def test_rotation_invariant_models_vanish_off_diagonal():
