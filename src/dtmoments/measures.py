@@ -129,15 +129,11 @@ class UniformEllipse:
             raise ValueError("ellipse parameters must be positive")
 
     def _alpha_beta_products(self):
+        # alpha, beta are half the sum and half the difference of the semi-axes;
+        # taken in closed form, a near-circular ellipse loses no float digits
+        # to cancellation
         a2, b2 = self.a * self.a, self.b * self.b
-        denom = a2 + b2
-        asq_major = 4 * a2 * a2 / denom  # (semi-axis along the real axis)^2
-        asq_minor = 4 * b2 * b2 / denom
-        cross = 4 * a2 * b2 / denom  # product of the two semi-axes
-        alpha_sq = (asq_major + asq_minor + 2 * cross) / 4
-        beta_sq = (asq_major + asq_minor - 2 * cross) / 4
-        alpha_beta = (asq_major - asq_minor) / 4
-        return alpha_sq, beta_sq, alpha_beta
+        return a2 + b2, (a2 - b2) ** 2 / (a2 + b2), a2 - b2
 
     def moment(self, r: int, s: int):
         if (r - s) % 2 == 1:
