@@ -158,16 +158,15 @@ def _positive(max_value):
 
 @st.composite
 def float_twins(draw):
-    """A measure model with rational parameters and its float-parameter twin."""
-    kind = draw(st.sampled_from(["disk", "annulus", "ellipse", "scaled"]))
-    if kind == "annulus":
+    """A measure model with rational parameters and its float-parameter twin,
+    both scaled by one rational lam or neither."""
+    model = draw(st.sampled_from([UniformDisk, UniformAnnulus, UniformEllipse]))
+    if model is UniformAnnulus:
         params = [draw(st.fractions(min_value=1, max_value=3, max_denominator=12))]
     else:
-        params = [draw(_positive(F(3, 2))) for _ in range(2 if kind == "ellipse" else 1)]
-    model = {"disk": UniformDisk, "annulus": UniformAnnulus, "ellipse": UniformEllipse,
-             "scaled": UniformDisk}[kind]
+        params = [draw(_positive(F(3, 2))) for _ in range(2 if model is UniformEllipse else 1)]
     exact, inexact = model(*params), model(*map(float, params))
-    if kind == "scaled":
+    if draw(st.booleans()):
         lam = CQ(draw(_positive(F(3, 2))), draw(st.fractions(-1, 1, max_denominator=12)))
         exact, inexact = scale(exact, lam), scale(inexact, lam)
     return exact, inexact
