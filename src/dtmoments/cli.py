@@ -158,6 +158,8 @@ def cmd_conjecture(args, out) -> int:
 def cmd_density(args, out) -> int:
     if args.p_max < 0:
         raise WordParseError("--p-max must be nonnegative")
+    if args.grid < 1:
+        raise WordParseError("--grid must be at least 1")
     # the check table is built first, so a --p-max over the cap writes nothing
     check = []
     for p in range(0, args.p_max + 1):
@@ -198,6 +200,10 @@ def cmd_series(args, out) -> int:
 
 
 def cmd_mc(args, out) -> int:
+    if args.n < 1:
+        raise WordParseError("--n must be at least 1")
+    if args.trials < 2:
+        raise WordParseError("--trials must be at least 2 for a standard error")
     letters = parse_word(args.word)
     mu = parse_measure_arg(args.measure)
     c = parse_rational(args.c)

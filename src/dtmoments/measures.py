@@ -35,6 +35,11 @@ from .exact import (
 )
 
 
+def _tagged(value: Fraction | float):
+    """A model's moment in its own arithmetic: exact for rational parameters."""
+    return ComplexRational(value) if isinstance(value, Fraction) else complex(value)
+
+
 @dataclass(frozen=True)
 class Atomic:
     """Finitely many atoms (location, weight); weights must sum to 1."""
@@ -80,10 +85,7 @@ class UniformDisk:
             raise ValueError("disk radius must be positive")
 
     def moment(self, r: int, s: int):
-        if r != s:
-            return CQ_ZERO
-        value = self.radius ** (2 * r) / (r + 1)
-        return ComplexRational(value) if isinstance(value, Fraction) else complex(value)
+        return _tagged(self.radius ** (2 * r) / (r + 1) if r == s else 0 * self.radius)
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,8 @@ class UniformAnnulus:
             raise ValueError("annulus parameter must satisfy c >= 1")
 
     def moment(self, r: int, s: int):
-        if r != s:
-            return CQ_ZERO
         c = self.c
-        value = (c ** (r + 1) - (c - 1) ** (r + 1)) / (r + 1)
-        return ComplexRational(value) if isinstance(value, Fraction) else complex(value)
+        return _tagged((c ** (r + 1) - (c - 1) ** (r + 1)) / (r + 1) if r == s else 0 * c)
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,10 @@ class UniformEllipse:
         return a2 + b2, (a2 - b2) ** 2 / (a2 + b2), a2 - b2
 
     def moment(self, r: int, s: int):
-        if (r - s) % 2 == 1:
-            return CQ_ZERO
         alpha_sq, beta_sq, alpha_beta = self._alpha_beta_products()
-        exact = isinstance(alpha_sq, Fraction)
-        total = Fraction(0) if exact else 0.0
+        total = 0 * alpha_sq
+        if (r - s) % 2 == 1:
+            return _tagged(total)
         for i in range(r + 1):
             j = i - (r - s) // 2
             if not 0 <= j <= s:
@@ -153,7 +151,7 @@ class UniformEllipse:
             else:
                 coeff = alpha_beta * alpha_sq ** ((u - 1) // 2) * beta_sq ** ((v - 1) // 2)
             total += comb(r, i) * comb(s, j) * coeff / (p + 1)
-        return ComplexRational(total) if exact else complex(total)
+        return _tagged(total)
 
 
 @dataclass(frozen=True)

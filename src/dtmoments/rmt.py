@@ -66,8 +66,9 @@ def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.nda
     """n i.i.d. complex draws from a measure model.
 
     Atomic uses inverse-CDF on the weights; disk and annulus use the exact
-    radial inverse CDF with a uniform angle; the ellipse rejects uniform draws
-    from its bounding box.  Moment tables are not sampleable.
+    radial inverse CDF with a uniform angle; the ellipse maps a unit-disk draw
+    z to alpha*z + beta*conj(z), as its model does.  Moment tables are not
+    sampleable.
     """
     if isinstance(mu, Atomic):
         cum = np.cumsum([float(w) for _, w in mu.atoms])
@@ -83,21 +84,10 @@ def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.nda
         angle = 2.0 * math.pi * rng.random(n)
         return radius * np.exp(1j * angle)
     if isinstance(mu, UniformEllipse):
-        a2 = float(mu.a) ** 2
-        b2 = float(mu.b) ** 2
-        half_x = 2.0 * a2 / math.sqrt(a2 + b2)
-        half_y = 2.0 * b2 / math.sqrt(a2 + b2)
-        out = np.empty(n, dtype=complex)
-        got = 0
-        while got < n:
-            m = max(n - got, 16)
-            x = half_x * (2.0 * rng.random(m) - 1.0)
-            y = half_y * (2.0 * rng.random(m) - 1.0)
-            keep = (x / half_x) ** 2 + (y / half_y) ** 2 <= 1.0
-            accepted = (x + 1j * y)[keep][: n - got]
-            out[got : got + accepted.size] = accepted
-            got += accepted.size
-        return out
+        a2, b2 = float(mu.a) ** 2, float(mu.b) ** 2
+        alpha = math.sqrt(a2 + b2)
+        disk = sample_measure(UniformDisk(1), n, rng)
+        return alpha * disk + (a2 - b2) / alpha * disk.conj()
     if isinstance(mu, ScaledMeasure):
         return mu.lam.to_complex() * sample_measure(mu.base, n, rng)
     if isinstance(mu, MomentTable):

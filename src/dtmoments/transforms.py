@@ -4,7 +4,8 @@ inverses and to the free-cumulant picture.
 
 A :class:`Series` holds coefficients by power, Fraction-valued by default.
 Binary operations truncate to the shorter operand, so every identity below is
-an exact coefficientwise statement up to the working order.
+an exact coefficientwise statement up to the working order.  Reversion is by
+Lagrange inversion, and one solve converts moments to free cumulants and back.
 """
 
 from __future__ import annotations
@@ -101,62 +102,61 @@ class Series:
         return result
 
     def revert(self) -> "Series":
-        """Compositional inverse g with self(g(z)) = z; needs f0=0, f1 != 0."""
+        """Compositional inverse g with self(g(z)) = z; needs f0=0, f1 != 0.
+
+        By Lagrange inversion, [z^m] g = [w^(m-1)] (w/f(w))^m / m: one
+        reciprocal, then one series product per coefficient.
+        """
         if self[0] != 0 or self[1] == 0:
             raise ValueError("reversion needs f(0) = 0 and f'(0) != 0")
-        n = self.order
-        g = [Fraction(0)] * n
-        if n > 1:
-            g[1] = 1 / self[1]
-        for m in range(2, n):
-            h = self.truncate(m + 1).compose(Series(tuple(g[: m + 1])))
-            g[m] = -h[m] / self[1]
+        phi = self.shift(-1).reciprocal()  # w / f(w)
+        power = Series((Fraction(1),) + (Fraction(0),) * (phi.order - 1))
+        g = [Fraction(0)]
+        for m in range(1, self.order):
+            power = power * phi
+            g.append(power[m - 1] / m)
         return Series(tuple(g))
 
 
 # -- moment / free-cumulant conversion ---------------------------------------
 
 
+def _moment_cumulant_solve(known: Series, known_are_moments: bool) -> Series:
+    """Solve m_n = sum_{s=1..n} kappa_s [z^n](zM)^s, M = 1 + m_1 z + ..., for
+    the cumulants given the moments or for the moments given the cumulants.
+
+    Row n of the table [z^n](zM)^s = [z^(n-s)] M^s needs only m_1..m_(n-1),
+    and its diagonal entry [z^n](zM)^n = 1 isolates the unknown at index n.
+    """
+    m, kappa = [Fraction(1)], [Fraction(0)]
+    mpow = [[Fraction(1)] + [Fraction(0)] * known.order]  # mpow[s][k] = [z^k] M^s
+    for n in range(1, known.order):
+        mpow.append([])
+        for s in range(1, n + 1):
+            k = n - s
+            mpow[s].append(sum((m[j] * mpow[s - 1][k - j] for j in range(k + 1)), Fraction(0)))
+        rest = sum((kappa[s] * mpow[s][n - s] for s in range(1, n)), Fraction(0))
+        kappa.append(known[n] - rest if known_are_moments else known[n])
+        m.append(rest + kappa[n])
+    return Series(tuple(kappa) if known_are_moments else (Fraction(0), *m[1:]))
+
+
 def moments_to_free_cumulants(m: Series) -> Series:
     """Free cumulants of a moment sequence (both series are 1-indexed:
     coefficient 0 must be 0, coefficient n holds the n-th moment/cumulant).
 
-    Uses the coefficient recursion from M(z) = C(z*M(z)) with M the moment
-    generating series with constant term 1 and C the cumulant series: the
-    coefficient of z^n isolates kappa_n because z*M(z) has unit linear term.
+    One pass of :func:`_moment_cumulant_solve`, shared with the inverse.
     """
     if m[0] != 0:
         raise ValueError("moment series must start at index 1 (m0 = 1 implied)")
-    order = m.order - 1
-    big_m = Series((Fraction(1),) + m.coeffs[1:])  # 1 + m1 z + ...
-    f = big_m.shift(1).truncate(order + 1)  # z*M(z)
-    powers = [None, f]
-    for s in range(2, order + 1):
-        powers.append((powers[-1] * f).truncate(order + 1))
-    kappa = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        acc = m[n]
-        for s in range(1, n):
-            acc -= kappa[s] * powers[s][n]
-        kappa[n] = acc  # [z^n] f^n = 1
-    return Series(tuple(kappa))
+    return _moment_cumulant_solve(m, known_are_moments=True)
 
 
 def free_cumulants_to_moments(kappa: Series) -> Series:
-    """Inverse of :func:`moments_to_free_cumulants`, same indexing."""
+    """Inverse of :func:`moments_to_free_cumulants`, same indexing and solve."""
     if kappa[0] != 0:
         raise ValueError("cumulant series must start at index 1")
-    order = kappa.order - 1
-    m = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        f = Series((Fraction(0), Fraction(1)) + tuple(m[1:n])).truncate(n + 1)
-        power = f
-        acc = Fraction(0)
-        for s in range(1, n + 1):
-            acc += kappa[s] * power[n]
-            power = (power * f).truncate(n + 1)
-        m[n] = acc
-    return Series(tuple(m))
+    return _moment_cumulant_solve(kappa, known_are_moments=False)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -180,43 +180,33 @@ def r_transform_closed_form(order: int) -> Series:
 
 def _moment_transfer(moments, order: int) -> Series:
     """The series t / (1 - sum_p moments(p) t^{p+1}) truncated past ``order``."""
-    denom = Series(
-        (Fraction(1),) + tuple(-moments(p) for p in range(order))
-    ).truncate(order + 1)
-    return Series((Fraction(0), Fraction(1))).truncate(order + 1) * denom.reciprocal()
+    denom = Series((Fraction(1), *(-moments(p) for p in range(order))))
+    return denom.reciprocal().shift(1).truncate(order + 1)
+
+
+def _inverse_check(moments, closed, order: int) -> bool:
+    """Does reverting the transfer series of ``moments`` give
+    sum_j closed(j) z^(j+1) up to ``order``?"""
+    want = Series.from_one_indexed(closed(j) for j in range(order))
+    return _moment_transfer(moments, order).revert() == want
 
 
 def kn_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum alpha_N(p) t^{p+1}) give z (1 + z/N)^{-N}?"""
-    k = _moment_transfer(lambda p: stn_moment(N, p), order)
-    closed = Series(
-        (Fraction(0),)
-        + tuple(
-            Fraction((-1) ** j * comb(N + j - 1, j), N**j) for j in range(order)
-        )
-    )
-    return k.revert() == closed.truncate(order + 1)
+    return _inverse_check(lambda p: stn_moment(N, p),
+                          lambda j: Fraction((-1) ** j * comb(N + j - 1, j), N**j), order)
 
 
 def ln_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum beta_N(p) t^{p+1}) give z (1 - z/N)^N?"""
-    series = _moment_transfer(lambda p: ttn_moment(N, p), order)
-    closed = Series(
-        (Fraction(0),)
-        + tuple(Fraction(comb(N, j) * (-1) ** j, N**j) for j in range(order))
-    )
-    return series.revert() == closed.truncate(order + 1)
+    return _inverse_check(lambda p: ttn_moment(N, p),
+                          lambda j: Fraction(comb(N, j) * (-1) ** j, N**j), order)
 
 
 def l_limit_inverse_check(order: int) -> bool:
     """Does the limit transfer series (with moments p^p/(p+1)!) invert to z e^{-z}?"""
-    gamma = lambda p: Fraction(1) if p == 0 else tstt_moment(p)
-    series = _moment_transfer(gamma, order)
-    closed = Series(
-        (Fraction(0),)
-        + tuple(Fraction((-1) ** j, factorial(j)) for j in range(order))
-    )
-    return series.revert() == closed.truncate(order + 1)
+    return _inverse_check(lambda p: Fraction(1) if p == 0 else tstt_moment(p),
+                          lambda j: Fraction((-1) ** j, factorial(j)), order)
 
 
 def finite_n_r_relation_check(N: int, order: int) -> bool:

@@ -161,6 +161,12 @@ class TestDensity:
         assert out == ""
         assert "--p-max" in err
 
+    def test_empty_grid_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "density", "--grid", "0", "--p-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+
     def test_p_max_over_the_cap_writes_nothing(self, capsys):
         code, out, err = run(
             capsys, "density", "--grid", "20", "--p-max", str(DEFAULT_MOMENT_CAP + 1)
@@ -222,6 +228,19 @@ class TestMC:
         assert code == 2
         assert out == ""
         assert "D" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "1"), ("--n", "0"), ("--n", "-2")]
+    )
+    @pytest.mark.parametrize("theta", [None, "0.5"])
+    def test_bad_size_or_trials_is_a_parse_error(self, capsys, flag, value, theta):
+        argv = ["mc", "--word", "T* T", "--n", "8", "--trials", "4", flag, value]
+        if theta is not None:
+            argv += ["--theta", theta]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     def test_elliptic_mode_enforces_the_size_cap(self, capsys):
         code, _, err = run(

@@ -80,10 +80,12 @@ class TestSamplers:
             Atomic(((CQ(F(1)), F(1, 4)), (CQ(F(0), F(2)), F(3, 4)))),
         ):
             draws = sample_measure(mu, 200_000, rng)
-            got = np.mean(np.abs(draws) ** 2)
-            want = mixed_moment(mu, 1, 1).as_complex().real
-            stderr = np.std(np.abs(draws) ** 2, ddof=1) / math.sqrt(draws.size)
-            assert abs(got - want) < 4 * stderr, mu
+            # M(2, 0) tells an ellipse from its rotation by 90 degrees
+            for (r, s), values in (((1, 1), np.abs(draws) ** 2), ((2, 0), draws**2)):
+                want = mixed_moment(mu, r, s).as_complex()
+                for part in (np.real, np.imag):
+                    stderr = np.std(part(values), ddof=1) / math.sqrt(values.size)
+                    assert abs(np.mean(part(values)) - part(want)) <= 4 * stderr, (mu, r, s)
 
     def test_ellipse_rejection_stays_inside(self):
         mu = UniformEllipse(F(1), F(1, 2))

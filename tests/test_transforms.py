@@ -49,6 +49,16 @@ class TestSeriesAlgebra:
         f = Series((F(0), lead) + tuple(tail))
         assert f.revert().revert() == f
 
+    @given(
+        st.lists(rationals, min_size=1, max_size=6),
+        st.fractions(min_value=F(1, 3), max_value=F(3), max_denominator=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reversion_is_a_right_inverse(self, tail, lead):
+        f = Series((F(0), lead) + tuple(tail))
+        identity = Series((F(0), F(1))).truncate(f.order)
+        assert f.compose(f.revert()) == identity
+
     def test_revert_requires_unit(self):
         with pytest.raises(ValueError):
             Series((F(1), F(1))).revert()
@@ -91,6 +101,16 @@ class TestMomentCumulant:
             ]
             got = moments_to_free_cumulants(Series.from_one_indexed(moments))
             assert got.coeffs[1:] == tuple(kappa[n] for n in range(1, 7))
+
+    def test_cumulants_to_moments_against_partition_sum_oracle(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            kappa = {n: F(rng.randint(-5, 5), rng.randint(1, 4)) for n in range(1, 7)}
+            got = free_cumulants_to_moments(
+                Series.from_one_indexed(kappa[n] for n in range(1, 7))
+            )
+            want = tuple(moments_from_cumulants_by_partitions(kappa, n) for n in range(1, 7))
+            assert got.coeffs[1:] == want
 
     def test_narayana_free_poisson_family(self):
         # free Poisson(t) moments by the Narayana closed form; cumulants must
