@@ -205,9 +205,10 @@ def cmd_mc(args, out) -> int:
     if args.trials < 2:
         raise WordParseError("--trials must be at least 2 for a standard error")
     letters = parse_word(args.word)
-    mu = parse_measure_arg(args.measure)
-    c = parse_rational(args.c)
     if args.theta is not None:
+        for flag, value in (("--measure", args.measure), ("--c", args.c)):
+            if value is not None:
+                raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
         if any(t in D_LETTERS for t in letters):
             raise WordParseError("--theta samples the elliptic operator; D letters are not allowed")
         eps = _star_word(letters)
@@ -217,6 +218,8 @@ def cmd_mc(args, out) -> int:
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
         ).as_complex()
     else:
+        mu = parse_measure_arg("delta0" if args.measure is None else args.measure)
+        c = parse_rational("1" if args.c is None else args.c)
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
@@ -283,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimate of a word moment")
     p_mc.add_argument("--word", required=True)
-    p_mc.add_argument("--measure", default="delta0")
-    p_mc.add_argument("--c", default="1")
+    p_mc.add_argument("--measure", default=None, help="default delta0; not with --theta")
+    p_mc.add_argument("--c", default=None, help="default 1; not with --theta")
     p_mc.add_argument("--n", type=int, default=256)
     p_mc.add_argument("--trials", type=int, default=100)
     p_mc.add_argument("--seed", type=int, default=0)

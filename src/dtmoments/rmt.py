@@ -7,10 +7,13 @@ independent real normals of variance sigma^2/2 each, generated by numpy's
 ziggurat ``standard_normal`` on that stream.
 
 All estimators share one trial runner: each trial draws one matrix per
-letter and traces every requested word, walking the words' prefix tree so a
-shared prefix is multiplied out once.  Each estimate is a mean over trials of
-the normalized matrix trace of a word, with the standard error taken per
-real/imaginary part (the larger of the two is reported).
+letter and traces one word per class, walking the classes' prefix tree so a
+shared prefix is multiplied out once.  A class holds the rotations of a word
+and of its adjoint; since tr(w) is unchanged by rotation and
+tr(w*) = conj tr(w) for every sample, one trace per class gives every word
+in it.  Each estimate is a mean over trials of the normalized matrix trace
+of a word, with the standard error taken per real/imaginary part (the larger
+of the two is reported).
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .ncpair import ONE, STAR, StarWord
 
 DEFAULT_SIZE_CAP = 2048
 _MASK64 = (1 << 64) - 1
+_ADJOINT = {
+    a: b for x, y in (T_LETTERS, D_LETTERS, Z_LETTERS, (ONE, STAR)) for a, b in ((x, y), (y, x))
+}
 
 
 def _rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -150,6 +156,24 @@ def _prefix_tree(words: Sequence[Sequence[str]]) -> dict:
     return root
 
 
+def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[int, bool]]]:
+    """The distinct class representatives, and each word's (class index, adjoint flag).
+
+    A word's representative is the least of the rotations of the word and of
+    its adjoint (reversed, each letter swapped for its adjoint).  The flag is
+    set when it is reached only through the adjoint, so the word's trace is
+    the conjugate of the representative's.
+    """
+    index: dict[tuple[str, ...], int] = {}
+    members = []
+    for word in words:
+        sides = ((tuple(word), False), (tuple(_ADJOINT[tok] for tok in reversed(word)), True))
+        rotations = ((w[i:] + w[:i], flag) for w, flag in sides for i in range(len(w) or 1))
+        rep, flag = min(rotations)
+        members.append((index.setdefault(rep, len(index)), flag))
+    return list(index), members
+
+
 def _walk(node: dict, prod: np.ndarray | None, mats: dict, n: int, out: np.ndarray) -> None:
     # depth first: a word's trace is an einsum of its prefix's product with
     # its last letter, and each product is formed only for prefixes of longer
@@ -173,16 +197,19 @@ def _run_trials(
     trials: int,
     seed: int,
 ) -> list[Estimate]:
-    """One estimate per word; trial t traces every word in ``draw(_rng(seed, t))``.
+    """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``.
 
-    ``draw`` returns the trial's matrix for each letter.  The empty word has
-    trace 1.
+    ``draw`` returns the trial's matrix for each letter, and each starred
+    matrix must be exactly ``.conj().T`` of its partner's: only one word per
+    rotation-and-adjoint class is traced, and the others are read off it.
+    The empty word has trace 1.
     """
-    tree = _prefix_tree(words)
-    values = np.ones((len(words), trials), dtype=complex)
+    reps, members = _classes(words)
+    tree = _prefix_tree(reps)
+    values = np.ones((len(reps), trials), dtype=complex)
     for t in range(trials):
         _walk(tree, None, draw(_rng(seed, t)), n, values[:, t])
-    return [_summarize(row, n, seed) for row in values]
+    return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 
 
 def estimate_word_moment(
@@ -255,7 +282,10 @@ def deterministic_diagonal_run(
     ``entries_generator(n)`` and is reused across trials.
     """
     _check_size(n, trials)
-    d = np.diag(np.asarray(list(entries_generator(n)), dtype=complex))
+    entries = np.asarray(list(entries_generator(n)), dtype=complex)
+    if entries.shape != (n,):
+        raise ValueError(f"need {n} diagonal entries, got {entries.size}")
+    d = np.diag(entries)
 
     def draw(rng):
         z = d + c * _sample_utgrm(rng, n, 1.0 / n)
@@ -269,12 +299,13 @@ def pure_t_word_sweep(
 ) -> dict[tuple[str, ...], Estimate]:
     """Traces of every word in T, T* up to ``max_len`` letters, per trial.
 
-    One triangular sample per trial serves all words, and the runner forms
-    each internal node of the word tree once, so a sweep costs far fewer
-    multiplications than estimating each word separately.
+    One triangular sample per trial serves all words.  The runner traces one
+    word per rotation-and-adjoint class and forms each internal node of the
+    classes' word tree once: at ``max_len`` 6 the 126 words fall into 22
+    classes, and a trial forms 18 matrix products where a tree over all the
+    words would form 60.
     """
     _check_size(n, trials)
-    # "T" < "T*", so sorting puts the words in the tree's preorder
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )

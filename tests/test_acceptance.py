@@ -121,13 +121,13 @@ def test_criterion_04_conjecture_slice():
 
 
 def test_criterion_05_circular_identification():
-    catalan = [1, 1, 2, 5, 14]
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     ok = all(
         z_word_moment(ZWord.from_letters(["Z*", "Z"] * p), UniformDisk(1)).as_fraction()
         == catalan[p]
-        for p in range(1, 5)
+        for p in range(1, 9)
     )
-    report(5, "unit-disk generator has Catalan squared moments, p <= 4", ok)
+    report(5, "unit-disk generator has Catalan squared moments, p <= 8", ok)
 
 
 def test_criterion_06_annulus_r_diagonality():

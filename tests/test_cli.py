@@ -242,6 +242,23 @@ class TestMC:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("flag, value", [("--measure", "disk:1"), ("--c", "2")])
+    def test_elliptic_mode_refuses_measure_and_c(self, capsys, flag, value):
+        # theta fixes the operator; a measure or c would be silently ignored
+        code, out, err = run(
+            capsys, "mc", "--word", "Z* Z", flag, value, "--theta", "0.7",
+            "--n", "8", "--trials", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_measure_and_c_default_to_delta0_and_one(self, capsys):
+        code, out, _ = run(capsys, "mc", "--word", "Z* Z", "--n", "8", "--trials", "4")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["target_re"] == 0.5 and rec["target_im"] == 0.0
+
     def test_elliptic_mode_enforces_the_size_cap(self, capsys):
         code, _, err = run(
             capsys, "mc", "--word", "Z", "--theta", str(math.pi / 4),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from dtmoments import rmt
 from dtmoments.exact import ComplexRational as CQ
 from dtmoments.errors import WordParseError
 from dtmoments.measures import (
@@ -211,6 +213,14 @@ class TestDeterministicDiagonal:
         )
         assert abs(est.mean - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("length", [1, 15, 17])
+    def test_diagonal_of_the_wrong_length_is_refused(self, length):
+        # a one-entry diagonal used to broadcast onto every entry of Z
+        with pytest.raises(ValueError, match=f"16 diagonal entries, got {length}"):
+            deterministic_diagonal_run(
+                lambda n: [0.5] * length, 1.0, StarWord((STAR, ONE)), n=16, trials=2, seed=0
+            )
+
 
 def test_pure_t_sweep_against_limits():
     sweep = pure_t_word_sweep(4, n=64, trials=120, seed=31)
@@ -219,6 +229,63 @@ def test_pure_t_sweep_against_limits():
         eps = StarWord(tuple(ONE if tok == "T" else STAR for tok in letters))
         limit = t_word_moment(eps).as_complex()
         assert abs(est.mean - limit) < 3 * est.stderr + 10 / 64, letters
+
+
+def direct_sweep(max_len, n, trials, seed):
+    """Per-trial traces of every T-word, each by its own multi_dot: no prefix
+    tree and no classes, on the runner's draws."""
+    words = [w for k in range(1, max_len + 1) for w in itertools.product(("T", "T*"), repeat=k)]
+    values = {w: np.empty(trials, dtype=complex) for w in words}
+    for t in range(trials):
+        tm = _sample_utgrm(_rng(seed, t), n, 1.0 / n)
+        mats = {"T": tm, "T*": tm.conj().T}
+        for w in words:
+            prod = np.linalg.multi_dot([mats[tok] for tok in w]) if len(w) > 1 else mats[w[0]]
+            values[w][t] = np.trace(prod) / n
+    return values
+
+
+def test_sweep_agrees_with_direct_traces():
+    trials = 8
+    sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=13)
+    direct = direct_sweep(6, 16, trials, 13)
+    assert set(sweep) == set(direct)
+    zeros = 0
+    for letters, values in direct.items():
+        est = sweep[letters]
+        mean = values.mean()
+        stderr = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(trials)
+        tol = 1e-12 * max(abs(mean), stderr)
+        assert abs(est.mean - mean) <= tol, letters
+        assert abs(est.stderr - stderr) <= tol, letters
+        if not values.any():
+            zeros += 1
+            assert est.mean == 0 and est.stderr == 0, letters
+    assert zeros == 2 * 6  # T^k and T*^k are nilpotent
+
+
+def test_sweep_forms_one_product_per_class_prefix(monkeypatch):
+    # each internal node of length >= 2 in the walked tree is one matrix
+    # product per trial; a tree over all 126 words would have 60
+    def products(node, depth=1):
+        return sum(
+            (depth >= 2) + products(children, depth + 1)
+            for _, children in node.values()
+            if children
+        )
+
+    trees = []
+    prefix_tree = rmt._prefix_tree
+
+    def spy(words):
+        trees.append(prefix_tree(words))
+        return trees[-1]
+
+    monkeypatch.setattr(rmt, "_prefix_tree", spy)
+    sweep = pure_t_word_sweep(6, n=4, trials=2, seed=0)
+    assert len(trees) == 1
+    assert products(trees[0]) <= 18
+    assert products(prefix_tree(list(sweep))) == 60
 
 
 # (mean re, mean im, stderr) as float.hex, recorded from the per-estimator
