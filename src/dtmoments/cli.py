@@ -64,25 +64,27 @@ def parse_measure_arg(text: str) -> MeasureModel:
     if text == "delta0":
         return Atomic.delta(0)
     kind, _, rest = text.partition(":")
+    # each shorthand's builder and its least and greatest parameter counts
     builders = {
-        "delta": lambda args: Atomic.delta(
-            ComplexRational(args[0], args[1] if len(args) > 1 else Fraction(0))
-        ),
-        "disk": lambda args: UniformDisk(args[0]),
-        "annulus": lambda args: UniformAnnulus(args[0]),
-        "ellipse": lambda args: UniformEllipse(args[0], args[1]),
+        "delta": (lambda re, im=Fraction(0): Atomic.delta(ComplexRational(re, im)), 1, 2),
+        "disk": (UniformDisk, 1, 1),
+        "annulus": (UniformAnnulus, 1, 1),
+        "ellipse": (UniformEllipse, 2, 2),
     }
     if kind not in builders:
         raise WordParseError(f"unknown measure {text!r}")
+    build, least, most = builders[kind]
     try:
         params = [parse_rational(tok) for tok in rest.split(",") if tok != ""]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise WordParseError(f"bad measure shorthand {text!r}: {e}") from None
-    try:
-        return builders[kind](params)
-    except IndexError:
-        raise WordParseError(f"measure {kind!r} is missing parameters") from None
+    if not least <= len(params) <= most:
+        counts = str(least) if least == most else f"{least} to {most}"
+        raise WordParseError(
+            f"measure {kind!r} takes {counts} parameter{'s' * (most > 1)}, got {len(params)}"
+        )
     # domain violations (e.g. an annulus with c < 1) propagate as ValueError
+    return build(*params)
 
 
 def parse_exponents(text: str) -> tuple[int, ...]:
@@ -116,6 +118,8 @@ def _emit(payload, fmt: str, out) -> None:
 def cmd_moment(args, out) -> int:
     if bool(args.word) == bool(args.exponents):
         raise WordParseError("moment needs exactly one of --word / --exponents")
+    if args.max_degree is not None and args.max_degree < 1:
+        raise WordParseError("--max-degree must be at least 1")
     if args.exponents:
         seq = parse_exponents(args.exponents)
         value = MomentValue.wrap(m_recursive(seq))
@@ -123,7 +127,8 @@ def cmd_moment(args, out) -> int:
     else:
         letters = parse_word(args.word)
         mu = parse_measure_arg(args.measure)
-        value = _word_value(letters, mu, args.c, args.max_degree or DEFAULT_Z_LEN_CAP)
+        cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
+        value = _word_value(letters, mu, args.c, cap)
         payload = _moment_payload(args.word, value)
     _emit(payload, args.format, out)
     return EXIT_OK

@@ -46,9 +46,6 @@ class StarWord:
     def is_balanced(self) -> bool:
         return self.symbols.count(ONE) == self.symbols.count(STAR)
 
-    def swapped(self) -> "StarWord":
-        return StarWord(tuple(ONE if s == STAR else STAR for s in self.symbols))
-
 
 @dataclass(frozen=True)
 class Pairing:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 DEFAULT_NK_CAP = 12
 
@@ -34,64 +34,38 @@ class _Zero:
 ZERO = _Zero()
 
 
-def _merge_runs(seq) -> tuple[tuple[str, int], ...]:
-    """Cyclic run encoding over symbols '*' and '1' with zero runs dropped."""
-    runs: list[list] = []
-    for idx, count in enumerate(seq):
-        if count < 0:
-            raise ValueError("exponents must be nonnegative")
-        if count == 0:
-            continue
-        symbol = "*" if idx % 2 == 0 else "1"
-        if runs and runs[-1][0] == symbol:
-            runs[-1][1] += count
-        else:
-            runs.append([symbol, count])
-    # cyclic wrap-around merge
-    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        runs[0][1] += runs[-1][1]
-        runs.pop()
-    return tuple((s, c) for s, c in runs)
-
-
-def _rotate_swap(flat: tuple) -> tuple:
-    # (k1,l1,...,kn,ln) -> (l1,k2,l2,...,kn,ln,k1): shift one slot, roles swap
-    return flat[1:] + flat[:1]
-
-
-def _reverse_swap(flat: tuple) -> tuple:
-    # (k1,l1,...,kn,ln) -> (ln,kn,...,l1,k1): the adjoint word
-    return tuple(reversed(flat))
-
-
 def canonicalize(seq) -> tuple | _Zero:
     """Canonical representative of an alternating exponent sequence.
 
     Zero exponents are merged away (cyclically); an unbalanced sequence maps
     to ZERO; otherwise the lexicographically least tuple over all rotations
     and the reversal is returned.  The empty tuple stands for the trace of 1.
+    A negative exponent raises ValueError, balanced or not.
     """
     seq = tuple(seq)
     if len(seq) % 2 != 0:
         raise ValueError("alternating exponent sequences have even length")
-    stars = sum(seq[0::2])
-    ones = sum(seq[1::2])
-    if stars != ones:
+    if min(seq, default=0) < 0:
+        raise ValueError("exponents must be nonnegative")
+    if sum(seq[0::2]) != sum(seq[1::2]):
         return ZERO
-    runs = _merge_runs(seq)
-    if not runs:
-        return ()
-    # runs alternate cyclically and come in star/one pairs; start at a star run
-    if runs[0][0] != "*":
-        runs = runs[1:] + runs[:1]
-    flat = tuple(c for _, c in runs)
-    candidates = []
-    for start in (flat, _reverse_swap(flat)):
-        cur = start
-        for _ in range(len(flat)):
-            candidates.append(cur)
-            cur = _rotate_swap(cur)
-    return min(candidates)
+    # one pass: drop zeros, and add a count onto the previous run of the same letter
+    runs: list[int] = []
+    letter = None
+    for idx, count in enumerate(seq):
+        if count:
+            if idx % 2 == letter:
+                runs[-1] += count
+            else:
+                runs.append(count)
+                letter = idx % 2
+    # runs alternate letters, so an odd count means the first and last share one
+    if len(runs) % 2:
+        runs[0] += runs.pop()
+    # rotating by one run swaps T and T*; reversing takes the adjoint
+    n = len(runs)
+    ring = tuple(runs) * 2
+    return min((w[i : i + n] for w in (ring, ring[::-1]) for i in range(n)), default=())
 
 
 _MEMO: dict[tuple, Fraction] = {(): Fraction(1)}
@@ -116,30 +90,19 @@ def m_recursive(seq) -> Fraction:
     if hit is not None:
         return hit
 
-    ks = canon[0::2]
-    ls = canon[1::2]
-    n = len(ks)
-    m = sum(ks)
+    m = sum(canon[0::2])
     total = Fraction(0)
-    for r in range(1, n + 1):
-        for chosen in itertools.combinations(range(n), r):
-            j_first, j_last = chosen[0], chosen[-1]
-            outer: list[int] = []
-            for idx in range(j_first):
-                outer += [ks[idx], ls[idx]]
-            outer += [ks[j_first] - 1, ls[j_last] - 1]
-            for idx in range(j_last + 1, n):
-                outer += [ks[idx], ls[idx]]
-            prod = m_recursive(tuple(outer))
+    for r in range(1, len(canon) // 2 + 1):
+        # each chosen block is named by the position of its T* exponent
+        for chosen in itertools.combinations(range(0, len(canon), 2), r):
+            first, last = chosen[0], chosen[-1]
+            outer = canon[:first] + (canon[first] - 1, canon[last + 1] - 1) + canon[last + 2 :]
+            term = m_recursive(outer)
             for a, b in itertools.pairwise(chosen):
-                if prod == 0:
+                if term == 0:
                     break
-                inner: list[int] = [ls[a] - 1]
-                for idx in range(a + 1, b):
-                    inner += [ks[idx], ls[idx]]
-                inner.append(ks[b] - 1)
-                prod *= m_recursive(tuple(inner))
-            total += prod
+                term *= m_recursive((canon[a + 1] - 1,) + canon[a + 2 : b] + (canon[b] - 1,))
+            total += term
     value = total / (m + 1)
     with _MEMO_LOCK:
         _MEMO.setdefault(canon, value)
@@ -153,26 +116,23 @@ def tstt_moment(p: int) -> Fraction:
     return Fraction(p**p, factorial(p + 1))
 
 
+def _block_moment(N: int, p: int, sign: int) -> Fraction:
+    # (p + sign/N)(p + 2 sign/N)...(p + p sign/N) / (p+1)!
+    if N < 1 or p < 0:
+        raise ValueError("need N >= 1 and p >= 0")
+    return Fraction(prod(p + Fraction(sign * i, N) for i in range(1, p + 1)), factorial(p + 1))
+
+
 def stn_moment(N: int, p: int) -> Fraction:
     """Trace of the p-th power for the strictly-upper N-block compression:
     (p - 1/N)(p - 2/N)...(p - p/N) / (p+1)!; equals 1 at p = 0."""
-    if N < 1 or p < 0:
-        raise ValueError("need N >= 1 and p >= 0")
-    num = Fraction(1)
-    for i in range(1, p + 1):
-        num *= p - Fraction(i, N)
-    return num / factorial(p + 1)
+    return _block_moment(N, p, -1)
 
 
 def ttn_moment(N: int, p: int) -> Fraction:
     """Trace of the p-th power for the full upper-triangular N-block model:
     (p + 1/N)(p + 2/N)...(p + p/N) / (p+1)!; equals 1 at p = 0."""
-    if N < 1 or p < 0:
-        raise ValueError("need N >= 1 and p >= 0")
-    num = Fraction(1)
-    for i in range(1, p + 1):
-        num *= p + Fraction(i, N)
-    return num / factorial(p + 1)
+    return _block_moment(N, p, 1)
 
 
 def conjecture_value(k: int, n: int) -> Fraction:

@@ -7,13 +7,14 @@ independent real normals of variance sigma^2/2 each, generated by numpy's
 ziggurat ``standard_normal`` on that stream.
 
 All estimators share one trial runner: each trial draws one matrix per
-letter and traces one word per class, walking the classes' prefix tree so a
-shared prefix is multiplied out once.  A class holds the rotations of a word
-and of its adjoint; since tr(w) is unchanged by rotation and
-tr(w*) = conj tr(w) for every sample, one trace per class gives every word
-in it.  Each estimate is a mean over trials of the normalized matrix trace
-of a word, with the standard error taken per real/imaginary part (the larger
-of the two is reported).
+unstarred letter, takes each adjoint as its conjugate transpose, and traces
+one word per class, walking the classes' prefix tree so a shared prefix is
+multiplied out once.  A class holds the rotations of a word and of its
+adjoint; since tr(w) is unchanged by rotation and tr(w*) = conj tr(w) for
+every sample, one trace per class gives every word in it.  Each estimate is
+a mean over trials of the normalized matrix trace of a word, with the
+standard error taken per real/imaginary part (the larger of the two is
+reported).
 """
 
 from __future__ import annotations
@@ -199,16 +200,18 @@ def _run_trials(
 ) -> list[Estimate]:
     """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``.
 
-    ``draw`` returns the trial's matrix for each letter, and each starred
-    matrix must be exactly ``.conj().T`` of its partner's: only one word per
-    rotation-and-adjoint class is traced, and the others are read off it.
-    The empty word has trace 1.
+    ``draw`` returns the trial's matrix for each unstarred letter, and the
+    runner adds each adjoint letter's matrix as its ``.conj().T``.  Only one
+    word per rotation-and-adjoint class is traced, and the others are read
+    off it.  The empty word has trace 1.
     """
     reps, members = _classes(words)
     tree = _prefix_tree(reps)
     values = np.ones((len(reps), trials), dtype=complex)
     for t in range(trials):
-        _walk(tree, None, draw(_rng(seed, t)), n, values[:, t])
+        mats = draw(_rng(seed, t))
+        mats.update({_ADJOINT[tok]: mat.conj().T for tok, mat in mats.items()})
+        _walk(tree, None, mats, n, values[:, t])
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 
 
@@ -234,14 +237,10 @@ def estimate_word_moment(
         raise WordParseError("words with D or Z letters need a measure")
 
     def draw(rng):
-        d = np.diag(sample_measure(mu, n, rng)) if uses_d else None
-        tm = _sample_utgrm(rng, n, 1.0 / n)
-        mats = {"T": tm, "T*": tm.conj().T}
-        if d is not None:
-            mats.update({"D": d, "D*": d.conj().T})
-            if uses_z:
-                z = d + c * tm
-                mats.update({"Z": z, "Z*": z.conj().T})
+        mats = {"D": np.diag(sample_measure(mu, n, rng))} if uses_d else {}
+        mats["T"] = _sample_utgrm(rng, n, 1.0 / n)
+        if uses_z:
+            mats["Z"] = mats["D"] + c * mats["T"]
         return mats
 
     return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
@@ -262,8 +261,7 @@ def estimate_elliptic_moment(
     def draw(rng):
         h1 = _sample_sgrm(rng, n, 1.0 / n)
         h2 = _sample_sgrm(rng, n, 1.0 / n)
-        y = math.cos(theta) * h1 + 1j * math.sin(theta) * h2
-        return {ONE: y, STAR: y.conj().T}
+        return {ONE: math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
 
     return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
 
@@ -288,8 +286,7 @@ def deterministic_diagonal_run(
     d = np.diag(entries)
 
     def draw(rng):
-        z = d + c * _sample_utgrm(rng, n, 1.0 / n)
-        return {ONE: z, STAR: z.conj().T}
+        return {ONE: d + c * _sample_utgrm(rng, n, 1.0 / n)}
 
     return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
 
@@ -311,7 +308,6 @@ def pure_t_word_sweep(
     )
 
     def draw(rng):
-        tm = _sample_utgrm(rng, n, 1.0 / n)
-        return {"T": tm, "T*": tm.conj().T}
+        return {"T": _sample_utgrm(rng, n, 1.0 / n)}
 
     return dict(zip(words, _run_trials(draw, words, n, trials, seed)))

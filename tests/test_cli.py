@@ -6,6 +6,7 @@ import math
 import pytest
 
 from dtmoments.cli import main, parse_measure_arg
+from dtmoments.errors import WordParseError
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, measure_to_json
 from dtmoments.moments import DEFAULT_Z_LEN_CAP
 from dtmoments.rmt import DEFAULT_SIZE_CAP
@@ -69,6 +70,16 @@ class TestMoment:
         code, _, _ = run(capsys, "moment", "--word", "T* T", "--measure", "annulus:1/2")
         assert code == 4
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_degree_below_one_is_a_parse_error(self, capsys, value):
+        # 0 used to fall back to the default cap, and -3 to fail as a cap overflow
+        code, out, err = run(
+            capsys, "moment", "--word", "Z* Z", "--measure", "disk:1", "--max-degree", value
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-degree" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -105,6 +116,23 @@ class TestMeasureArg:
     def test_delta_with_imaginary_part(self):
         mu = parse_measure_arg("delta:1/2,1/3")
         assert mu.moment(1, 0).re == 0.5
+
+    @pytest.mark.parametrize(
+        "text", ["disk:1,2", "disk:", "annulus:2,3", "ellipse:1", "ellipse:1,1/2,7", "delta:1,2,3"]
+    )
+    def test_wrong_parameter_count_is_refused(self, text):
+        kind = text.partition(":")[0]
+        with pytest.raises(WordParseError, match=kind):
+            parse_measure_arg(text)
+
+    def test_extra_parameter_exits_2(self, capsys):
+        # disk:1,2 used to answer 1, the value of disk:1, with exit 0
+        code, out, err = run(
+            capsys, "moment", "--word", "Z* Z", "--measure", "disk:1,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "disk" in err
 
 
 class TestConjecture:

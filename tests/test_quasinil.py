@@ -26,6 +26,11 @@ def compositions(total, parts):
         yield tuple(out)
 
 
+def weak_composition(total, parts, rng):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
 def star_word_for(seq) -> StarWord:
     symbols = []
     for idx, count in enumerate(seq):
@@ -89,6 +94,28 @@ class TestRecursion:
             with_zeros = (seq[0], 0, 0) + tuple(seq[1:])  # split via zero run
             for variant in (rotated, reversed_swapped, shifted, with_zeros):
                 assert m_recursive(variant) == base
+
+    def test_zero_runs_and_wrap_around_match_pairing_engine(self):
+        # zero exponents split and merge runs, also across the two ends
+        rng = random.Random(11)
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            ks, ls = weak_composition(m, n, rng), weak_composition(m, n, rng)
+            seq = [x for pair in zip(ks, ls) for x in pair]
+            for _ in range(rng.randint(0, 2)):  # all-zero blocks, at the ends too
+                at = 2 * rng.randint(0, len(seq) // 2)
+                seq[at:at] = [0, 0]
+            assert m_recursive(tuple(seq)) == t_word_moment(
+                star_word_for(seq)
+            ).as_fraction(), seq
+
+    @pytest.mark.parametrize("seq", [(2, -1, 0, 1), (-1, 0), (-1, -1), (1, 0, 0, -1)])
+    def test_negative_exponent_rejected(self, seq):
+        # unbalanced inputs used to pass the balance test first and return 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            canonicalize(seq)
+        with pytest.raises(ValueError, match="nonnegative"):
+            m_recursive(seq)
 
 
 class TestClosedForms:
