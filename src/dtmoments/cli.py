@@ -115,20 +115,30 @@ def _emit(payload, fmt: str, out) -> None:
     writer.writerows(rows)
 
 
+def _parse_c(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise WordParseError(f"bad --c {text!r}: {e}") from None
+
+
 def cmd_moment(args, out) -> int:
     if bool(args.word) == bool(args.exponents):
         raise WordParseError("moment needs exactly one of --word / --exponents")
+    c = _parse_c(args.c)
+    letters = parse_word(args.word) if args.word else ()
     if args.max_degree is not None and args.max_degree < 1:
         raise WordParseError("--max-degree must be at least 1")
+    if args.max_degree is not None and not any(t in Z_LETTERS for t in letters):
+        raise WordParseError("--max-degree caps Z-words only")
     if args.exponents:
         seq = parse_exponents(args.exponents)
         value = MomentValue.wrap(m_recursive(seq))
         payload = _moment_payload(args.exponents, value)
     else:
-        letters = parse_word(args.word)
         mu = parse_measure_arg(args.measure)
         cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
-        value = _word_value(letters, mu, args.c, cap)
+        value = _word_value(letters, mu, c, cap)
         payload = _moment_payload(args.word, value)
     _emit(payload, args.format, out)
     return EXIT_OK
@@ -209,6 +219,7 @@ def cmd_mc(args, out) -> int:
         raise WordParseError("--n must be at least 1")
     if args.trials < 2:
         raise WordParseError("--trials must be at least 2 for a standard error")
+    c = _parse_c("1" if args.c is None else args.c)
     letters = parse_word(args.word)
     if args.theta is not None:
         for flag, value in (("--measure", args.measure), ("--c", args.c)):
@@ -224,7 +235,6 @@ def cmd_mc(args, out) -> int:
         ).as_complex()
     else:
         mu = parse_measure_arg("delta0" if args.measure is None else args.measure)
-        c = parse_rational("1" if args.c is None else args.c)
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
@@ -239,11 +249,11 @@ def _star_word(letters) -> StarWord:
 
 
 def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
-    """Exact moment of a T-only, Z or D/T word; ``c`` is parsed for Z words only."""
+    """Exact moment of a T-only, Z or D/T word; ``c`` enters Z words only."""
     if all(t in T_LETTERS for t in letters):
         return t_word_moment(_star_word(letters))
     if any(t in Z_LETTERS for t in letters):
-        return z_word_moment(ZWord.from_letters(letters, parse_rational(c)), mu, max_len=max_len)
+        return z_word_moment(ZWord.from_letters(letters, c), mu, max_len=max_len)
     return dt_word_moment(DTWord.from_letters(letters), mu)
 
 

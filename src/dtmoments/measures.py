@@ -293,6 +293,8 @@ def measure_from_json(spec) -> MeasureModel:
 
 
 def measure_to_json(mu: MeasureModel) -> dict:
+    if any(isinstance(v, float) for v in vars(mu).values()):
+        raise WordParseError(f"{mu!r} has float parameters, which have no JSON form")
     if isinstance(mu, Atomic):
         return {
             "type": "atomic",

@@ -8,13 +8,13 @@ ziggurat ``standard_normal`` on that stream.
 
 All estimators share one trial runner: each trial draws one matrix per
 unstarred letter, takes each adjoint as its conjugate transpose, and traces
-one word per class, walking the classes' prefix tree so a shared prefix is
-multiplied out once.  A class holds the rotations of a word and of its
-adjoint; since tr(w) is unchanged by rotation and tr(w*) = conj tr(w) for
-every sample, one trace per class gives every word in it.  Each estimate is
-a mean over trials of the normalized matrix trace of a word, with the
-standard error taken per real/imaginary part (the larger of the two is
-reported).
+one word per class, visiting the classes in sorted order along one product
+path so a shared prefix is multiplied out once.  A class holds the rotations
+of a word and of its adjoint; since tr(w) is unchanged by rotation and
+tr(w*) = conj tr(w) for every sample, one trace per class gives every word
+in it.  Each estimate is a mean over trials of the normalized matrix trace
+of a word, with the standard error taken per real/imaginary part (the larger
+of the two is reported).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import WordParseError
+from .errors import CapExceededError, WordParseError
 from .measures import (
     Atomic,
     MeasureModel,
@@ -142,19 +142,7 @@ def _check_size(n: int, trials: int) -> None:
     if n < 1:
         raise ValueError(f"matrix size {n} is below 1")
     if n > DEFAULT_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
-
-
-def _prefix_tree(words: Sequence[Sequence[str]]) -> dict:
-    """Nested ``{letter: [word index or None, subtree]}`` over the words' prefixes."""
-    root: dict = {}
-    for i, word in enumerate(words):
-        node = root
-        for tok in word[:-1]:
-            node = node.setdefault(tok, [None, {}])[1]
-        if word:
-            node.setdefault(word[-1], [None, {}])[0] = i
-    return root
+        raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
 def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[int, bool]]]:
@@ -175,22 +163,6 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     return list(index), members
 
 
-def _walk(node: dict, prod: np.ndarray | None, mats: dict, n: int, out: np.ndarray) -> None:
-    # depth first: a word's trace is an einsum of its prefix's product with
-    # its last letter, and each product is formed only for prefixes of longer
-    # words.  A module-level function, so a trial's matrices are freed on
-    # return rather than held by a closure cycle until the next collection.
-    for tok, (index, children) in node.items():
-        mat = mats[tok]
-        if index is not None:
-            if prod is None:
-                out[index] = complex(np.trace(mat)) / n
-            else:
-                out[index] = complex(np.einsum("ij,ji->", prod, mat)) / n
-        if children:
-            _walk(children, mat if prod is None else prod @ mat, mats, n, out)
-
-
 def _run_trials(
     draw: Callable[[np.random.Generator], dict[str, np.ndarray]],
     words: Sequence[Sequence[str]],
@@ -203,15 +175,31 @@ def _run_trials(
     ``draw`` returns the trial's matrix for each unstarred letter, and the
     runner adds each adjoint letter's matrix as its ``.conj().T``.  Only one
     word per rotation-and-adjoint class is traced, and the others are read
-    off it.  The empty word has trace 1.
+    off it.  The empty word has trace 1.  Representatives are visited in
+    sorted order, so those sharing a prefix are adjacent: ``path`` holds the
+    products of one's proper prefixes, the next keeps the ``keep`` products
+    of the prefixes they share, and only its new letters are multiplied out.
     """
     reps, members = _classes(words)
-    tree = _prefix_tree(reps)
+    steps, prev = [], ()
+    for rep, i in sorted((rep, i) for i, rep in enumerate(reps) if rep):
+        keep = 0
+        while keep < min(len(prev), len(rep)) - 1 and prev[keep] == rep[keep]:
+            keep += 1
+        steps.append((i, keep, rep[keep:-1], rep[-1]))
+        prev = rep
     values = np.ones((len(reps), trials), dtype=complex)
+    path: list[np.ndarray] = []
     for t in range(trials):
         mats = draw(_rng(seed, t))
         mats.update({_ADJOINT[tok]: mat.conj().T for tok, mat in mats.items()})
-        _walk(tree, None, mats, n, values[:, t])
+        for i, keep, letters, last in steps:
+            del path[keep:]
+            for tok in letters:
+                path.append(path[-1] @ mats[tok] if path else mats[tok])
+            trace = np.einsum("ij,ji->", path[-1], mats[last]) if path else np.trace(mats[last])
+            values[i, t] = complex(trace) / n
+        path.clear()  # free this trial's products before the next draw
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 
 
@@ -297,10 +285,10 @@ def pure_t_word_sweep(
     """Traces of every word in T, T* up to ``max_len`` letters, per trial.
 
     One triangular sample per trial serves all words.  The runner traces one
-    word per rotation-and-adjoint class and forms each internal node of the
-    classes' word tree once: at ``max_len`` 6 the 126 words fall into 22
-    classes, and a trial forms 18 matrix products where a tree over all the
-    words would form 60.
+    word per rotation-and-adjoint class and forms each proper prefix of
+    length 2 or more of the class representatives once: at ``max_len`` 6 the
+    126 words fall into 22 classes, and a trial forms 18 matrix products where
+    the prefixes of all the words would take 60.
     """
     _check_size(n, trials)
     words = sorted(

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,46 @@ class TestMoment:
         assert code == 2
         assert out == ""
         assert "--max-degree" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--word", "T* T T* T T* T"],
+            ["--word", "D* D T* T", "--measure", "disk:1"],
+            ["--exponents", "1,1"],
+        ],
+    )
+    def test_max_degree_without_a_z_word_is_a_parse_error(self, capsys, argv):
+        # the cap applies to Z-words only; these printed 9/8, 1/4 and 1/2 with exit 0
+        code, out, err = run(capsys, "moment", *argv, "--max-degree", "2")
+        assert code == 2
+        assert out == ""
+        assert "--max-degree" in err
+
+    def test_max_degree_caps_z_words(self, capsys):
+        argv = ("moment", "--word", "Z* Z Z* Z", "--measure", "disk:1")
+        code, out, _ = run(capsys, *argv, "--max-degree", "4")
+        assert code == 0
+        assert json.loads(out)["re"] == "2"
+        code, out, err = run(capsys, *argv, "--max-degree", "3")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_unparsable_c_is_a_parse_error(self, capsys, value):
+        # an unparsable --c used to exit 4, as a numeric failure
+        code, out, err = run(
+            capsys, "moment", "--word", "Z* Z", "--measure", "disk:1", "--c", value
+        )
+        assert code == 2
+        assert out == ""
+        assert "--c" in err
+
+    def test_non_positive_c_is_a_numeric_failure(self, capsys):
+        code, out, _ = run(capsys, "moment", "--word", "Z* Z", "--measure", "disk:1", "--c", "-1")
+        assert code == 4
+        assert out == ""
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
@@ -292,5 +335,43 @@ class TestMC:
             capsys, "mc", "--word", "Z", "--theta", str(math.pi / 4),
             "--n", str(DEFAULT_SIZE_CAP + 1), "--trials", "2",
         )
-        assert code == 4
+        assert code == 3
         assert "cap" in err
+
+    def test_size_cap_exits_3(self, capsys):
+        # an --n over the cap used to exit 4, as a numeric failure
+        code, out, err = run(
+            capsys, "mc", "--word", "T* T", "--n", str(DEFAULT_SIZE_CAP + 1), "--trials", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
+    def test_unparsable_c_is_a_parse_error(self, capsys):
+        # it used to exit 4, as a numeric failure
+        code, out, err = run(capsys, "mc", "--word", "Z* Z", "--c", "abc", "--n", "8", "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert "--c" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The ``dtmoment`` lines of README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("dtmoment ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0, err
+    assert out or list(tmp_path.iterdir())

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from conftest import quadrature_mixed_moment
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtmoments.cli import parse_measure_arg
 from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.exact import ComplexRational as CQ
 from dtmoments.measures import (
@@ -239,6 +241,29 @@ class TestMomentTable:
         assert table.moment(1, 2) == CQ(F(1, 3), F(-1, 5))
 
 
+def _gaussian_rational(draw):
+    part = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    return CQ(draw(part), draw(part))
+
+
+@st.composite
+def exact_models(draw):
+    """A model with random exact parameters, of each kind that has a JSON form."""
+    kinds = [Atomic, UniformDisk, UniformAnnulus, UniformEllipse, MomentTable]
+    kind = draw(st.sampled_from(kinds))
+    if kind is Atomic:
+        weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        return Atomic(tuple((_gaussian_rational(draw), F(w, sum(weights))) for w in weights))
+    if kind is UniformAnnulus:
+        return UniformAnnulus(draw(st.fractions(min_value=1, max_value=4, max_denominator=12)))
+    if kind is MomentTable:
+        degree = draw(st.integers(1, 4))
+        orders = st.tuples(st.integers(0, degree), st.integers(0, degree))
+        keys = draw(st.sets(orders.filter(lambda rs: 0 < sum(rs) <= degree), max_size=5))
+        return MomentTable(degree, tuple((rs, _gaussian_rational(draw)) for rs in sorted(keys)))
+    return kind(*(draw(_positive(F(3))) for _ in range(2 if kind is UniformEllipse else 1)))
+
+
 class TestJsonSpec:
     def test_roundtrip(self):
         specs = [
@@ -268,3 +293,20 @@ class TestJsonSpec:
     def test_scaled_has_no_json_form(self):
         with pytest.raises(WordParseError):
             measure_to_json(ScaledMeasure(UniformDisk(1), CQ(F(2))))
+
+    @pytest.mark.parametrize(
+        "mu",
+        [UniformDisk(1.5), UniformAnnulus(2.5), UniformEllipse(1.5, 0.5), UniformEllipse(1, 0.5)],
+    )
+    def test_float_models_have_no_json_form(self, mu):
+        # measure_from_json reads exact rationals only; a float disk used to
+        # fail with AttributeError on the float's missing denominator
+        with pytest.raises(WordParseError, match="float"):
+            measure_to_json(mu)
+
+    @given(mu=exact_models())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_models_round_trip(self, mu):
+        spec = measure_to_json(mu)
+        assert measure_from_json(spec) == mu
+        assert parse_measure_arg(json.dumps(spec)) == mu

@@ -265,27 +265,23 @@ def test_sweep_agrees_with_direct_traces():
 
 
 def test_sweep_forms_one_product_per_class_prefix(monkeypatch):
-    # each internal node of length >= 2 in the walked tree is one matrix
-    # product per trial; a tree over all 126 words would have 60
-    def products(node, depth=1):
-        return sum(
-            (depth >= 2) + products(children, depth + 1)
-            for _, children in node.values()
-            if children
-        )
+    # count the products on the matrices themselves: every matrix of a trial
+    # derives from the sampled T, so each product goes through Counting
+    products = []
 
-    trees = []
-    prefix_tree = rmt._prefix_tree
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return super().__matmul__(other)
 
-    def spy(words):
-        trees.append(prefix_tree(words))
-        return trees[-1]
-
-    monkeypatch.setattr(rmt, "_prefix_tree", spy)
-    sweep = pure_t_word_sweep(6, n=4, trials=2, seed=0)
-    assert len(trees) == 1
-    assert products(trees[0]) <= 18
-    assert products(prefix_tree(list(sweep))) == 60
+    sample = rmt._sample_utgrm
+    monkeypatch.setattr(rmt, "_sample_utgrm", lambda *args: sample(*args).view(Counting))
+    trials = 2
+    sweep = pure_t_word_sweep(6, n=4, trials=trials, seed=0)
+    assert len(products) == 18 * trials
+    # the prefixes of length 2 to 5 over all 126 words number 4 + 8 + 16 + 32
+    prefixes = {w[:k] for w in sweep for k in range(2, len(w))}
+    assert len(prefixes) == 60
 
 
 # (mean re, mean im, stderr) as float.hex, recorded from the per-estimator
