@@ -122,11 +122,22 @@ def _parse_c(text: str) -> Fraction:
         raise WordParseError(f"bad --c {text!r}: {e}") from None
 
 
+def _refuse_unread(args, letters) -> None:
+    """Refuse a --c without Z letters, and a --measure other than delta0
+    without D or Z letters: neither would be read."""
+    if args.c is not None and not any(t in Z_LETTERS for t in letters):
+        raise WordParseError("--c scales T inside Z; it needs a word with Z letters")
+    if args.measure not in (None, "delta0") and all(t in T_LETTERS for t in letters):
+        raise WordParseError("--measure is the law of D; it needs a word with D or Z letters")
+
+
 def cmd_moment(args, out) -> int:
     if bool(args.word) == bool(args.exponents):
         raise WordParseError("moment needs exactly one of --word / --exponents")
-    c = _parse_c(args.c)
+    c = _parse_c("1" if args.c is None else args.c)
     letters = parse_word(args.word) if args.word else ()
+    mu = parse_measure_arg(args.measure or "delta0")  # an invalid measure still exits 4
+    _refuse_unread(args, letters)
     if args.max_degree is not None and args.max_degree < 1:
         raise WordParseError("--max-degree must be at least 1")
     if args.max_degree is not None and not any(t in Z_LETTERS for t in letters):
@@ -136,7 +147,6 @@ def cmd_moment(args, out) -> int:
         value = MomentValue.wrap(m_recursive(seq))
         payload = _moment_payload(args.exponents, value)
     else:
-        mu = parse_measure_arg(args.measure)
         cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
         value = _word_value(letters, mu, c, cap)
         payload = _moment_payload(args.word, value)
@@ -234,7 +244,8 @@ def cmd_mc(args, out) -> int:
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
         ).as_complex()
     else:
-        mu = parse_measure_arg("delta0" if args.measure is None else args.measure)
+        mu = parse_measure_arg(args.measure or "delta0")
+        _refuse_unread(args, letters)
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
@@ -271,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom = sub.add_parser("moment", help="exact moment of a word or exponent tuple")
     p_mom.add_argument("--word", help='e.g. "T* T" or "Z* Z" or "D T D* T*"')
     p_mom.add_argument("--exponents", help='alternating tuple, e.g. "2,2,2,2"')
-    p_mom.add_argument("--measure", default="delta0")
-    p_mom.add_argument("--c", default="1")
+    p_mom.add_argument("--measure", default=None, help="default delta0; D and Z words only")
+    p_mom.add_argument("--c", default=None, help="default 1; Z words only")
     p_mom.add_argument("--max-degree", type=int, default=None, dest="max_degree")
     for flag, kw in common.items():
         p_mom.add_argument(flag, **kw)
@@ -301,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimate of a word moment")
     p_mc.add_argument("--word", required=True)
-    p_mc.add_argument("--measure", default=None, help="default delta0; not with --theta")
-    p_mc.add_argument("--c", default=None, help="default 1; not with --theta")
+    p_mc.add_argument("--measure", default=None, help="default delta0; D and Z words, no --theta")
+    p_mc.add_argument("--c", default=None, help="default 1; Z words only, no --theta")
     p_mc.add_argument("--n", type=int, default=256)
     p_mc.add_argument("--trials", type=int, default=100)
     p_mc.add_argument("--seed", type=int, default=0)

@@ -6,15 +6,14 @@ bit-reproducible.  Complex N(0, sigma^2) entries are built from two
 independent real normals of variance sigma^2/2 each, generated by numpy's
 ziggurat ``standard_normal`` on that stream.
 
-All estimators share one trial runner: each trial draws one matrix per
-unstarred letter, takes each adjoint as its conjugate transpose, and traces
-one word per class, visiting the classes in sorted order along one product
-path so a shared prefix is multiplied out once.  A class holds the rotations
-of a word and of its adjoint; since tr(w) is unchanged by rotation and
-tr(w*) = conj tr(w) for every sample, one trace per class gives every word
-in it.  Each estimate is a mean over trials of the normalized matrix trace
-of a word, with the standard error taken per real/imaginary part (the larger
-of the two is reported).
+All estimators share one trial runner.  Each trial draws one matrix per
+unstarred letter and traces one word per class: the rotations of a word and
+of its adjoint, as tr(w) is unchanged by rotation and tr(w*) = conj tr(w).
+That trace is the trace of the product of the word's two halves, and a half
+and its adjoint share one product per trial, built on its prefix's product
+and freed after its last use.  Each estimate is a mean over trials of the
+normalized matrix trace of a word, with the standard error taken per
+real/imaginary part (the larger of the two is reported).
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,9 +41,9 @@ from .ncpair import ONE, STAR, StarWord
 
 DEFAULT_SIZE_CAP = 2048
 _MASK64 = (1 << 64) - 1
-_ADJOINT = {
-    a: b for x, y in (T_LETTERS, D_LETTERS, Z_LETTERS, (ONE, STAR)) for a, b in ((x, y), (y, x))
-}
+_PAIRS = (T_LETTERS, D_LETTERS, Z_LETTERS, (ONE, STAR))
+_ADJOINT = {a: b for x, y in _PAIRS for a, b in ((x, y), (y, x))}
+_STARRED = frozenset(y for _, y in _PAIRS)
 
 
 def _rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -145,6 +145,17 @@ def _check_size(n: int, trials: int) -> None:
         raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
+def _rank(word: Sequence[str]) -> list[tuple[bool, str]]:
+    """Sort key: unstarred letters first, so T/T* and 1/* words sort alike."""
+    return [(tok in _STARRED, tok) for tok in word]
+
+
+def _canonical(half: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
+    """The lesser of a word and its adjoint, and whether it is the adjoint."""
+    adj = tuple(_ADJOINT[tok] for tok in reversed(half))
+    return (adj, True) if _rank(adj) < _rank(half) else (half, False)
+
+
 def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[int, bool]]]:
     """The distinct class representatives, and each word's (class index, adjoint flag).
 
@@ -158,9 +169,18 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     for word in words:
         sides = ((tuple(word), False), (tuple(_ADJOINT[tok] for tok in reversed(word)), True))
         rotations = ((w[i:] + w[:i], flag) for w, flag in sides for i in range(len(w) or 1))
-        rep, flag = min(rotations)
+        rep, flag = min(rotations, key=lambda r: (_rank(r[0]), r[1]))
         members.append((index.setdefault(rep, len(index)), flag))
     return list(index), members
+
+
+def _plan_product(key: tuple[str, ...], forms: list, formed: set) -> None:
+    """Append each unformed prefix of ``key``, then ``key``, as (key, left, flip, right)."""
+    if len(key) > 1 and key not in formed:
+        formed.add(key)
+        left, flip = (key[:-1], False) if len(key) == 2 else _canonical(key[:-1])
+        _plan_product(left, forms, formed)
+        forms.append((key, left, flip, key[-1:]))
 
 
 def _run_trials(
@@ -172,34 +192,44 @@ def _run_trials(
 ) -> list[Estimate]:
     """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``.
 
-    ``draw`` returns the trial's matrix for each unstarred letter, and the
-    runner adds each adjoint letter's matrix as its ``.conj().T``.  Only one
-    word per rotation-and-adjoint class is traced, and the others are read
-    off it.  The empty word has trace 1.  Representatives are visited in
-    sorted order, so those sharing a prefix are adjacent: ``path`` holds the
-    products of one's proper prefixes, the next keeps the ``keep`` products
-    of the prefixes they share, and only its new letters are multiplied out.
+    ``draw`` returns the trial's matrix for each unstarred letter; a starred
+    letter is copied as its ``.conj().T`` only if a product uses it.  One
+    word per class is traced (the empty word's trace is 1), as the O(n^2)
+    trace of the product of its halves w[:ceil(|w|/2)] and the rest.  A half h
+    is held once per trial as the product of c = min(h, adj h), made as its
+    prefix's product @ its last letter; where c is adj h, the trace reads it
+    conjugate-transposed through ``np.vdot`` without a copy.  The plan is made
+    before the trials, and frees each product and letter after its last use.
     """
     reps, members = _classes(words)
-    steps, prev = [], ()
-    for rep, i in sorted((rep, i) for i, rep in enumerate(reps) if rep):
-        keep = 0
-        while keep < min(len(prev), len(rep)) - 1 and prev[keep] == rep[keep]:
-            keep += 1
-        steps.append((i, keep, rep[keep:-1], rep[-1]))
-        prev = rep
+    steps, formed, last = [], set(), {}
+    for i in sorted((i for i, rep in enumerate(reps) if rep), key=lambda i: _rank(reps[i])):
+        rep = reps[i]
+        # only the second half b can be flagged: adj(a) < a would make adj(a) + adj(b),
+        # a rotation of adj(rep), less than rep; np.vdot(b, a) is tr(a b^H)
+        mid = (len(rep) + 1) // 2
+        a, (b, flip) = rep[:mid], _canonical(rep[mid:])
+        forms: list = []
+        for half in filter(None, (a, b)):
+            _plan_product(half, forms, formed)
+        trace = np.trace if not b else np.vdot if flip else partial(np.einsum, "ij,ji->")
+        keys = (b, a) if flip else (a, b) if b else (a,)
+        steps.append((i, forms, trace, keys, []))
+        last.update(dict.fromkeys(set(keys).union(*((f[1], f[3]) for f in forms)), steps[-1]))
+    for key, step in last.items():
+        step[-1].append(key)
+    letters = [key[0] for key in last if len(key) == 1]
     values = np.ones((len(reps), trials), dtype=complex)
-    path: list[np.ndarray] = []
     for t in range(trials):
         mats = draw(_rng(seed, t))
-        mats.update({_ADJOINT[tok]: mat.conj().T for tok, mat in mats.items()})
-        for i, keep, letters, last in steps:
-            del path[keep:]
-            for tok in letters:
-                path.append(path[-1] @ mats[tok] if path else mats[tok])
-            trace = np.einsum("ij,ji->", path[-1], mats[last]) if path else np.trace(mats[last])
-            values[i, t] = complex(trace) / n
-        path.clear()  # free this trial's products before the next draw
+        held = {(x,): mats[x] if x in mats else mats[_ADJOINT[x]].conj().T for x in letters}
+        del mats  # drops the letters no word uses
+        for i, forms, trace, keys, frees in steps:
+            for key, left, flip, right in forms:
+                held[key] = (held[left].conj().T if flip else held[left]) @ held[right]
+            values[i, t] = complex(trace(*[held[key] for key in keys])) / n
+            for key in frees:
+                del held[key]
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 
 
@@ -285,10 +315,10 @@ def pure_t_word_sweep(
     """Traces of every word in T, T* up to ``max_len`` letters, per trial.
 
     One triangular sample per trial serves all words.  The runner traces one
-    word per rotation-and-adjoint class and forms each proper prefix of
-    length 2 or more of the class representatives once: at ``max_len`` 6 the
-    126 words fall into 22 classes, and a trial forms 18 matrix products where
-    the prefixes of all the words would take 60.
+    word per rotation-and-adjoint class through the products of its two
+    halves, each formed once per trial as the lesser of it and its adjoint:
+    at ``max_len`` 6 the 126 words fall into 22 classes, and a trial forms 5
+    matrix products where the prefixes of all the words would take 60.
     """
     _check_size(n, trials)
     words = sorted(

@@ -118,6 +118,32 @@ class TestMoment:
         assert out == ""
         assert "--c" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--word", "T* T", "--c", "5"], "--c"),
+            (["--word", "D* D T* T", "--measure", "disk:1", "--c", "-2"], "--c"),
+            (["--exponents", "1,1", "--c", "2"], "--c"),
+            (["--word", "T* T", "--measure", "disk:2"], "--measure"),
+            (["--exponents", "1,1", "--measure", "disk:2"], "--measure"),
+        ],
+    )
+    def test_unused_c_or_measure_is_a_parse_error(self, capsys, argv, flag):
+        # --c scales T inside Z and --measure is the law of D: each was
+        # silently ignored here (these printed 1/2, 1/4, 1/2, 1/2 and 1/2)
+        code, out, err = run(capsys, "moment", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_c_and_measure_are_read_where_they_apply(self, capsys):
+        code, out, _ = run(capsys, "moment", "--word", "Z* Z", "--measure", "disk:1", "--c", "2")
+        assert code == 0
+        assert json.loads(out)["re"] == "5/2"  # E|D|^2 + 2^2 tr(T*T) = 1/2 + 4/2
+        code, out, _ = run(capsys, "moment", "--word", "D* D T* T", "--measure", "disk:1")
+        assert code == 0
+        assert json.loads(out)["re"] == "1/4"
+
     def test_non_positive_c_is_a_numeric_failure(self, capsys):
         code, out, _ = run(capsys, "moment", "--word", "Z* Z", "--measure", "disk:1", "--c", "-1")
         assert code == 4
@@ -329,6 +355,21 @@ class TestMC:
         assert code == 0
         rec = json.loads(out)
         assert rec["target_re"] == 0.5 and rec["target_im"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--word", "T* T", "--c", "5"], "--c"),
+            (["--word", "D* D T* T", "--measure", "disk:1", "--c", "2"], "--c"),
+            (["--word", "T* T", "--measure", "disk:2"], "--measure"),
+        ],
+    )
+    def test_unused_c_or_measure_is_a_parse_error(self, capsys, argv, flag):
+        # each printed an estimate whose sampling ignored the flag
+        code, out, err = run(capsys, "mc", *argv, "--n", "8", "--trials", "4")
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     def test_elliptic_mode_enforces_the_size_cap(self, capsys):
         code, _, err = run(

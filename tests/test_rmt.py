@@ -1,10 +1,14 @@
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtmoments import rmt
 from dtmoments.exact import ComplexRational as CQ
@@ -264,24 +268,86 @@ def test_sweep_agrees_with_direct_traces():
     assert zeros == 2 * 6  # T^k and T*^k are nilpotent
 
 
-def test_sweep_forms_one_product_per_class_prefix(monkeypatch):
-    # count the products on the matrices themselves: every matrix of a trial
-    # derives from the sampled T, so each product goes through Counting
-    products = []
+@pytest.fixture
+def products(monkeypatch):
+    """The products a run forms, counted on the matrices themselves: every
+    matrix of a trial derives from the sampled T, so each product goes
+    through Counting."""
+    counted = []
 
     class Counting(np.ndarray):
         def __matmul__(self, other):
-            products.append(1)
+            counted.append(1)
             return super().__matmul__(other)
 
     sample = rmt._sample_utgrm
     monkeypatch.setattr(rmt, "_sample_utgrm", lambda *args: sample(*args).view(Counting))
+    return counted
+
+
+def test_sweep_forms_one_product_per_class_prefix(products):
     trials = 2
     sweep = pure_t_word_sweep(6, n=4, trials=trials, seed=0)
-    assert len(products) == 18 * trials
+    # the classes' halves of 2 or 3 letters, each as the lesser of it and its
+    # adjoint, are TT, TT*, TTT, TTT* and TT*T
+    assert len(products) == 5 * trials
     # the prefixes of length 2 to 5 over all 126 words number 4 + 8 + 16 + 32
     prefixes = {w[:k] for w in sweep for k in range(2, len(w))}
     assert len(prefixes) == 60
+
+
+def test_equal_halves_form_one_product(products):
+    # Z* Z Z* Z is traced as Z Z* Z Z*: its two halves share the product Z Z*
+    trials = 3
+    estimate_word_moment(["Z*", "Z", "Z*", "Z"], n=4, trials=trials, seed=0, mu=UniformDisk(1))
+    assert len(products) == trials
+
+
+def test_sweep_memory_is_bounded_and_freed():
+    # a trial holds T, T* and at most four products; nothing outlives the call
+    n = 128
+    matrix = n * n * np.dtype(complex).itemsize
+    started = not tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    try:
+        pure_t_word_sweep(6, n=n, trials=2, seed=0)  # warm imports and free lists
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        pure_t_word_sweep(6, n=n, trials=2, seed=0)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+        gc.enable()
+    assert (peak - base) / matrix < 6.5
+    assert (now - base) / matrix < 0.5
+
+
+T_ADJOINT = {"T": "T*", "T*": "T"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((ONE, STAR)), min_size=1, max_size=8))
+def test_runner_is_exactly_invariant(eps):
+    kw = dict(n=6, trials=3, seed=17)
+    letters = ["T" if sym == ONE else "T*" for sym in eps]
+    est = estimate_word_moment(letters, **kw)
+    # a zero diagonal leaves Z = T on the same stream, and 1/* words plan as T/T* words
+    zero = deterministic_diagonal_run(lambda n: [0.0] * n, 1.0, StarWord(tuple(eps)), **kw)
+    assert zero == est
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    for rotation in rotations:
+        assert estimate_word_moment(rotation, **kw) == est
+    adjoint = [T_ADJOINT[tok] for tok in reversed(letters)]
+    adj = estimate_word_moment(adjoint, **kw)
+    if adjoint in rotations:  # the same class: tr(w) is real, up to rounding
+        assert adj == est
+    else:
+        assert adj.mean == est.mean.conjugate()
+        assert adj.stderr == est.stderr
 
 
 # (mean re, mean im, stderr) as float.hex, recorded from the per-estimator
