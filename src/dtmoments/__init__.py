@@ -4,8 +4,10 @@ The package computes limit traces of words in a normal diagonal generator D
 (with base measure mu) and a strictly upper-triangular Gaussian generator T,
 three independent ways:
 
-* exactly, by summing over compatible non-crossing pairings weighted by
-  linear-extension counts of the folded quotient trees (:mod:`.moments`);
+* exactly, by an interval DP over letter positions that sums over all
+  compatible non-crossing pairings at once, each weighted by the
+  linear-extension count of its folded quotient tree (:mod:`.moments`); the
+  pairing-by-pairing sum stays in the tests as its oracle;
 * for the scale-1 point-mass specialization, by a subset recursion on
   alternating exponent sequences (:mod:`.quasinil`);
 * empirically, by seeded random-matrix Monte Carlo (:mod:`.rmt`).

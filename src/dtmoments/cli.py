@@ -98,11 +98,8 @@ def parse_exponents(text: str) -> tuple[int, ...]:
 
 
 def _moment_payload(word: str, value: MomentValue) -> dict:
-    if value.exact:
-        v = value.value
-        return {"word": word, "backend": "exact", "re": format_rational(v.re), "im": format_rational(v.im)}
-    v = value.as_complex()
-    return {"word": word, "backend": "float", "re": v.real, "im": v.imag}
+    v = value.value  # every number ``moment`` parses is exact, so every value is
+    return {"word": word, "backend": "exact", "re": format_rational(v.re), "im": format_rational(v.im)}
 
 
 def _emit(payload, fmt: str, out) -> None:
@@ -115,36 +112,37 @@ def _emit(payload, fmt: str, out) -> None:
     writer.writerows(rows)
 
 
-def _parse_c(text: str) -> Fraction:
+def _word_inputs(args, letters) -> tuple[MeasureModel, Fraction]:
+    """The measure and scale of --measure and --c, refusing a --c without Z
+    letters and a --measure other than delta0 without D or Z letters:
+    neither would be read."""
     try:
-        return parse_rational(text)
+        c = parse_rational("1" if args.c is None else args.c)
     except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise WordParseError(f"bad --c {text!r}: {e}") from None
-
-
-def _refuse_unread(args, letters) -> None:
-    """Refuse a --c without Z letters, and a --measure other than delta0
-    without D or Z letters: neither would be read."""
+        raise WordParseError(f"bad --c {args.c!r}: {e}") from None
+    mu = parse_measure_arg(args.measure or "delta0")  # an invalid measure still exits 4
     if args.c is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--c scales T inside Z; it needs a word with Z letters")
     if args.measure not in (None, "delta0") and all(t in T_LETTERS for t in letters):
         raise WordParseError("--measure is the law of D; it needs a word with D or Z letters")
+    return mu, c
 
 
 def cmd_moment(args, out) -> int:
     if bool(args.word) == bool(args.exponents):
         raise WordParseError("moment needs exactly one of --word / --exponents")
-    c = _parse_c("1" if args.c is None else args.c)
     letters = parse_word(args.word) if args.word else ()
-    mu = parse_measure_arg(args.measure or "delta0")  # an invalid measure still exits 4
-    _refuse_unread(args, letters)
+    mu, c = _word_inputs(args, letters)
     if args.max_degree is not None and args.max_degree < 1:
         raise WordParseError("--max-degree must be at least 1")
     if args.max_degree is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--max-degree caps Z-words only")
     if args.exponents:
         seq = parse_exponents(args.exponents)
-        value = MomentValue.wrap(m_recursive(seq))
+        try:
+            value = MomentValue.wrap(m_recursive(seq))
+        except RecursionError:  # the subset recursion nests once per unit of degree
+            raise CapExceededError(f"{args.exponents} nests past Python's recursion limit") from None
         payload = _moment_payload(args.exponents, value)
     else:
         cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
@@ -229,7 +227,6 @@ def cmd_mc(args, out) -> int:
         raise WordParseError("--n must be at least 1")
     if args.trials < 2:
         raise WordParseError("--trials must be at least 2 for a standard error")
-    c = _parse_c("1" if args.c is None else args.c)
     letters = parse_word(args.word)
     if args.theta is not None:
         for flag, value in (("--measure", args.measure), ("--c", args.c)):
@@ -244,8 +241,7 @@ def cmd_mc(args, out) -> int:
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
         ).as_complex()
     else:
-        mu = parse_measure_arg(args.measure or "delta0")
-        _refuse_unread(args, letters)
+        mu, c = _word_inputs(args, letters)
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
@@ -268,6 +264,12 @@ def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
     return dt_word_moment(DTWord.from_letters(letters), mu)
 
 
+def add_output(parser: argparse.ArgumentParser, fmt: str) -> None:
+    """--format, defaulting to ``fmt``, and --out."""
+    parser.add_argument("--format", choices=("json", "csv"), default=fmt)
+    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtmoment",
@@ -276,38 +278,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--format": dict(choices=("json", "csv"), default="json"),
-              "--out": dict(default=None, help="write output to a file instead of stdout")}
-
     p_mom = sub.add_parser("moment", help="exact moment of a word or exponent tuple")
     p_mom.add_argument("--word", help='e.g. "T* T" or "Z* Z" or "D T D* T*"')
     p_mom.add_argument("--exponents", help='alternating tuple, e.g. "2,2,2,2"')
     p_mom.add_argument("--measure", default=None, help="default delta0; D and Z words only")
     p_mom.add_argument("--c", default=None, help="default 1; Z words only")
     p_mom.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    for flag, kw in common.items():
-        p_mom.add_argument(flag, **kw)
+    add_output(p_mom, "json")
     p_mom.set_defaults(func=cmd_moment)
 
     p_conj = sub.add_parser("conjecture", help="recursion vs closed form table")
     p_conj.add_argument("--n-max", type=int, default=3)
     p_conj.add_argument("--k-max", type=int, default=3)
     p_conj.add_argument("--cap", type=int, default=DEFAULT_NK_CAP)
-    for flag, kw in common.items():
-        p_conj.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    add_output(p_conj, "csv")
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_den = sub.add_parser("density", help="density grid and moment check table")
     p_den.add_argument("--grid", type=int, default=200)
     p_den.add_argument("--p-max", type=int, default=6)
-    for flag, kw in common.items():
-        p_den.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    add_output(p_den, "csv")
     p_den.set_defaults(func=cmd_density)
 
     p_ser = sub.add_parser("series", help="series-identity checks at a given order")
     p_ser.add_argument("--order", type=int, default=8)
-    for flag, kw in common.items():
-        p_ser.add_argument(flag, **{**kw, **({"default": "csv"} if flag == "--format" else {})})
+    add_output(p_ser, "csv")
     p_ser.set_defaults(func=cmd_series)
 
     p_mc = sub.add_parser("mc", help="seeded Monte Carlo estimate of a word moment")
@@ -319,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--theta", type=float, default=None,
                       help="sample the elliptic model at this angle instead of D + cT")
-    for flag, kw in common.items():
-        p_mc.add_argument(flag, **kw)
+    add_output(p_mc, "json")
     p_mc.set_defaults(func=cmd_mc)
 
     return parser

@@ -30,7 +30,6 @@ from .exact import (
     ComplexRational,
     MomentValue,
     exact_or_float,
-    format_rational,
     parse_rational,
 )
 
@@ -232,7 +231,7 @@ def conjugate(mu: MeasureModel) -> MeasureModel:
         return mu  # invariant under conjugation
     if isinstance(mu, MomentTable):
         return MomentTable(
-            mu.max_degree, tuple(((s, r), v.conjugate()) for (r, s), v in mu.entries)
+            mu.max_degree, tuple(((s, r), v) for (r, s), v in mu.entries)
         )
     return ScaledMeasure(conjugate(mu.base), mu.lam.conjugate())
 
@@ -268,14 +267,7 @@ def measure_from_json(spec) -> MeasureModel:
     kind = spec["type"]
     try:
         if kind == "atomic":
-            atoms = tuple(
-                (
-                    ComplexRational(parse_rational(a.get("re", 0)), parse_rational(a.get("im", 0))),
-                    parse_rational(a["w"]),
-                )
-                for a in spec["atoms"]
-            )
-            return Atomic(atoms)
+            return Atomic(tuple((_cq_from_json(a), parse_rational(a["w"])) for a in spec["atoms"]))
         if kind == "disk":
             return UniformDisk(parse_rational(spec["radius"]))
         if kind == "annulus":
@@ -290,32 +282,3 @@ def measure_from_json(spec) -> MeasureModel:
     except (KeyError, TypeError, ValueError) as e:
         raise WordParseError(f"bad measure spec for type {kind!r}: {e}") from None
     raise WordParseError(f"unknown measure type {kind!r}")
-
-
-def measure_to_json(mu: MeasureModel) -> dict:
-    if any(isinstance(v, float) for v in vars(mu).values()):
-        raise WordParseError(f"{mu!r} has float parameters, which have no JSON form")
-    if isinstance(mu, Atomic):
-        return {
-            "type": "atomic",
-            "atoms": [
-                {"re": format_rational(loc.re), "im": format_rational(loc.im), "w": format_rational(w)}
-                for loc, w in mu.atoms
-            ],
-        }
-    if isinstance(mu, UniformDisk):
-        return {"type": "disk", "radius": format_rational(mu.radius)}
-    if isinstance(mu, UniformAnnulus):
-        return {"type": "annulus", "c": format_rational(mu.c)}
-    if isinstance(mu, UniformEllipse):
-        return {"type": "ellipse", "a": format_rational(mu.a), "b": format_rational(mu.b)}
-    if isinstance(mu, MomentTable):
-        return {
-            "type": "table",
-            "max_degree": mu.max_degree,
-            "entries": [
-                {"r": r, "s": s, "re": format_rational(v.re), "im": format_rational(v.im)}
-                for (r, s), v in mu.entries
-            ],
-        }
-    raise WordParseError("scaled measures have no JSON form; scale the base instead")

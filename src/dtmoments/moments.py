@@ -242,10 +242,8 @@ def scaled_dt(
     lam and multiply the scale by |lam|."""
     if not isinstance(lam, ComplexRational):
         lam = ComplexRational(Fraction(lam))
-    if lam.abs_squared() == 0:
-        raise ValueError("scaling by zero is rejected")
-    magnitude = rational_sqrt(lam.abs_squared())
-    return scale(mu, lam), magnitude * c
+    pushed = scale(mu, lam)  # rejects lam = 0
+    return pushed, rational_sqrt(lam.abs_squared()) * c
 
 
 def adjoint_dt(mu: MeasureModel, c) -> tuple[MeasureModel, Fraction | float]:

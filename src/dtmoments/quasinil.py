@@ -20,21 +20,10 @@ from fractions import Fraction
 from math import factorial, prod
 
 DEFAULT_NK_CAP = 12
+ZERO = None  # the canonical form of a sequence whose trace is identically zero
 
 
-class _Zero:
-    """Distinguished token for sequences whose trace is identically zero."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = _Zero()
-
-
-def canonicalize(seq) -> tuple | _Zero:
+def canonicalize(seq) -> tuple | None:
     """Canonical representative of an alternating exponent sequence.
 
     Zero exponents are merged away (cyclically); an unbalanced sequence maps

@@ -37,13 +37,12 @@ from .measures import (
     UniformEllipse,
 )
 from .moments import D_LETTERS, T_LETTERS, Z_LETTERS
-from .ncpair import ONE, STAR, StarWord
+from .ncpair import ONE, StarWord
 
 DEFAULT_SIZE_CAP = 2048
 _MASK64 = (1 << 64) - 1
-_PAIRS = (T_LETTERS, D_LETTERS, Z_LETTERS, (ONE, STAR))
+_PAIRS = (T_LETTERS, D_LETTERS, Z_LETTERS)  # as strings, each letter sorts before its adjoint
 _ADJOINT = {a: b for x, y in _PAIRS for a, b in ((x, y), (y, x))}
-_STARRED = frozenset(y for _, y in _PAIRS)
 
 
 def _rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -64,7 +63,7 @@ def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarr
 
 def _sample_sgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
     """Self-adjoint: complex N(0, sigma_sq) above the diagonal, real on it."""
-    upper = np.triu(_complex_normal(rng, (n, n), sigma_sq), k=1)
+    upper = _sample_utgrm(rng, n, sigma_sq)
     diag = math.sqrt(sigma_sq) * rng.standard_normal(n)
     return upper + upper.conj().T + np.diag(diag)
 
@@ -145,15 +144,10 @@ def _check_size(n: int, trials: int) -> None:
         raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
-def _rank(word: Sequence[str]) -> list[tuple[bool, str]]:
-    """Sort key: unstarred letters first, so T/T* and 1/* words sort alike."""
-    return [(tok in _STARRED, tok) for tok in word]
-
-
 def _canonical(half: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
     """The lesser of a word and its adjoint, and whether it is the adjoint."""
     adj = tuple(_ADJOINT[tok] for tok in reversed(half))
-    return (adj, True) if _rank(adj) < _rank(half) else (half, False)
+    return (adj, True) if adj < half else (half, False)
 
 
 def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[int, bool]]]:
@@ -169,7 +163,7 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     for word in words:
         sides = ((tuple(word), False), (tuple(_ADJOINT[tok] for tok in reversed(word)), True))
         rotations = ((w[i:] + w[:i], flag) for w, flag in sides for i in range(len(w) or 1))
-        rep, flag = min(rotations, key=lambda r: (_rank(r[0]), r[1]))
+        rep, flag = min(rotations)
         members.append((index.setdefault(rep, len(index)), flag))
     return list(index), members
 
@@ -203,7 +197,7 @@ def _run_trials(
     """
     reps, members = _classes(words)
     steps, formed, last = [], set(), {}
-    for i in sorted((i for i, rep in enumerate(reps) if rep), key=lambda i: _rank(reps[i])):
+    for i in sorted((i for i, rep in enumerate(reps) if rep), key=reps.__getitem__):
         rep = reps[i]
         # only the second half b can be flagged: adj(a) < a would make adj(a) + adj(b),
         # a rotation of adj(rep), less than rep; np.vdot(b, a) is tr(a b^H)
@@ -264,6 +258,10 @@ def estimate_word_moment(
     return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
 
 
+def _z_letters(eps: StarWord) -> tuple[str, ...]:
+    return tuple("Z" if sym == ONE else "Z*" for sym in eps.symbols)
+
+
 def estimate_elliptic_moment(
     theta: float, eps: StarWord, n: int, trials: int, seed: int
 ) -> Estimate:
@@ -279,9 +277,9 @@ def estimate_elliptic_moment(
     def draw(rng):
         h1 = _sample_sgrm(rng, n, 1.0 / n)
         h2 = _sample_sgrm(rng, n, 1.0 / n)
-        return {ONE: math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
+        return {"Z": math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
 
-    return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
+    return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 
 
 def deterministic_diagonal_run(
@@ -304,9 +302,9 @@ def deterministic_diagonal_run(
     d = np.diag(entries)
 
     def draw(rng):
-        return {ONE: d + c * _sample_utgrm(rng, n, 1.0 / n)}
+        return {"Z": d + c * _sample_utgrm(rng, n, 1.0 / n)}
 
-    return _run_trials(draw, [eps.symbols], n, trials, seed)[0]
+    return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 
 
 def pure_t_word_sweep(

@@ -52,10 +52,7 @@ def rho(v: float) -> float:
         return math.e
     if v == math.pi:
         return 0.0
-    sinc = math.sin(v) / v
-    if sinc <= 0.0:
-        return 0.0
-    return sinc * math.exp(_v_cot_v(v))
+    return math.sin(v) / v * math.exp(_v_cot_v(v))
 
 
 def _phi_of_v(v: float) -> float:

@@ -31,12 +31,9 @@ class Series:
         )
 
     @classmethod
-    def from_one_indexed(cls, values, order: int | None = None) -> "Series":
+    def from_one_indexed(cls, values) -> "Series":
         """Series 0 + v_1 z + v_2 z^2 + ... from a 1-indexed coefficient list."""
-        values = tuple(values)
-        if order is not None:
-            values = values[:order]
-        return cls((Fraction(0),) + values)
+        return cls((Fraction(0),) + tuple(values))
 
     @property
     def order(self) -> int:

@@ -3,11 +3,12 @@
 Everything here is deliberately independent of the package's own algorithms:
 matchings by direct recursion over all partners, crossings by the four-index
 definition, linear extensions by filtering all permutations, non-crossing set
-partitions by direct block insertion, measure moments by 2-D quadrature, and
-bivariate series arithmetic by dict-of-exponents convolution.  The one
-exception is the pairing sum, the oracle of the interval DP in
-``dtmoments.moments``: it enumerates the compatible pairings one by one with
-the package's ``ncpair`` and counts each folded tree with ``linext.nto``.
+partitions by direct block insertion, measure moments by 2-D quadrature,
+bivariate series arithmetic by dict-of-exponents convolution, and measure
+JSON specs written field by field.  The one exception is the pairing sum,
+the oracle of the interval DP in ``dtmoments.moments``: it enumerates the
+compatible pairings one by one with the package's ``ncpair`` and counts each
+folded tree with ``linext.nto``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational
+from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational, format_rational
 from dtmoments.linext import nto
+from dtmoments.measures import Atomic, MomentTable, UniformAnnulus, UniformDisk, UniformEllipse
 from dtmoments.ncpair import enumerate_compatible_ncp, quotient_graph
 
 
@@ -124,6 +126,27 @@ def quadrature_mixed_moment(region, r: int, s: int, bounds) -> complex:
         return ((x + 1j * y) ** r * (x - 1j * y) ** s).imag
 
     return complex(integrate(re_part) / area, integrate(im_part) / area)
+
+
+def measure_spec(mu) -> dict:
+    """The JSON object ``measures.measure_from_json`` reads back as the exact
+    model ``mu`` (atomic, disk, annulus, ellipse or table)."""
+    fmt = format_rational
+    if isinstance(mu, Atomic):
+        return {"type": "atomic", "atoms": [
+            {"re": fmt(loc.re), "im": fmt(loc.im), "w": fmt(w)} for loc, w in mu.atoms]}
+    if isinstance(mu, MomentTable):
+        return {"type": "table", "max_degree": mu.max_degree, "entries": [
+            {"r": r, "s": s, "re": fmt(v.re), "im": fmt(v.im)} for (r, s), v in mu.entries]}
+    kind = {UniformDisk: "disk", UniformAnnulus: "annulus", UniformEllipse: "ellipse"}[type(mu)]
+    return {"type": kind, **{name: fmt(value) for name, value in vars(mu).items()}}
+
+
+def table_of(mu, degree: int):
+    """``mu``'s moments M(r, s) with r >= s and r + s <= degree as a
+    ``MomentTable``, which supplies r < s through its conjugate fallback."""
+    orders = ((r, s) for r in range(degree + 1) for s in range(min(r, degree - r) + 1))
+    return MomentTable(degree, tuple((rs, mu.moment(*rs)) for rs in orders))
 
 
 # -- bivariate exact series (dict keyed by (i, j) exponents) ------------------

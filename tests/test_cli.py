@@ -2,15 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import measure_spec
 
+import dtmoments
 from dtmoments.cli import main, parse_measure_arg
 from dtmoments.errors import WordParseError
-from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk, measure_to_json
+from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk
 from dtmoments.moments import DEFAULT_Z_LEN_CAP
 from dtmoments.rmt import DEFAULT_SIZE_CAP
 from dtmoments.spectral import DEFAULT_MOMENT_CAP
@@ -56,6 +61,14 @@ class TestMoment:
         code, _, err = run(capsys, "moment", "--word", "T X")
         assert code == 2
         assert "unknown word letter" in err
+
+    def test_exponents_past_the_recursion_limit_exit_3(self, capsys):
+        # the subset recursion nests once per unit of degree; 1000,1000 used
+        # to end in a RecursionError traceback and exit 1
+        code, out, err = run(capsys, "moment", "--exponents", "1000,1000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_needs_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "moment")
@@ -179,7 +192,7 @@ class TestMeasureArg:
 
     def test_json_and_shorthand_agree(self):
         mu = parse_measure_arg("disk:3/2")
-        again = parse_measure_arg(json.dumps(measure_to_json(mu)))
+        again = parse_measure_arg(json.dumps(measure_spec(mu)))
         assert mu == again
 
     def test_delta_with_imaginary_part(self):
@@ -394,6 +407,26 @@ class TestMC:
         assert code == 2
         assert out == ""
         assert "--c" in err
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["moment", "--word", "T* T"], 0),
+        (["moment", "--word", "T X"], 2),
+        (["moment", "--exponents", "1000,1000"], 3),
+        (["moment", "--word", "D* D", "--measure", "annulus:1/2"], 4),
+    ],
+)
+def test_process_exit_status(argv, status):
+    # every other test calls main() in-process; this runs sys.exit(main())
+    env = {**os.environ, "PYTHONPATH": str(Path(dtmoments.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "dtmoments.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == status, done.stderr
+    assert ("error: " in done.stderr) == (status != 0)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from conftest import pairing_sum
+from conftest import pairing_sum, table_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -477,6 +477,41 @@ class TestScaledAdjoint:
         mu, c = adjoint_dt(Atomic.delta(w), F(2))
         assert mu == Atomic.delta(w.conjugate())
         assert c == 2
+
+    LAWS = {
+        "disk": UniformDisk(F(3, 4)),
+        "annulus": UniformAnnulus(F(3, 2)),
+        "ellipse": UniformEllipse(F(1), F(1, 2)),
+        "atomic": Atomic(((CQ(F(1, 2), F(1, 3)), F(1, 3)), (CQ(F(-1), F(1, 4)), F(2, 3)))),
+        "table": table_of(Atomic(((CQ(F(0), F(1)), F(1, 2)), (CQ(F(1, 3), F(-1)), F(1, 2)))), 4),
+    }
+    # rational moduli keep every value exact: 2, 1, 1 and 1/2
+    LAMBDAS = [CQ(F(2)), CQ(F(0), F(1)), CQ(F(3, 5), F(4, 5)), CQ(F(-1, 2))]
+    WORDS = [StarWord(s) for k in range(1, 5) for s in itertools.product((ONE, STAR), repeat=k)]
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_scaled_words_scale_by_lambda_per_letter(self, name):
+        # lam * Z turns each Z into lam Z and each Z* into conj(lam) Z*
+        mu, c = self.LAWS[name], F(2, 3)
+        for lam in self.LAMBDAS:
+            once = scaled_dt(mu, c, lam)
+            twice = scaled_dt(*once, lam)
+            for eps in self.WORDS:
+                factor = CQ(F(1))
+                for sym in eps.symbols:
+                    factor = factor * (lam if sym == ONE else lam.conjugate())
+                base = z_word_moment(ZWord(eps, c), mu).value
+                assert z_word_moment(ZWord(eps, once[1]), once[0]).value == factor * base, (lam, eps)
+                assert z_word_moment(ZWord(eps, twice[1]), twice[0]).value == factor * factor * base, (lam, eps)
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_adjoint_words_are_conjugate_reversed_words(self, name):
+        # w(Z*) = tr of w with every letter starred, whose adjoint is reversed(w)
+        mu, c = self.LAWS[name], F(2, 3)
+        adj_mu, adj_c = adjoint_dt(mu, c)
+        for eps in self.WORDS:
+            rev = z_word_moment(ZWord(StarWord(eps.symbols[::-1]), c), mu).value
+            assert z_word_moment(ZWord(eps, adj_c), adj_mu).value == rev.conjugate(), eps
 
     def test_irrational_modulus_degrades_to_float(self):
         _, c = scaled_dt(DELTA0, F(1), CQ(F(1), F(1)))

@@ -118,6 +118,12 @@ class TestRecursion:
             m_recursive(seq)
 
 
+def test_recursion_past_the_stack_raises():
+    # the CLI turns this into exit 3; the library must not return a value
+    with pytest.raises(RecursionError):
+        m_recursive((1000, 1000))
+
+
 class TestClosedForms:
     def test_tstt_values(self):
         assert tstt_moment(1) == F(1, 2)
