@@ -235,37 +235,131 @@ def test_pure_t_sweep_against_limits():
         assert abs(est.mean - limit) < 3 * est.stderr + 10 / 64, letters
 
 
-def direct_sweep(max_len, n, trials, seed):
-    """Per-trial traces of every T-word, each by its own multi_dot: no prefix
-    tree and no classes, on the runner's draws."""
-    words = [w for k in range(1, max_len + 1) for w in itertools.product(("T", "T*"), repeat=k)]
+def direct_values(draw, words, n, trials, seed):
+    """Per-trial normalized traces of each word, each by its own multi_dot of
+    the letters ``draw(_rng(seed, t))`` returns and their adjoints: no halves,
+    no classes and no plan."""
     values = {w: np.empty(trials, dtype=complex) for w in words}
     for t in range(trials):
-        tm = _sample_utgrm(_rng(seed, t), n, 1.0 / n)
-        mats = {"T": tm, "T*": tm.conj().T}
+        mats = draw(_rng(seed, t))
+        mats.update({x + "*": m.conj().T for x, m in list(mats.items())})
         for w in words:
             prod = np.linalg.multi_dot([mats[tok] for tok in w]) if len(w) > 1 else mats[w[0]]
             values[w][t] = np.trace(prod) / n
     return values
 
 
+def assert_agrees(est, values, word):
+    trials = values.size
+    mean = values.mean()
+    stderr = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(trials)
+    tol = 1e-12 * max(abs(mean), stderr)
+    assert abs(est.mean - mean) <= tol, word
+    assert abs(est.stderr - stderr) <= tol, word
+
+
+def draw_t(n):
+    return lambda rng: {"T": _sample_utgrm(rng, n, 1.0 / n)}
+
+
 def test_sweep_agrees_with_direct_traces():
     trials = 8
     sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=13)
-    direct = direct_sweep(6, 16, trials, 13)
+    words = [w for k in range(1, 7) for w in itertools.product(("T", "T*"), repeat=k)]
+    direct = direct_values(draw_t(16), words, 16, trials, 13)
     assert set(sweep) == set(direct)
     zeros = 0
     for letters, values in direct.items():
         est = sweep[letters]
-        mean = values.mean()
-        stderr = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(trials)
-        tol = 1e-12 * max(abs(mean), stderr)
-        assert abs(est.mean - mean) <= tol, letters
-        assert abs(est.stderr - stderr) <= tol, letters
+        assert_agrees(est, values, letters)
         if not values.any():
             zeros += 1
             assert est.mean == 0 and est.stderr == 0, letters
     assert zeros == 2 * 6  # T^k and T*^k are nilpotent
+
+
+def draw_dz(mu, c, n):
+    """D, T and Z = D + c T, in the order the word estimator draws them."""
+
+    def draw(rng):
+        d = np.diag(sample_measure(mu, n, rng))
+        tm = _sample_utgrm(rng, n, 1.0 / n)
+        return {"D": d, "T": tm, "Z": d + c * tm}
+
+    return draw
+
+
+DT_WORDS = [
+    ("D", "T", "D*", "T*"),
+    ("D*", "D", "T"),
+    ("T*", "D", "T", "D*", "D"),
+    ("D", "T", "T", "D*", "T*", "T*"),
+    ("T", "D*", "T*", "D", "T*", "T", "D*"),
+]
+Z_WORDS = [
+    ("Z",),
+    ("Z*", "Z"),
+    ("Z", "Z", "Z*"),
+    ("Z*", "Z", "Z", "Z*", "Z*"),
+    ("Z", "Z*", "Z*", "Z", "Z*", "Z", "Z"),
+]
+
+
+@pytest.mark.parametrize(
+    "mu, c, words",
+    [
+        (UniformDisk(1), 1.0, DT_WORDS),
+        (UniformDisk(1), 1.0, Z_WORDS),
+        (UniformAnnulus(F(3, 2)), 0.5, Z_WORDS),
+    ],
+    ids=["dt-disk", "z-disk", "z-annulus"],
+)
+def test_word_estimates_agree_with_direct_traces(mu, c, words):
+    n, trials, seed = 12, 6, 41
+    direct = direct_values(draw_dz(mu, c, n), words, n, trials, seed)
+    for w in words:
+        est = estimate_word_moment(list(w), n, trials, seed, mu=mu, c=c)
+        assert_agrees(est, direct[w], w)
+
+
+STAR_WORDS = [
+    StarWord((ONE,)),
+    StarWord((STAR, ONE)),
+    StarWord((ONE, ONE, STAR)),
+    StarWord((ONE, STAR, ONE, ONE, STAR)),
+    StarWord((STAR, STAR, ONE, STAR, ONE, ONE)),
+]
+
+
+def z_word(eps):
+    return tuple("Z" if sym == ONE else "Z*" for sym in eps.symbols)
+
+
+def test_elliptic_estimates_agree_with_direct_traces():
+    n, trials, seed, theta = 12, 6, 43, math.pi / 3
+
+    def draw(rng):
+        h1 = _sample_sgrm(rng, n, 1.0 / n)
+        h2 = _sample_sgrm(rng, n, 1.0 / n)
+        return {"Z": math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
+
+    direct = direct_values(draw, [z_word(eps) for eps in STAR_WORDS], n, trials, seed)
+    for eps in STAR_WORDS:
+        est = estimate_elliptic_moment(theta, eps, n, trials, seed)
+        assert_agrees(est, direct[z_word(eps)], eps)
+
+
+def test_fixed_diagonal_estimates_agree_with_direct_traces():
+    n, trials, seed, c = 12, 6, 47, 0.5
+    entries = np.exp(2j * math.pi * np.arange(n) / n)
+
+    def draw(rng):
+        return {"Z": np.diag(entries) + c * _sample_utgrm(rng, n, 1.0 / n)}
+
+    direct = direct_values(draw, [z_word(eps) for eps in STAR_WORDS], n, trials, seed)
+    for eps in STAR_WORDS:
+        est = deterministic_diagonal_run(lambda m: entries, c, eps, n, trials, seed)
+        assert_agrees(est, direct[z_word(eps)], eps)
 
 
 @pytest.fixture
