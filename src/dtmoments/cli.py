@@ -234,18 +234,20 @@ def cmd_mc(args, out) -> int:
                 raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
         if any(t in D_LETTERS for t in letters):
             raise WordParseError("--theta samples the elliptic operator; D letters are not allowed")
+        if not 0.0 < args.theta < math.pi / 2:
+            raise ValueError("theta must lie in (0, pi/2)")
         eps = _star_word(letters)
-        est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
         a, b = math.cos(args.theta), math.sin(args.theta)
         target = z_word_moment(
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
         ).as_complex()
+        est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
     else:
         mu, c = _word_inputs(args, letters)
+        target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
         est = estimate_word_moment(
             letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
         )
-        target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
     return EXIT_OK

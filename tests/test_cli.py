@@ -363,6 +363,28 @@ class TestMC:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "argv, code, reason",
+        [
+            (["--word", "Z* Z", "--c", "-1"], 4, "c must be positive"),
+            (["--word", "Z* Z " * 13, "--measure", "disk:1"], 3, "cap"),
+            (["--word", "Z* Z " * 13, "--theta", "0.5"], 3, "cap"),
+            (["--word", "Z* Z", "--theta", "2"], 4, "theta must lie"),
+        ],
+        ids=["bad-c", "z-cap", "theta-cap", "theta-domain"],
+    )
+    def test_target_fails_before_any_sampling(self, capsys, monkeypatch, argv, code, reason):
+        # a target that cannot be built used to surface only after every trial ran
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the target was built")
+
+        monkeypatch.setattr(dtmoments.cli, "estimate_word_moment", refuse)
+        monkeypatch.setattr(dtmoments.cli, "estimate_elliptic_moment", refuse)
+        got, out, err = run(capsys, "mc", *argv, "--n", "256", "--trials", "100")
+        assert got == code
+        assert out == ""
+        assert err.startswith("error:") and reason in err
+
     def test_measure_and_c_default_to_delta0_and_one(self, capsys):
         code, out, _ = run(capsys, "mc", "--word", "Z* Z", "--n", "8", "--trials", "4")
         assert code == 0
