@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,22 @@ def _rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
+def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """The stream of a fresh ``_rng(seed, t)`` for each t, from one generator.
+
+    Before each t the generator is re-keyed to (seed, t) with its counter at
+    0, its buffer empty and no half-used word, which costs a tenth of
+    building a new generator.
+    """
+    rng = _rng(seed, 0)
+    state = rng.bit_generator.state  # counter 0, buffer empty, has_uint32 0
+    stream = state["state"]["key"]
+    for t in indices:
+        stream[1] = t & _MASK64
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _complex_normal(rng: np.random.Generator, shape, sigma_sq: float) -> np.ndarray:
     scale = math.sqrt(sigma_sq / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -64,8 +80,9 @@ def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarr
 def _sample_sgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
     """Self-adjoint: complex N(0, sigma_sq) above the diagonal, real on it."""
     upper = _sample_utgrm(rng, n, sigma_sq)
-    diag = math.sqrt(sigma_sq) * rng.standard_normal(n)
-    return upper + upper.conj().T + np.diag(diag)
+    h = upper + upper.conj().T
+    np.fill_diagonal(h, math.sqrt(sigma_sq) * rng.standard_normal(n))
+    return h
 
 
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,7 +201,8 @@ def _run_trials(
     trials: int,
     seed: int,
 ) -> list[Estimate]:
-    """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``.
+    """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``,
+    drawn from one re-keyed generator (``_streams``).
 
     ``draw`` returns the trial's matrix for each unstarred letter; a starred
     letter is copied as its ``.conj().T`` only if a product uses it.  One
@@ -214,8 +232,8 @@ def _run_trials(
         step[-1].append(key)
     letters = [key[0] for key in last if len(key) == 1]
     values = np.ones((len(reps), trials), dtype=complex)
-    for t in range(trials):
-        mats = draw(_rng(seed, t))
+    for t, rng in enumerate(_streams(seed, range(trials))):
+        mats = draw(rng)
         held = {(x,): mats[x] if x in mats else mats[_ADJOINT[x]].conj().T for x in letters}
         del mats  # drops the letters no word uses
         for i, forms, trace, keys, frees in steps:
@@ -244,15 +262,18 @@ def estimate_word_moment(
     """
     _check_size(n, trials)
     uses_z = any(t in Z_LETTERS for t in letters)
-    uses_d = uses_z or any(t in D_LETTERS for t in letters)
-    if uses_d and mu is None:
+    uses_d = any(t in D_LETTERS for t in letters)
+    if (uses_d or uses_z) and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
 
     def draw(rng):
-        mats = {"D": np.diag(sample_measure(mu, n, rng))} if uses_d else {}
-        mats["T"] = _sample_utgrm(rng, n, 1.0 / n)
+        d = sample_measure(mu, n, rng) if uses_d or uses_z else None
+        mats = {"T": _sample_utgrm(rng, n, 1.0 / n)}
         if uses_z:
-            mats["Z"] = mats["D"] + c * mats["T"]
+            mats["Z"] = c * mats["T"]
+            np.fill_diagonal(mats["Z"], d)  # onto T's zero diagonal
+        if uses_d:
+            mats["D"] = np.diag(d)
         return mats
 
     return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
@@ -299,10 +320,11 @@ def deterministic_diagonal_run(
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")
-    d = np.diag(entries)
 
     def draw(rng):
-        return {"Z": d + c * _sample_utgrm(rng, n, 1.0 / n)}
+        z = c * _sample_utgrm(rng, n, 1.0 / n)
+        np.fill_diagonal(z, entries)  # onto T's zero diagonal
+        return {"Z": z}
 
     return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 

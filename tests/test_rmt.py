@@ -29,6 +29,7 @@ from dtmoments.rmt import (
     _rng,
     _sample_sgrm,
     _sample_utgrm,
+    _streams,
     deterministic_diagonal_run,
     estimate_elliptic_moment,
     estimate_word_moment,
@@ -111,6 +112,53 @@ class TestSamplers:
         for theta in (0.0, math.pi / 2):
             with pytest.raises(ValueError, match="theta"):
                 estimate_elliptic_moment(theta, StarWord((ONE,)), n=8, trials=2, seed=0)
+
+
+def same_stream(a, b):
+    """Equal draws of every kind the samplers use, odd lengths included."""
+    assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
+    assert np.array_equal(a.random(3), b.random(3))
+    u32 = dict(size=5, dtype=np.uint32)
+    assert np.array_equal(a.integers(2**32, **u32), b.integers(2**32, **u32))
+    assert np.array_equal(a.standard_normal((4, 5)), b.standard_normal((4, 5)))
+
+
+def leave_half_used(rng):
+    # a lone 32-bit draw keeps the other half of its word (has_uint32), and a
+    # double after an exhausted buffer leaves Philox's four-word buffer part used
+    if not rng.bit_generator.state["has_uint32"]:
+        rng.integers(0, 2**32, dtype=np.uint32)
+    if rng.bit_generator.state["buffer_pos"] == 4:
+        rng.random()
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+
+
+class TestRekey:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**64 + 7, 2**70 + 3])
+    def test_rekeyed_stream_equals_a_fresh_generator(self, seed):
+        indices = [0, 1, 2**64 - 1, 5, 2**64, 2**64 + 1]
+        for t, rng in zip(indices, _streams(seed, indices)):
+            same_stream(rng, _rng(seed, t))
+            leave_half_used(rng)
+
+    def test_a_seed_past_64_bits_is_masked(self):
+        for t, rng in zip([0, 3], _streams(2**64 + 9, [0, 3])):
+            same_stream(rng, _rng(9, t))
+
+    def test_runner_trial_t_sees_the_stream_of_a_fresh_generator(self):
+        seen = []
+
+        def draw(rng):
+            t = len(seen)
+            fresh = _rng(2**64 + 11, t)
+            same_stream(rng, fresh)
+            leave_half_used(rng)
+            seen.append(t)
+            return {"T": np.zeros((3, 3))}
+
+        rmt._run_trials(draw, [("T", "T*")], 3, 5, 2**64 + 11)
+        assert seen == list(range(5))
 
 
 class TestEstimators:
