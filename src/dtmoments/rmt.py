@@ -2,9 +2,12 @@
 
 Every sampler draws from a counter-based Philox stream keyed by
 (seed, trial_index), so trials are independent, order-insensitive, and
-bit-reproducible.  Complex N(0, sigma^2) entries are built from two
-independent real normals of variance sigma^2/2 each, generated by numpy's
-ziggurat ``standard_normal`` on that stream.
+bit-reproducible; the runner re-keys one generator per trial rather than
+building a new one.  A triangular draw takes numpy's ziggurat
+``standard_normal`` for the n(n-1)/2 real parts and then the n(n-1)/2
+imaginary parts of the entries above the diagonal, row by row, each of
+variance sigma^2/2.  Earlier versions drew a full n x n matrix and zeroed
+its lower half, so their estimates are not reproduced bit for bit.
 
 All estimators share one trial runner.  Each trial draws one matrix per
 unstarred letter and traces one word per class: the rotations of a word and
@@ -67,14 +70,19 @@ def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]
         yield rng
 
 
-def _complex_normal(rng: np.random.Generator, shape, sigma_sq: float) -> np.ndarray:
-    scale = math.sqrt(sigma_sq / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
-    """Strictly upper triangular, i.i.d. complex N(0, sigma_sq) above the diagonal."""
-    return np.triu(_complex_normal(rng, (n, n), sigma_sq), k=1)
+    """Strictly upper triangular, i.i.d. complex N(0, sigma_sq) above the diagonal.
+
+    The n(n-1)/2 real parts are drawn first, then as many imaginary parts;
+    each fills the strict upper triangle row by row.
+    """
+    upper = ~np.tri(n, dtype=bool)
+    count = n * (n - 1) // 2
+    scale = math.sqrt(sigma_sq / 2.0)
+    m = np.zeros((n, n), dtype=complex)
+    m.real[upper] = scale * rng.standard_normal(count)
+    m.imag[upper] = scale * rng.standard_normal(count)
+    return m
 
 
 def _sample_sgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:

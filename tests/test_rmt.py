@@ -41,13 +41,36 @@ from dtmoments.rmt import (
 class TestSamplers:
     def test_utgrm_shape(self):
         m = _sample_utgrm(_rng(1, 0), 6, 0.5)
-        assert np.allclose(np.tril(m), 0)
-        assert m[0, 1] != 0
+        assert np.array_equal(np.tril(m), np.zeros((6, 6)))
+        assert np.all(m[np.triu_indices(6, k=1)] != 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_utgrm_fills_the_upper_triangle_row_by_row(self, n):
+        # n(n-1)/2 real parts, then as many imaginary parts, each scaled by
+        # sqrt(sigma^2 / 2), placed row by row above the diagonal
+        sigma_sq, count = 0.3, n * (n - 1) // 2
+        rng = _rng(29, n)
+        re, im = rng.standard_normal(count), rng.standard_normal(count)
+        scale = math.sqrt(sigma_sq / 2)
+        want = np.zeros((n, n), dtype=complex)
+        k = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                want[i, j] = complex(scale * re[k], scale * im[k])
+                k += 1
+        assert np.array_equal(_sample_utgrm(_rng(29, n), n, sigma_sq), want)
 
     def test_sgrm_hermitian_real_diagonal(self):
         m = _sample_sgrm(_rng(1, 0), 6, 0.5)
-        assert np.allclose(m, m.conj().T)
-        assert np.allclose(np.diag(m).imag, 0)
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(np.diag(m).imag, np.zeros(6))
+
+    def test_sgrm_diagonal_is_the_next_normals(self):
+        n, sigma_sq = 7, 0.5
+        m = _sample_sgrm(_rng(31, 2), n, sigma_sq)
+        rng = _rng(31, 2)
+        assert np.array_equal(np.triu(m, k=1), _sample_utgrm(rng, n, sigma_sq))
+        assert np.array_equal(np.diag(m), math.sqrt(sigma_sq) * rng.standard_normal(n))
 
     def test_reproducible_across_calls(self):
         a = _sample_utgrm(_rng(42, 3), 8, 1.0)
@@ -492,45 +515,45 @@ def test_runner_is_exactly_invariant(eps):
         assert adj.stderr == est.stderr
 
 
-# (mean re, mean im, stderr) as float.hex, recorded from the per-estimator
-# trial loops that preceded the shared runner; the runner must reproduce them
-# to 1e-12 of max(|mean|, stderr).
+# (mean re, mean im, stderr) as float.hex, recorded from the runner when the
+# triangular draw became n(n-1)/2 real then n(n-1)/2 imaginary normals; the
+# runner must reproduce them to 1e-12 of max(|mean|, stderr).
 FROZEN = {
-    "dt": ("0x1.7683fbeb55292p-9", "-0x1.329ba9cfefd2fp-7", "0x1.c840d591dcbc7p-8"),
-    "z": ("0x1.b46a6fa796ed5p-1", "0x1.3ffffffffffffp-58", "0x1.69994209eeb4ep-5"),
-    "elliptic": ("0x1.9923c5b34c09ep-7", "0x1.a14a36e83fc87p-5", "0x1.6700db155ac63p-3"),
-    "fixed": ("0x1.35254ee9c79c6p+0", "-0x1.1fffffffffffep-61", "0x1.35a6ca59389e7p-7"),
+    "dt": ("0x1.9149064cf09c3p-7", "-0x1.d26eeddaf606dp-7", "0x1.def6276f864f9p-8"),
+    "z": ("0x1.ac381336d9d86p-1", "0x0.0p+0", "0x1.4620708401393p-5"),
+    "elliptic": ("0x1.0111e35cd7707p-6", "-0x1.34a8aaff4cceap-3", "0x1.8c5f6075fae46p-3"),
+    "fixed": ("0x1.3604355dfa67fp+0", "0x0.0p+0", "0x1.1ab67ad5c5cefp-7"),
 }
 FROZEN_SWEEP = {
     "T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T T T T*": ("-0x1.937696e0a3988p-11", "-0x1.0f8d21c416184p-12", "0x1.a2ccbe4412241p-10"),
-    "T T T*": ("0x1.6ccb8b2941f1bp-10", "0x1.e1adaa4cbe535p-11", "0x1.351fc4e95adf8p-8"),
-    "T T T* T": ("-0x1.937696e0a3983p-11", "-0x1.0f8d21c416170p-12", "0x1.a2ccbe4412243p-10"),
-    "T T T* T*": ("0x1.f63f492a7d6b8p-4", "0x1.c0b0000000002p-62", "0x1.082e0f64fdc19p-7"),
-    "T T*": ("0x1.c4ad964b2abf2p-2", "0x0.0p+0", "0x1.bb211d40af08ep-7"),
-    "T T* T": ("0x1.6ccb8b2941f14p-10", "0x1.e1adaa4cbe535p-11", "0x1.351fc4e95adf7p-8"),
-    "T T* T T": ("-0x1.937696e0a398ap-11", "-0x1.0f8d21c416180p-12", "0x1.a2ccbe4412242p-10"),
-    "T T* T T*": ("0x1.1a86e79eca5e2p-1", "-0x1.6680000000000p-61", "0x1.73f420b2f6554p-5"),
-    "T T* T*": ("0x1.6ccb8b2941f19p-10", "-0x1.e1adaa4cbe527p-11", "0x1.351fc4e95adf7p-8"),
-    "T T* T* T": ("0x1.f63f492a7d6b8p-4", "-0x1.3400000000001p-62", "0x1.082e0f64fdc1bp-7"),
-    "T T* T* T*": ("-0x1.937696e0a398dp-11", "0x1.0f8d21c416164p-12", "0x1.a2ccbe4412243p-10"),
+    "T T T T*": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T T T*": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T T T* T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T T T* T*": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
+    "T T*": ("0x1.d1441d6c2a2a8p-2", "0x0.0p+0", "0x1.6d85fab98d3edp-6"),
+    "T T* T": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T T* T T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T T* T T*": ("0x1.377e18be0e433p-1", "0x0.0p+0", "0x1.35394f93128cap-4"),
+    "T T* T*": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T T* T* T": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
+    "T T* T* T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
     "T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T": ("0x1.c4ad964b2abf2p-2", "0x0.0p+0", "0x1.bb211d40af08ep-7"),
-    "T* T T": ("0x1.6ccb8b2941f1ap-10", "0x1.e1adaa4cbe527p-11", "0x1.351fc4e95adf7p-8"),
-    "T* T T T": ("-0x1.937696e0a398bp-11", "-0x1.0f8d21c41616cp-12", "0x1.a2ccbe4412243p-10"),
-    "T* T T T*": ("0x1.f63f492a7d6b8p-4", "-0x1.4ffffffffffffp-61", "0x1.082e0f64fdc1ap-7"),
-    "T* T T*": ("0x1.6ccb8b2941f0fp-10", "-0x1.e1adaa4cbe531p-11", "0x1.351fc4e95adf7p-8"),
-    "T* T T* T": ("0x1.1a86e79eca5e2p-1", "-0x1.180aaaaaaaaaap-59", "0x1.73f420b2f6556p-5"),
-    "T* T T* T*": ("-0x1.937696e0a398dp-11", "0x1.0f8d21c416180p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T": ("0x1.d1441d6c2a2a8p-2", "0x0.0p+0", "0x1.6d85fab98d3edp-6"),
+    "T* T T": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T* T T T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T* T T T*": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
+    "T* T T*": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T* T T* T": ("0x1.377e18be0e433p-1", "0x0.0p+0", "0x1.35394f93128cap-4"),
+    "T* T T* T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
     "T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T": ("0x1.6ccb8b2941f1fp-10", "-0x1.e1adaa4cbe52dp-11", "0x1.351fc4e95adf8p-8"),
-    "T* T* T T": ("0x1.f63f492a7d6b8p-4", "0x1.cf92aaaaaaaaap-61", "0x1.082e0f64fdc1ap-7"),
-    "T* T* T T*": ("-0x1.937696e0a3984p-11", "0x1.0f8d21c416168p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T* T": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
+    "T* T* T T": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
+    "T* T* T T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
     "T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T* T": ("-0x1.937696e0a3984p-11", "0x1.0f8d21c416170p-12", "0x1.a2ccbe4412243p-10"),
+    "T* T* T* T": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
     "T* T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
