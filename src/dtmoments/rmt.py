@@ -209,8 +209,8 @@ def _run_trials(
     trials: int,
     seed: int,
 ) -> list[Estimate]:
-    """One estimate per word; trial t traces the words in ``draw(_rng(seed, t))``,
-    drawn from one re-keyed generator (``_streams``).
+    """One estimate per word; trial t traces the words in ``draw(rng)``, where
+    ``rng`` gives the stream of ``_rng(seed, t)`` (see ``_streams``).
 
     ``draw`` returns the trial's matrix for each unstarred letter; a starred
     letter is copied as its ``.conj().T`` only if a product uses it.  One
