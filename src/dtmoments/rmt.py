@@ -80,8 +80,10 @@ def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarr
     count = n * (n - 1) // 2
     scale = math.sqrt(sigma_sq / 2.0)
     m = np.zeros((n, n), dtype=complex)
-    m.real[upper] = scale * rng.standard_normal(count)
-    m.imag[upper] = scale * rng.standard_normal(count)
+    for part in (m.real, m.imag):
+        normals = rng.standard_normal(count)
+        normals *= scale  # in place: one n(n-1)/2 temporary at a time
+        part[upper] = normals
     return m
 
 
