@@ -329,15 +329,11 @@ def assert_agrees(est, values, word):
     assert abs(est.stderr - stderr) <= tol, word
 
 
-def draw_t(n):
-    return lambda rng: {"T": _sample_utgrm(rng, n, 1.0 / n)}
-
-
 def test_sweep_agrees_with_direct_traces():
     trials = 8
     sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=13)
     words = [w for k in range(1, 7) for w in itertools.product(("T", "T*"), repeat=k)]
-    direct = direct_values(draw_t(16), words, 16, trials, 13)
+    direct = direct_values(lambda rng: {"T": _sample_utgrm(rng, 16, 1 / 16)}, words, 16, trials, 13)
     assert set(sweep) == set(direct)
     zeros = 0
     for letters, values in direct.items():
