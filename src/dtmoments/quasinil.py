@@ -9,7 +9,8 @@ pairing engine in :mod:`dtmoments.moments` serves as its independent oracle.
 Symmetries used for canonical memo keys: the value is invariant under cyclic
 rotation, under exchanging the roles of T and T* (T* has the same
 *-distribution), and under reversal; zero exponents merge into their
-neighbors.  Unequal total powers of T and T* force the value 0.
+neighbors.  Unequal total powers of T and T* force the value 0.  The memo
+holds (m+1)! times each trace of degree m, an integer, so no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 DEFAULT_NK_CAP = 12
 ZERO = None  # the canonical form of a sequence whose trace is identically zero
@@ -57,7 +58,7 @@ def canonicalize(seq) -> tuple | None:
     return min((w[i : i + n] for w in (ring, ring[::-1]) for i in range(n)), default=())
 
 
-_MEMO: dict[tuple, Fraction] = {(): Fraction(1)}
+_MEMO: dict[tuple, int] = {(): 1}  # canonical sequence -> (m+1)! times its trace
 _MEMO_LOCK = threading.Lock()
 
 
@@ -69,32 +70,46 @@ def m_recursive(seq) -> Fraction:
     positions: the chosen positions lose one power on each side, the stretch
     between consecutive chosen positions splits off as an independent factor,
     and the remainder (wrapped around the first and last chosen positions)
-    stays attached.  Sub-sequences are canonicalized and memoized.
+    stays attached.  It runs on the integers W = (m+1)! times the trace; a
+    dict local to the call looks up sub-sequences as formed, before
+    canonicalizing, and ``_MEMO`` keeps W by canonical form across calls.
     """
     canon = canonicalize(seq)
     if canon is ZERO:
         return Fraction(0)
-    with _MEMO_LOCK:
-        hit = _MEMO.get(canon)
-    if hit is not None:
-        return hit
+    return Fraction(_scaled(canon, {}), factorial(sum(canon[0::2]) + 1))
 
-    m = sum(canon[0::2])
-    total = Fraction(0)
-    for r in range(1, len(canon) // 2 + 1):
-        # each chosen block is named by the position of its T* exponent
-        for chosen in itertools.combinations(range(0, len(canon), 2), r):
-            first, last = chosen[0], chosen[-1]
-            outer = canon[:first] + (canon[first] - 1, canon[last + 1] - 1) + canon[last + 2 :]
-            term = m_recursive(outer)
-            for a, b in itertools.pairwise(chosen):
-                if term == 0:
-                    break
-                term *= m_recursive((canon[a + 1] - 1,) + canon[a + 2 : b] + (canon[b] - 1,))
-            total += term
-    value = total / (m + 1)
-    with _MEMO_LOCK:
-        _MEMO.setdefault(canon, value)
+
+def _scaled(seq: tuple, formed: dict) -> int:
+    """(m+1)! times the trace of seq, of degree m: an integer."""
+    value = formed.get(seq)
+    if value is not None:
+        return value
+    canon = canonicalize(seq)
+    if canon is ZERO:
+        value = 0
+    else:
+        with _MEMO_LOCK:
+            value = _MEMO.get(canon)
+    if value is None:
+        # a subset adds m!/prod((d_i + 1)!) prod(W_i) over its factors, sum(d_i + 1) = m;
+        # chains[f] sums the inner factors' part over chains f < ... < last: cubic work
+        value = 0
+        ends = list(itertools.accumulate(canon[0::2]))  # T* exponents through each block
+        for last in range(len(ends)):
+            chains = [0] * last + [1]
+            for first in range(last, -1, -1):
+                a, z, base = 2 * first, 2 * last, ends[first]
+                for c in range(first + 1, last + 1):
+                    if chains[c]:
+                        inner = _scaled((canon[a + 1] - 1, *canon[a + 2 : 2 * c], canon[2 * c] - 1), formed)
+                        chains[first] += comb(ends[last] - base, ends[c] - base) * inner * chains[c]
+                if chains[first]:
+                    outer = _scaled((*canon[:a], canon[a] - 1, canon[z + 1] - 1, *canon[z + 2 :]), formed)
+                    value += comb(ends[-1], ends[last] - base) * outer * chains[first]
+        with _MEMO_LOCK:
+            value = _MEMO.setdefault(canon, value)
+    formed[seq] = value
     return value
 
 

@@ -1,9 +1,19 @@
+import functools
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction as F
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import dtmoments
+from dtmoments import quasinil
 from dtmoments.moments import t_word_moment
 from dtmoments.ncpair import StarWord
 from dtmoments.quasinil import (
@@ -122,6 +132,142 @@ def test_recursion_past_the_stack_raises():
     # the CLI turns this into exit 3; the library must not return a value
     with pytest.raises(RecursionError):
         m_recursive((1000, 1000))
+
+
+def test_recursion_reaches_degree_800(monkeypatch):
+    # one frame per unit of degree: a design with two frames per unit fails
+    # here.  A private memo keeps (k, k) for k <= 800 from shortening the
+    # (1000, 1000) recursion that must still raise.
+    monkeypatch.setattr(quasinil, "_MEMO", dict(quasinil._MEMO))
+    assert m_recursive((800, 800)) == conjecture_value(800, 1)
+
+
+def balanced_sequences(max_degree, max_blocks):
+    """Every balanced nonnegative sequence of at most max_blocks blocks and
+    total degree 2m <= max_degree, zero runs included."""
+    for m in range(max_degree // 2 + 1):
+        for blocks in range(1, max_blocks + 1):
+            parts = [
+                [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
+                for cuts in itertools.combinations_with_replacement(range(m + 1), blocks - 1)
+            ]
+            for ks, ls in itertools.product(parts, repeat=2):
+                yield tuple(x for pair in zip(ks, ls) for x in pair)
+
+
+class TestScaledValues:
+    def test_factorial_scaling_is_an_integer(self):
+        # (m+1)! M(s) is an integer for every balanced s of degree 2m: the
+        # recursion keeps its values in that scale
+        count = 0
+        for seq in balanced_sequences(10, 5):
+            value = m_recursive(seq)
+            assert type(value) is F, seq
+            assert (value * factorial(sum(seq[0::2]) + 1)).denominator == 1, seq
+            count += 1
+        assert count > 10_000
+
+    @pytest.mark.parametrize("seq", [(), (0, 0), (3, 1), (1, 2, 2, 2), (2, 0, 0, 1), (1, 1)])
+    def test_result_is_a_fraction(self, seq):
+        # MomentValue.wrap and format_rational take a Fraction, also for 1 and 0
+        assert type(m_recursive(seq)) is F
+        assert type(m_recursive(list(seq))) is F
+
+
+@functools.cache
+def subset_sum(seq):
+    """The subset recursion as the module docstring states it, in Fractions:
+    the reference for the integer recursion's grouping of subsets."""
+    canon = canonicalize(seq)
+    if canon is ZERO:
+        return F(0)
+    if not canon:
+        return F(1)
+    total = F(0)
+    for r in range(1, len(canon) // 2 + 1):
+        for chosen in itertools.combinations(range(0, len(canon), 2), r):
+            first, last = chosen[0], chosen[-1]
+            term = subset_sum(canon[:first] + (canon[first] - 1, canon[last + 1] - 1) + canon[last + 2 :])
+            for a, b in itertools.pairwise(chosen):
+                term *= subset_sum((canon[a + 1] - 1,) + canon[a + 2 : b] + (canon[b] - 1,))
+            total += term
+    return total / (sum(canon[0::2]) + 1)
+
+
+def test_matches_the_plain_subset_sum_with_many_blocks():
+    # up to eight blocks, where the grouping by first and last chosen block
+    # departs most from the sum over all subsets
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        m = rng.randint(n, 9)
+        ks, ls = weak_composition(m, n, rng), weak_composition(m, n, rng)
+        seq = tuple(x for pair in zip(ks, ls) for x in pair)
+        assert m_recursive(seq) == subset_sum(seq), seq
+
+
+def test_matches_pairing_engine_at_degree_eleven_and_twelve():
+    # the benchmark's own degree; the exhaustive check stops at degree ten
+    rng = random.Random(16)
+    for _ in range(60):
+        m, n = rng.randint(11, 12), rng.randint(1, 6)
+        ks, ls = weak_composition(m, n, rng), weak_composition(m, n, rng)
+        seq = [x for pair in zip(ks, ls) for x in pair]
+        if rng.random() < 0.3:  # an all-zero block
+            at = 2 * rng.randint(0, n)
+            seq[at:at] = [0, 0]
+        assert m_recursive(tuple(seq)) == t_word_moment(
+            star_word_for(seq)
+        ).as_fraction(), seq
+
+
+def order_batch():
+    rng = random.Random(5)
+    batch = []
+    for _ in range(48):
+        m, n = rng.randint(1, 9), rng.randint(1, 5)
+        ks, ls = weak_composition(m, n, rng), weak_composition(m, n, rng)
+        batch.append(tuple(x for pair in zip(ks, ls) for x in pair))
+    rng.shuffle(batch)
+    return batch
+
+
+def test_values_independent_of_threads_and_order(monkeypatch):
+    # four threads share one cold memo; a fresh interpreter takes the batch
+    # in reverse order; every value must be the same
+    batch = order_batch()
+    monkeypatch.setattr(quasinil, "_MEMO", {(): quasinil._MEMO[()]})
+    results = [None] * 4
+
+    def work(idx):
+        results[idx] = [m_recursive(seq) for seq in batch]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == results[0] for r in results)
+
+    code = (
+        "import json, sys\n"
+        "from dtmoments.quasinil import m_recursive\n"
+        "batch = [tuple(s) for s in json.loads(sys.stdin.read())]\n"
+        "print(json.dumps([str(m_recursive(s)) for s in reversed(batch)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dtmoments.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(batch),
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    fresh = [F(v) for v in reversed(json.loads(done.stdout))]
+    assert fresh == results[0]
 
 
 class TestClosedForms:
