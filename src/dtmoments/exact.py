@@ -2,9 +2,10 @@
 
 All closed-form moment computations in this package run over Gaussian
 rationals (pairs of :class:`fractions.Fraction` for the real and imaginary
-parts).  Mixing a :class:`ComplexRational` with a float or complex operand
-degrades to ``complex``, mirroring how ``Fraction`` interacts with ``float``;
-:class:`MomentValue` records which backend actually produced a number so that
+parts), and :func:`parse_rational` reads every exact input.  Mixing a
+:class:`ComplexRational` with a float or complex operand degrades to
+``complex``, mirroring how ``Fraction`` interacts with ``float``; a
+:class:`MomentValue` is exact exactly when it holds a ``ComplexRational``, so
 exactness is never silently claimed.
 """
 
@@ -15,12 +16,22 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, Rational)):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+def parse_rational(s) -> Fraction:
+    """Parse "p/q" strings, rationals and integer-valued floats into Fractions;
+    a non-integer float is refused, as it is not exact."""
+    if isinstance(s, Fraction):
+        return s
+    if isinstance(s, int):
+        return Fraction(s)
+    if isinstance(s, float):
+        if s.is_integer():
+            return Fraction(int(s))
+        raise TypeError(f"non-integer float {s!r} is not exact; pass a 'p/q' string")
+    if isinstance(s, str):
+        return Fraction(s.strip())
+    if isinstance(s, Rational):
+        return Fraction(s)
+    raise TypeError(f"cannot parse rational from {s!r}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,8 @@ class ComplexRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        object.__setattr__(self, "re", parse_rational(self.re))
+        object.__setattr__(self, "im", parse_rational(self.im))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -40,7 +51,7 @@ class ComplexRational:
         if isinstance(other, ComplexRational):
             return other
         if isinstance(other, (int, Fraction, Rational)):
-            return ComplexRational(Fraction(other))
+            return ComplexRational(other)
         return None  # float/complex handled by the caller
 
     def __add__(self, other):
@@ -149,63 +160,42 @@ def rational_sqrt(q: Fraction):
     return math.sqrt(q)
 
 
-EXACT = "exact"
-FLOAT = "float"
-
-
 @dataclass(frozen=True)
 class MomentValue:
-    """A computed moment, tagged with the backend that produced it."""
+    """A computed moment: exact when ``value`` is a ComplexRational, float
+    when it is a complex."""
 
     value: ComplexRational | complex
-    backend: str = EXACT
 
     def __post_init__(self):
-        if self.backend not in (EXACT, FLOAT):
-            raise ValueError(f"unknown backend tag {self.backend!r}")
-        if self.backend == EXACT and not isinstance(self.value, ComplexRational):
-            raise ValueError("exact backend requires a ComplexRational value")
+        if not isinstance(self.value, (ComplexRational, complex)):
+            raise TypeError(f"a moment holds a ComplexRational or a complex, not {self.value!r}")
 
     @classmethod
     def wrap(cls, v) -> "MomentValue":
-        """Tag a raw scalar: ComplexRational stays exact, numbers go float."""
-        if isinstance(v, ComplexRational):
-            return cls(v, EXACT)
+        """Tag a raw scalar: rationals become exact, other numbers float."""
         if isinstance(v, (int, Fraction)):
-            return cls(ComplexRational(Fraction(v)), EXACT)
-        return cls(complex(v), FLOAT)
+            v = ComplexRational(v)
+        return cls(v if isinstance(v, ComplexRational) else complex(v))
 
     @property
     def exact(self) -> bool:
-        return self.backend == EXACT
+        return isinstance(self.value, ComplexRational)
+
+    @property
+    def backend(self) -> str:
+        return "exact" if self.exact else "float"
 
     def as_complex(self) -> complex:
-        if isinstance(self.value, ComplexRational):
-            return self.value.to_complex()
-        return complex(self.value)
+        return self.value.to_complex() if self.exact else self.value
 
     def as_fraction(self) -> Fraction:
         """The value as an exact real rational; raises if float or non-real."""
-        if not isinstance(self.value, ComplexRational):
+        if not self.exact:
             raise ValueError("not an exact value")
         if not self.value.is_real():
             raise ValueError("value has a nonzero imaginary part")
         return self.value.re
-
-
-def parse_rational(s) -> Fraction:
-    """Parse "p/q" strings, ints and integer-valued floats into Fractions."""
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, float):
-        if s.is_integer():
-            return Fraction(int(s))
-        raise TypeError(f"non-integer float {s!r} is not exact; pass a 'p/q' string")
-    if isinstance(s, str):
-        return Fraction(s.strip())
-    raise TypeError(f"cannot parse rational from {s!r}")
 
 
 def exact_or_float(x) -> Fraction | float:

@@ -46,21 +46,17 @@ class Atomic:
     atoms: tuple[tuple[ComplexRational, Fraction], ...]
 
     def __post_init__(self):
-        norm = []
-        for loc, w in self.atoms:
-            if not isinstance(loc, ComplexRational):
-                raise TypeError("atom locations must be ComplexRational")
-            norm.append((loc, parse_rational(w)))
-        object.__setattr__(self, "atoms", tuple(norm))
+        object.__setattr__(self, "atoms", tuple(
+            (loc if isinstance(loc, ComplexRational) else ComplexRational(loc), parse_rational(w))
+            for loc, w in self.atoms))
         if sum((w for _, w in self.atoms), Fraction(0)) != 1:
             raise ValueError("atomic weights must sum to exactly 1")
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("atomic weights must be positive")
 
     @classmethod
-    def delta(cls, location: ComplexRational | Fraction | int) -> "Atomic":
-        loc = location if isinstance(location, ComplexRational) else ComplexRational(Fraction(location))
-        return cls(((loc, Fraction(1)),))
+    def delta(cls, location: ComplexRational | Fraction | int | str) -> "Atomic":
+        return cls(((location, Fraction(1)),))
 
     def moment(self, r: int, s: int) -> ComplexRational:
         total = CQ_ZERO
@@ -213,7 +209,7 @@ def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
 def scale(mu: MeasureModel, lam: ComplexRational) -> MeasureModel:
     """The measure of ``lam * z`` when z is distributed by ``mu``."""
     if not isinstance(lam, ComplexRational):
-        lam = ComplexRational(parse_rational(lam))
+        lam = ComplexRational(lam)
     if lam == CQ_ZERO:
         raise ValueError("scaling by zero is rejected")
     if isinstance(mu, Atomic):
@@ -241,10 +237,8 @@ def conjugate(mu: MeasureModel) -> MeasureModel:
 
 def _cq_from_json(obj) -> ComplexRational:
     if isinstance(obj, dict):
-        return ComplexRational(
-            parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0))
-        )
-    return ComplexRational(parse_rational(obj))
+        return ComplexRational(obj.get("re", 0), obj.get("im", 0))
+    return ComplexRational(obj)
 
 
 def measure_from_json(spec) -> MeasureModel:
@@ -267,7 +261,7 @@ def measure_from_json(spec) -> MeasureModel:
     kind = spec["type"]
     try:
         if kind == "atomic":
-            return Atomic(tuple((_cq_from_json(a), parse_rational(a["w"])) for a in spec["atoms"]))
+            return Atomic(tuple((_cq_from_json(a), a["w"]) for a in spec["atoms"]))
         if kind == "disk":
             return UniformDisk(parse_rational(spec["radius"]))
         if kind == "annulus":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CapExceededError, WordParseError
-from .exact import ComplexRational, MomentValue, rational_sqrt
+from .exact import ComplexRational, MomentValue, exact_or_float, rational_sqrt
 from .linext import _glue
 from .measures import MeasureModel, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
@@ -104,8 +104,7 @@ class ZWord:
     c: Fraction | float = Fraction(1)
 
     def __post_init__(self):
-        if isinstance(self.c, int):
-            object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "c", exact_or_float(self.c))
         if self.c <= 0:
             raise ValueError("the scale c must be positive")
 
@@ -241,7 +240,7 @@ def scaled_dt(
     """Parameters of lam*Z when Z has parameters (mu, c): push forward mu by
     lam and multiply the scale by |lam|."""
     if not isinstance(lam, ComplexRational):
-        lam = ComplexRational(Fraction(lam))
+        lam = ComplexRational(lam)
     pushed = scale(mu, lam)  # rejects lam = 0
     return pushed, rational_sqrt(lam.abs_squared()) * c
 

@@ -127,8 +127,9 @@ def enumerate_compatible_ncp(eps: StarWord) -> list[Pairing]:
 
     Generation pairs the leftmost point of each interval with an admissible
     partner and recurses on the two arcs, so only non-crossing matchings are
-    ever produced; compatibility is filtered inline.  The empty word yields
-    the single empty pairing.
+    ever produced; compatibility is filtered inline.  Partners in increasing
+    order, inner arcs before outer ones, come out in lexicographic order with
+    no sort.  The empty word yields the single empty pairing.
     """
     k = len(eps)
     if k % 2 == 1 or not eps.is_balanced():
@@ -146,9 +147,7 @@ def enumerate_compatible_ncp(eps: StarWord) -> list[Pairing]:
                 for outer in arcs(j + 1, hi):
                     yield ((lo, j),) + inner + outer
 
-    found = [Pairing(p) for p in arcs(1, k)]
-    found.sort(key=lambda s: s.pairs)
-    return found
+    return [Pairing(p) for p in arcs(1, k)]
 
 
 def is_noncrossing(sigma: Pairing) -> bool:

@@ -8,6 +8,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,23 @@ def test_benchmark_names_exist(name):
         assert hasattr(dtmoments, attr), f"{name}: dtmoments.{attr}"
     for module, attr in names:
         assert hasattr(importlib.import_module(module), attr), f"{name}: {module}.{attr}"
+
+
+def test_benchmark_encodes_every_result_kind(monkeypatch):
+    # the benchmark's oracle reads ``backend`` off every moment it encodes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    exact = dtmoments.t_word_moment(dtmoments.StarWord.parse("1*"))
+    assert child.encode(exact) == {"value": ["1/2", "0/1"], "backend": "exact"}
+    zw = dtmoments.ZWord.from_letters(["Z*", "Z"])
+    floated = child.encode(dtmoments.z_word_moment(zw, dtmoments.UniformDisk(1.0)))
+    assert floated == {"value": [(1.0).hex(), (0.0).hex()], "backend": "float"}
+    estimate = dtmoments.Estimate(0.5 + 0j, 0.25, 8, 10, 1)
+    assert child.encode(estimate) == {"mean": [(0.5).hex(), (0.0).hex()], "stderr": (0.25).hex(), "n": 8, "trials": 10}
+    assert child.encode(dtmoments.Series((1, Fraction(1, 2)))) == ["1/1", "1/2"]
+    assert child.encode(dtmoments.DensityPoint(1.0, 0.5, 2.0)) == [(1.0).hex(), (0.5).hex(), (2.0).hex()]
 
 
 def test_benchmark_trace_lookups_resolve():

@@ -1,0 +1,104 @@
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, parse_rational
+from dtmoments.exact import ComplexRational as CQ
+
+PART = st.fractions(min_value=-3, max_value=3, max_denominator=15)
+GAUSSIAN = st.builds(CQ, PART, PART)
+
+
+class TestParseRational:
+    def test_integer_float_is_exact(self):
+        got = parse_rational(3.0)
+        assert got == 3 and isinstance(got, F)
+
+    def test_non_integer_float_is_refused(self):
+        with pytest.raises(TypeError, match="not exact"):
+            parse_rational(0.1)
+
+    def test_other_rationals_are_read(self):
+        got = parse_rational(np.int64(-4))
+        assert got == -4 and isinstance(got, F)
+
+    def test_complex_parts_read_by_the_same_rule(self):
+        assert CQ("1/3", 2.0) == CQ(F(1, 3), F(2))
+        with pytest.raises(TypeError, match="not exact"):
+            CQ(F(1), 0.5)
+
+
+class TestMomentValue:
+    def test_the_value_type_is_the_tag(self):
+        for raw in (3, True, F(-2, 7), CQ(F(1, 2), F(1)), 0.25, 1 - 2j):
+            mv = MomentValue.wrap(raw)
+            exact = isinstance(mv.value, CQ)
+            assert mv.exact == exact, raw
+            assert mv.backend == ("exact" if exact else "float"), raw
+            if not exact:
+                assert isinstance(mv.value, complex), raw
+            assert MomentValue(mv.value) == mv, raw
+            if exact and mv.value.is_real():
+                assert mv.as_fraction() == mv.value.re
+            else:
+                with pytest.raises(ValueError):
+                    mv.as_fraction()
+
+    def test_a_value_of_another_type_is_refused(self):
+        for args in ((CQ_ONE, "float"), (1.5,), (F(1),)):
+            with pytest.raises(TypeError):
+                MomentValue(*args)
+
+
+class TestComplexRationalOperators:
+    @given(a=GAUSSIAN, b=GAUSSIAN, q=PART)
+    @settings(max_examples=60, deadline=None)
+    def test_subtraction(self, a, b, q):
+        assert a - b == CQ(a.re - b.re, a.im - b.im)
+        assert -a == CQ(-a.re, -a.im)
+        assert a - q == CQ(a.re - q, a.im)
+        assert q - a == CQ(q - a.re, -a.im)
+        assert 2 - a == CQ(2 - a.re, -a.im)
+
+    @given(a=GAUSSIAN, b=GAUSSIAN, q=PART)
+    @settings(max_examples=60, deadline=None)
+    def test_division(self, a, b, q):
+        n = b.re * b.re + b.im * b.im
+        if n == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+            return
+        quotient = a / b
+        assert quotient == CQ((a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n)
+        assert quotient * b == a
+        assert q / b == CQ(q * b.re / n, -q * b.im / n)
+        assert 1 / b == CQ(b.re / n, -b.im / n)
+
+    def test_division_by_zero(self):
+        for zero in (CQ_ZERO, 0, F(0)):
+            with pytest.raises(ZeroDivisionError):
+                CQ(F(1, 2), F(1)) / zero
+        with pytest.raises(ZeroDivisionError):
+            F(1, 2) / CQ_ZERO
+
+    @given(a=GAUSSIAN)
+    @settings(max_examples=60, deadline=None)
+    def test_equality_with_a_float(self, a):
+        assert (a == float(a.re)) == a.is_real()
+        assert a != float(a.re) + 1.0
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (CQ(F(1, 3)), "1/3"),
+            (CQ(F(-2)), "-2"),
+            (CQ(F(0), F(1)), "(0+1i)"),
+            (CQ(F(-1, 2), F(-3, 4)), "(-1/2-3/4i)"),
+            (CQ(F(5), F(2, 9)), "(5+2/9i)"),
+        ],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text

@@ -36,6 +36,18 @@ def test_atomic_weights_must_sum_to_one():
         Atomic(((CQ(F(1)), F(1, 2)),))
 
 
+def test_a_non_integer_float_location_is_refused():
+    for make in (lambda: Atomic.delta(0.1), lambda: Atomic(((0.1, 1),))):
+        with pytest.raises(TypeError, match="not exact"):
+            make()
+
+
+def test_locations_are_read_by_the_one_exactness_rule():
+    assert Atomic.delta("1/3") == Atomic.delta(CQ(F(1, 3)))
+    assert Atomic(((F(1, 2), 1),)) == Atomic.delta(CQ(F(1, 2)))
+    assert Atomic.delta(2.0) == Atomic.delta(CQ(F(2)))
+
+
 def test_atomic_matches_direct_power_sums():
     atoms = ((CQ(F(1, 2), F(1, 3)), F(1, 4)), (CQ(F(-1), F(2)), F(3, 4)))
     mu = Atomic(atoms)

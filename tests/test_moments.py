@@ -18,6 +18,7 @@ from dtmoments.measures import (
     UniformAnnulus,
     UniformDisk,
     UniformEllipse,
+    conjugate,
 )
 from dtmoments.moments import (
     DEFAULT_Z_LEN_CAP,
@@ -257,6 +258,11 @@ class TestZWordMoment:
         assert got.value == 0
         assert got.backend == "float"
 
+    def test_a_string_scale_is_exact(self):
+        zw = ZWord(StarWord((STAR, ONE)), "2/3")
+        assert zw.c == F(2, 3) and isinstance(zw.c, F)
+        assert z_word_moment(zw, UniformDisk(1)).as_fraction() == F(1, 2) + F(2, 9)
+
     def test_length_cap(self):
         k = DEFAULT_Z_LEN_CAP + 2
         zw = ZWord(StarWord((ONE,) * k))
@@ -308,6 +314,26 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
                 assert got.value == want.value, symbols
             else:
                 assert abs(got.as_complex() - want.as_complex()) <= 1e-12 * max(1, abs(want.as_complex())), symbols
+
+
+@given(
+    symbols=st.integers(9, 11).flatmap(lambda k: st.lists(st.sampled_from((ONE, STAR)), min_size=k, max_size=k)),
+    mu=st.sampled_from([UniformDisk(1), UniformAnnulus(F(3, 2)), UniformEllipse(1, F(1, 2)), MEASURE_KINDS[1]]),
+    shift=st.integers(1, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_z_word_symmetries_past_8_letters(symbols, mu, shift):
+    # rotation, the adjoint, and conjugating the measure while swapping Z
+    # with Z*, on words too long for the exhaustive test above
+    swap = {ONE: STAR, STAR: ONE}
+
+    def z(word, measure=mu):
+        return z_word_moment(ZWord(StarWord(tuple(word)), F(2, 3)), measure).value
+
+    value = z(symbols)
+    assert z(symbols[shift:] + symbols[:shift]) == value
+    assert z([swap[s] for s in reversed(symbols)]) == value.conjugate()
+    assert z([swap[s] for s in symbols], conjugate(mu)) == value
 
 
 def adjoint(w: DTWord) -> DTWord:
@@ -405,6 +431,10 @@ class TestInvariants:
         for eps in self.all_words(6):
             if eps.symbols.count(ONE) != eps.symbols.count(STAR):
                 assert z_word_moment(ZWord(eps), DELTA0).value == 0
+
+    def test_a_non_integer_float_factor_is_refused(self):
+        with pytest.raises(TypeError, match="not exact"):
+            scaled_dt(DELTA0, F(1), 0.1)
 
     def test_homogeneity_under_scaling(self):
         # arguments with rational modulus keep everything exact: |2i| = 2,

@@ -68,9 +68,15 @@ class TestEnumerate:
             assert len(enumerate_compatible_ncp(eps)) == catalan[p]
 
     def test_deterministic_lexicographic_order(self):
-        eps = StarWord((ONE, STAR) * 4)
-        pairs = [p.pairs for p in enumerate_compatible_ncp(eps)]
-        assert pairs == sorted(pairs)
+        # every balanced word of up to 12 letters, 1,275 words
+        words = 0
+        for k in range(0, 13, 2):
+            for symbols in itertools.product((ONE, STAR), repeat=k):
+                if symbols.count(ONE) == symbols.count(STAR):
+                    words += 1
+                    pairs = [p.pairs for p in enumerate_compatible_ncp(StarWord(symbols))]
+                    assert pairs == sorted(pairs), symbols
+        assert words == 1275
 
 
 class TestIsNoncrossing:
