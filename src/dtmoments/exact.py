@@ -11,6 +11,7 @@ exactness is never silently claimed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -112,13 +113,18 @@ class ComplexRational:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, (float, complex)):  # exactly, as Fraction compares with float
+            return self.re == other.real and self.im == other.imag
         o = self._coerce(other)
-        if o is None:
-            return self.to_complex() == other
-        return self.re == o.re and self.im == o.im
+        return NotImplemented if o is None else self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Python's hash of a complex number, so that equal int, Fraction,
+        # float and complex values hash alike
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im)
+        top = 1 << (sys.hash_info.width - 1)
+        h = (h & (top - 1)) - (h & top)
+        return -2 if h == -1 else h
 
     # -- views --------------------------------------------------------------
 
@@ -174,7 +180,7 @@ class MomentValue:
     @classmethod
     def wrap(cls, v) -> "MomentValue":
         """Tag a raw scalar: rationals become exact, other numbers float."""
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, Rational):
             v = ComplexRational(v)
         return cls(v if isinstance(v, ComplexRational) else complex(v))
 

@@ -9,11 +9,13 @@ imaginary parts of the entries above the diagonal, row by row, each of
 variance sigma^2/2.  Earlier versions drew a full n x n matrix and zeroed
 its lower half, so their estimates are not reproduced bit for bit.
 
-All estimators share one trial runner.  Each trial draws one matrix per
+All estimators share one trial runner.  It stacks max(1, 4096 // n^2) trials
+into a block, as numpy's per-call cost, not arithmetic, prices a trial at
+n = 8-32; from n = 64 a block is one trial.  Each trial draws one matrix per
 unstarred letter and traces one word per class: the rotations of a word and
 of its adjoint, as tr(w) is unchanged by rotation and tr(w*) = conj tr(w).
 That trace is the trace of the product of the word's two halves, and a half
-and its adjoint share one product per trial, built on its prefix's product
+and its adjoint share one product per block, built on its prefix's product
 and freed after its last use.  Each estimate is a mean over trials of the
 normalized matrix trace of a word, with the standard error taken per
 real/imaginary part (the larger of the two is reported).
@@ -70,29 +72,29 @@ def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]
         yield rng
 
 
-def _sample_utgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
-    """Strictly upper triangular, i.i.d. complex N(0, sigma_sq) above the diagonal.
-
-    The n(n-1)/2 real parts are drawn first, then as many imaginary parts;
-    each fills the strict upper triangle row by row.
-    """
-    upper = ~np.tri(n, dtype=bool)
-    count = n * (n - 1) // 2
+def _sample_utgrm(
+    rng: np.random.Generator, upper: np.ndarray, sigma_sq: float, out: np.ndarray
+) -> None:
+    """Fill the zero matrix ``out`` above the diagonal, where the mask ``upper``
+    (``~np.tri(n, dtype=bool)``, made once per run) is set, with i.i.d. complex
+    N(0, sigma_sq): the n(n-1)/2 real parts first, then as many imaginary
+    parts, each row by row."""
+    n = len(upper)
     scale = math.sqrt(sigma_sq / 2.0)
-    m = np.zeros((n, n), dtype=complex)
-    for part in (m.real, m.imag):
-        normals = rng.standard_normal(count)
+    for part in (out.real, out.imag):
+        normals = rng.standard_normal(n * (n - 1) // 2)
         normals *= scale  # in place: one n(n-1)/2 temporary at a time
         part[upper] = normals
-    return m
 
 
-def _sample_sgrm(rng: np.random.Generator, n: int, sigma_sq: float) -> np.ndarray:
-    """Self-adjoint: complex N(0, sigma_sq) above the diagonal, real on it."""
-    upper = _sample_utgrm(rng, n, sigma_sq)
-    h = upper + upper.conj().T
-    np.fill_diagonal(h, math.sqrt(sigma_sq) * rng.standard_normal(n))
-    return h
+def _sample_sgrm(
+    rng: np.random.Generator, upper: np.ndarray, sigma_sq: float, out: np.ndarray
+) -> None:
+    """Fill the zero matrix ``out`` self-adjoint: complex N(0, sigma_sq) above
+    the diagonal, real on it."""
+    _sample_utgrm(rng, upper, sigma_sq, out)
+    out += out.conj().T
+    np.fill_diagonal(out, math.sqrt(sigma_sq) * rng.standard_normal(len(out)))
 
 
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,64 +197,101 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     return list(index), members
 
 
-def _plan_product(key: tuple[str, ...], forms: list, formed: set) -> None:
-    """Append each unformed prefix of ``key``, then ``key``, as (key, left, flip, right)."""
-    if len(key) > 1 and key not in formed:
-        formed.add(key)
+def _plan_product(key: tuple[str, ...], forms: list, flipped: dict) -> None:
+    """Append each unformed prefix of ``key``, then ``key``, as (key, left, right).
+    Where the held prefix is adj(key[:-1]), the step forms adj(key) as
+    adj(last letter) @ prefix and sets ``flipped[key]``: no product is conjugated."""
+    if len(key) > 1 and key not in flipped:
         left, flip = (key[:-1], False) if len(key) == 2 else _canonical(key[:-1])
-        _plan_product(left, forms, formed)
-        forms.append((key, left, flip, key[-1:]))
+        _plan_product(left, forms, flipped)
+        flipped[key] = flip != flipped.get(left, False)
+        forms.append((key, (_ADJOINT[key[-1]],), left) if flipped[key] else (key, left, key[-1:]))
+
+
+_BLOCK_ENTRIES = 4096  # a block stacks max(1, 4096 // n^2) trials
+_TRACE = partial(np.trace, axis1=1, axis2=2)  # tr(x), trial by trial
+_TRACE_OF_PRODUCT = partial(np.einsum, "bij,bji->b")  # tr(x y), trial by trial
 
 
 def _run_trials(
-    draw: Callable[[np.random.Generator], dict[str, np.ndarray]],
+    draw: Callable[[Iterator[np.random.Generator], int], dict[str, np.ndarray]],
     words: Sequence[Sequence[str]],
     n: int,
     trials: int,
     seed: int,
 ) -> list[Estimate]:
-    """One estimate per word; trial t traces the words in ``draw(rng)``, where
-    ``rng`` gives the stream of ``_rng(seed, t)`` (see ``_streams``).
+    """One estimate per word, from trials run in blocks of B = max(1, 4096 // n^2).
 
-    ``draw`` returns the trial's matrix for each unstarred letter; a starred
-    letter is copied as its ``.conj().T`` only if a product uses it.  One
-    word per class is traced (the empty word's trace is 1), as the O(n^2)
-    trace of the product of its halves w[:ceil(|w|/2)] and the rest.  A half h
-    is held once per trial as the product of c = min(h, adj h), made as its
-    prefix's product @ its last letter; where c is adj h, the trace reads it
-    conjugate-transposed through ``np.vdot`` without a copy.  The plan is made
-    before the trials, and frees each product and letter after its last use.
+    ``draw(rngs, size)`` returns a (size, n, n) stack of each unstarred letter,
+    drawing the block's trial t from the stream of ``_rng(seed, t)`` that
+    ``rngs`` yields (see ``_streams``); a starred letter is copied as its
+    conjugate transpose only if a product uses it.  One word per class is
+    traced (the empty word's trace is 1), as the O(n^2) trace of the product of
+    its halves w[:ceil(|w|/2)] and the rest.  A half h is held once per block
+    as the product of c = min(h, adj h) or of adj c (see ``_plan_product``);
+    where that is adj h, the trace reads it through ``np.vdot``, trial by trial.
+    The plan is made before the trials, and frees each product and letter
+    after its last use.  Stacked products and traces equal each trial's bit
+    for bit.  From n = 64 on, a product's arithmetic outweighs numpy's
+    per-call cost, so a block is one trial and holds no more than one.
     """
     reps, members = _classes(words)
-    steps, formed, last = [], set(), {}
+    steps, flipped, last = [], {}, {}
     for i in sorted((i for i, rep in enumerate(reps) if rep), key=reps.__getitem__):
         rep = reps[i]
-        # only the second half b can be flagged: adj(a) < a would make adj(a) + adj(b),
-        # a rotation of adj(rep), less than rep; np.vdot(b, a) is tr(a b^H)
+        # only b or its prefixes can be flagged: adj(p) < p for a prefix p of rep would
+        # make adj(p) + adj(rest), a rotation of adj(rep), less than rep
         mid = (len(rep) + 1) // 2
         a, (b, flip) = rep[:mid], _canonical(rep[mid:])
         forms: list = []
         for half in filter(None, (a, b)):
-            _plan_product(half, forms, formed)
-        trace = np.trace if not b else np.vdot if flip else partial(np.einsum, "ij,ji->")
+            _plan_product(half, forms, flipped)
+        flip = flip != flipped.get(b, False)  # b held as adj(rep[mid:]): vdot(b, a) is tr(a b^H)
+        trace = partial(map, np.vdot) if flip else _TRACE_OF_PRODUCT if b else _TRACE
         keys = (b, a) if flip else (a, b) if b else (a,)
         steps.append((i, forms, trace, keys, []))
-        last.update(dict.fromkeys(set(keys).union(*((f[1], f[3]) for f in forms)), steps[-1]))
+        last.update(dict.fromkeys(set(keys).union(*(f[1:] for f in forms)), steps[-1]))
     for key, step in last.items():
         step[-1].append(key)
     letters = [key[0] for key in last if len(key) == 1]
+    size = max(1, _BLOCK_ENTRIES // (n * n))
+    streams = _streams(seed, range(trials))
     values = np.ones((len(reps), trials), dtype=complex)
-    for t, rng in enumerate(_streams(seed, range(trials))):
-        mats = draw(rng)
-        held = {(x,): mats[x] if x in mats else mats[_ADJOINT[x]].conj().T for x in letters}
+    for start in range(0, trials, size):
+        block = slice(start, min(start + size, trials))
+        mats = draw(itertools.islice(streams, size), block.stop - start)
+        held = {(x,): mats[x] if x in mats else mats[_ADJOINT[x]].conj().swapaxes(1, 2)
+                for x in letters}
         del mats  # drops the letters no word uses
         for i, forms, trace, keys, frees in steps:
-            for key, left, flip, right in forms:
-                held[key] = (held[left].conj().T if flip else held[left]) @ held[right]
-            values[i, t] = complex(trace(*[held[key] for key in keys])) / n
+            for key, left, right in forms:
+                held[key] = held[left] @ held[right]
+            values[i, block] = [complex(v) / n for v in trace(*[held[key] for key in keys])]
             for key in frees:
                 del held[key]
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
+
+
+def _triangular(
+    rngs: Iterator[np.random.Generator],
+    size: int,
+    upper: np.ndarray,
+    mu: MeasureModel | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (size, n, n) stack of ``_sample_utgrm`` draws of variance 1/n, one per
+    generator, and the (size, n) diagonals each draws from ``mu`` first, if given."""
+    n = len(upper)
+    t, d = np.zeros((size, n, n), dtype=complex), np.empty((size, n), dtype=complex)
+    for k, rng in enumerate(rngs):
+        if mu is not None:
+            d[k] = sample_measure(mu, n, rng)
+        _sample_utgrm(rng, upper, 1.0 / n, t[k])
+    return t, d
+
+
+def _with_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    m.reshape(len(m), -1)[:, :: m.shape[-1] + 1] = d  # one row of d per matrix, or one d
+    return m
 
 
 def estimate_word_moment(
@@ -275,15 +314,15 @@ def estimate_word_moment(
     uses_d = any(t in D_LETTERS for t in letters)
     if (uses_d or uses_z) and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
+    upper = ~np.tri(n, dtype=bool)
 
-    def draw(rng):
-        d = sample_measure(mu, n, rng) if uses_d or uses_z else None
-        mats = {"T": _sample_utgrm(rng, n, 1.0 / n)}
+    def draw(rngs, size):
+        t, d = _triangular(rngs, size, upper, mu if uses_d or uses_z else None)
+        mats = {"T": t}
         if uses_z:
-            mats["Z"] = c * mats["T"]
-            np.fill_diagonal(mats["Z"], d)  # onto T's zero diagonal
+            mats["Z"] = _with_diagonal(c * t, d)  # onto T's zero diagonal
         if uses_d:
-            mats["D"] = np.diag(d)
+            mats["D"] = _with_diagonal(np.zeros_like(t), d)
         return mats
 
     return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
@@ -304,11 +343,14 @@ def estimate_elliptic_moment(
     _check_size(n, trials)
     if not 0.0 < theta < math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2)")
+    upper = ~np.tri(n, dtype=bool)
 
-    def draw(rng):
-        h1 = _sample_sgrm(rng, n, 1.0 / n)
-        h2 = _sample_sgrm(rng, n, 1.0 / n)
-        return {"Z": math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
+    def draw(rngs, size):
+        h = np.zeros((size, 2, n, n), dtype=complex)
+        for pair, rng in zip(h, rngs):
+            for m in pair:
+                _sample_sgrm(rng, upper, 1.0 / n, m)
+        return {"Z": math.cos(theta) * h[:, 0] + 1j * math.sin(theta) * h[:, 1]}
 
     return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 
@@ -330,11 +372,10 @@ def deterministic_diagonal_run(
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")
+    upper = ~np.tri(n, dtype=bool)
 
-    def draw(rng):
-        z = c * _sample_utgrm(rng, n, 1.0 / n)
-        np.fill_diagonal(z, entries)  # onto T's zero diagonal
-        return {"Z": z}
+    def draw(rngs, size):
+        return {"Z": _with_diagonal(c * _triangular(rngs, size, upper)[0], entries)}
 
     return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 
@@ -354,8 +395,9 @@ def pure_t_word_sweep(
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )
+    upper = ~np.tri(n, dtype=bool)
 
-    def draw(rng):
-        return {"T": _sample_utgrm(rng, n, 1.0 / n)}
+    def draw(rngs, size):
+        return {"T": _triangular(rngs, size, upper)[0]}
 
     return dict(zip(words, _run_trials(draw, words, n, trials, seed)))

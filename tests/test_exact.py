@@ -47,6 +47,12 @@ class TestMomentValue:
                 with pytest.raises(ValueError):
                     mv.as_fraction()
 
+    @pytest.mark.parametrize("raw", [np.int64(3), np.int32(-2), np.uint8(7)], ids=repr)
+    def test_numpy_integers_are_exact(self, raw):
+        # parse_rational reads any numbers.Rational as exact, so wrap does too
+        mv = MomentValue.wrap(raw)
+        assert mv.exact and mv.value == CQ(F(int(raw)))
+
     def test_a_value_of_another_type_is_refused(self):
         for args in ((CQ_ONE, "float"), (1.5,), (F(1),)):
             with pytest.raises(TypeError):
@@ -87,8 +93,45 @@ class TestComplexRationalOperators:
     @given(a=GAUSSIAN)
     @settings(max_examples=60, deadline=None)
     def test_equality_with_a_float(self, a):
-        assert (a == float(a.re)) == a.is_real()
+        # exact, as Fraction compares with a float: 1/3 is not float(1/3)
+        assert (a == float(a.re)) == (a.is_real() and a.re == float(a.re))
         assert a != float(a.re) + 1.0
+
+    @given(a=GAUSSIAN)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_agree_with_every_numeric_type(self, a):
+        # an equal pair must hash alike, or a set holds both
+        x = complex(float(a.re), float(a.im))
+        cases = [
+            (x, F(x.real) == a.re and F(x.imag) == a.im),
+            (x.real, a.is_real() and F(x.real) == a.re),
+            (a.re, a.is_real()),
+        ]
+        if a.re.denominator == 1:
+            cases.append((int(a.re), a.is_real()))
+        for other, equal in cases:
+            assert (a == other) is equal and (other == a) is equal, other
+            if equal:
+                assert hash(a) == hash(other) and len({a, other}) == 1, other
+
+    @pytest.mark.parametrize(
+        "value, other, equal",
+        [
+            (CQ(F(1, 3)), 1 / 3, False),
+            (CQ(F(1, 2)), 0.5, True),
+            (CQ(F(1, 2), F(-1, 4)), 0.5 - 0.25j, True),
+            (CQ(F(1, 3), F(1)), 1 / 3 + 1j, False),
+            (CQ(F(3)), 3, True),
+            (CQ(F(3)), 3 + 0j, True),
+            (CQ(F(-1)), -1.0, True),
+        ],
+        ids=repr,
+    )
+    def test_float_and_complex_compare_exactly(self, value, other, equal):
+        assert (value == other) is equal
+        assert (value != other) is not equal
+        if equal:
+            assert hash(value) == hash(other)
 
     @pytest.mark.parametrize(
         "value, text",

@@ -4,6 +4,8 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,9 +40,23 @@ from dtmoments.rmt import (
 )
 
 
+def utgrm(rng, n, sigma_sq):
+    """One triangular draw, as a matrix of its own."""
+    m = np.zeros((n, n), dtype=complex)
+    _sample_utgrm(rng, ~np.tri(n, dtype=bool), sigma_sq, m)
+    return m
+
+
+def sgrm(rng, n, sigma_sq):
+    """One self-adjoint draw, as a matrix of its own."""
+    m = np.zeros((n, n), dtype=complex)
+    _sample_sgrm(rng, ~np.tri(n, dtype=bool), sigma_sq, m)
+    return m
+
+
 class TestSamplers:
     def test_utgrm_shape(self):
-        m = _sample_utgrm(_rng(1, 0), 6, 0.5)
+        m = utgrm(_rng(1, 0), 6, 0.5)
         assert np.array_equal(np.tril(m), np.zeros((6, 6)))
         assert np.all(m[np.triu_indices(6, k=1)] != 0)
 
@@ -58,31 +74,31 @@ class TestSamplers:
             for j in range(i + 1, n):
                 want[i, j] = complex(scale * re[k], scale * im[k])
                 k += 1
-        assert np.array_equal(_sample_utgrm(_rng(29, n), n, sigma_sq), want)
+        assert np.array_equal(utgrm(_rng(29, n), n, sigma_sq), want)
 
     def test_sgrm_hermitian_real_diagonal(self):
-        m = _sample_sgrm(_rng(1, 0), 6, 0.5)
+        m = sgrm(_rng(1, 0), 6, 0.5)
         assert np.array_equal(m, m.conj().T)
         assert np.array_equal(np.diag(m).imag, np.zeros(6))
 
     def test_sgrm_diagonal_is_the_next_normals(self):
         n, sigma_sq = 7, 0.5
-        m = _sample_sgrm(_rng(31, 2), n, sigma_sq)
+        m = sgrm(_rng(31, 2), n, sigma_sq)
         rng = _rng(31, 2)
-        assert np.array_equal(np.triu(m, k=1), _sample_utgrm(rng, n, sigma_sq))
+        assert np.array_equal(np.triu(m, k=1), utgrm(rng, n, sigma_sq))
         assert np.array_equal(np.diag(m), math.sqrt(sigma_sq) * rng.standard_normal(n))
 
     def test_reproducible_across_calls(self):
-        a = _sample_utgrm(_rng(42, 3), 8, 1.0)
-        b = _sample_utgrm(_rng(42, 3), 8, 1.0)
+        a = utgrm(_rng(42, 3), 8, 1.0)
+        b = utgrm(_rng(42, 3), 8, 1.0)
         assert np.array_equal(a, b)
-        c = _sample_utgrm(_rng(42, 4), 8, 1.0)
+        c = utgrm(_rng(42, 4), 8, 1.0)
         assert not np.array_equal(a, c)
 
     def test_entry_second_moment(self):
         # one large draw gives ~10^5 independent entries of variance 1/n
         n = 450
-        m = _sample_utgrm(_rng(9, 0), n, 1.0 / n)
+        m = utgrm(_rng(9, 0), n, 1.0 / n)
         entries = m[np.triu_indices(n, k=1)]
         values = np.abs(entries) ** 2
         stderr = values.std(ddof=1) / math.sqrt(values.size)
@@ -170,18 +186,22 @@ class TestRekey:
             same_stream(rng, _rng(9, t))
 
     def test_runner_trial_t_sees_the_stream_of_a_fresh_generator(self):
-        seen = []
+        # n = 16 stacks 16 trials a block, so 20 trials take a full and a partial block
+        seen, sizes = [], []
 
-        def draw(rng):
-            t = len(seen)
-            fresh = _rng(2**64 + 11, t)
-            same_stream(rng, fresh)
-            leave_half_used(rng)
-            seen.append(t)
-            return {"T": np.zeros((3, 3))}
+        def draw(rngs, size):
+            for rng in rngs:
+                t = len(seen)
+                fresh = _rng(2**64 + 11, t)
+                same_stream(rng, fresh)
+                leave_half_used(rng)
+                seen.append(t)
+            sizes.append(size)
+            return {"T": np.zeros((size, 16, 16))}
 
-        rmt._run_trials(draw, [("T", "T*")], 3, 5, 2**64 + 11)
-        assert seen == list(range(5))
+        rmt._run_trials(draw, [("T", "T*")], 16, 20, 2**64 + 11)
+        assert seen == list(range(20))
+        assert sizes == [16, 4]
 
 
 class TestEstimators:
@@ -333,7 +353,7 @@ def test_sweep_agrees_with_direct_traces():
     trials = 8
     sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=13)
     words = [w for k in range(1, 7) for w in itertools.product(("T", "T*"), repeat=k)]
-    direct = direct_values(lambda rng: {"T": _sample_utgrm(rng, 16, 1 / 16)}, words, 16, trials, 13)
+    direct = direct_values(lambda rng: {"T": utgrm(rng, 16, 1 / 16)}, words, 16, trials, 13)
     assert set(sweep) == set(direct)
     zeros = 0
     for letters, values in direct.items():
@@ -350,7 +370,7 @@ def draw_dz(mu, c, n):
 
     def draw(rng):
         d = np.diag(sample_measure(mu, n, rng))
-        tm = _sample_utgrm(rng, n, 1.0 / n)
+        tm = utgrm(rng, n, 1.0 / n)
         return {"D": d, "T": tm, "Z": d + c * tm}
 
     return draw
@@ -402,15 +422,22 @@ def z_word(eps):
     return tuple("Z" if sym == ONE else "Z*" for sym in eps.symbols)
 
 
-def test_elliptic_estimates_agree_with_direct_traces():
-    n, trials, seed, theta = 12, 6, 43, math.pi / 3
+def draw_elliptic(theta, n):
+    """Z = cos(theta) H1 + i sin(theta) H2, as the elliptic estimator draws it."""
 
     def draw(rng):
-        h1 = _sample_sgrm(rng, n, 1.0 / n)
-        h2 = _sample_sgrm(rng, n, 1.0 / n)
+        h1 = sgrm(rng, n, 1.0 / n)
+        h2 = sgrm(rng, n, 1.0 / n)
         return {"Z": math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
 
-    direct = direct_values(draw, [z_word(eps) for eps in STAR_WORDS], n, trials, seed)
+    return draw
+
+
+def test_elliptic_estimates_agree_with_direct_traces():
+    n, trials, seed, theta = 12, 6, 43, math.pi / 3
+    direct = direct_values(
+        draw_elliptic(theta, n), [z_word(eps) for eps in STAR_WORDS], n, trials, seed
+    )
     for eps in STAR_WORDS:
         est = estimate_elliptic_moment(theta, eps, n, trials, seed)
         assert_agrees(est, direct[z_word(eps)], eps)
@@ -421,7 +448,7 @@ def test_fixed_diagonal_estimates_agree_with_direct_traces():
     entries = np.exp(2j * math.pi * np.arange(n) / n)
 
     def draw(rng):
-        return {"Z": np.diag(entries) + c * _sample_utgrm(rng, n, 1.0 / n)}
+        return {"Z": np.diag(entries) + c * utgrm(rng, n, 1.0 / n)}
 
     direct = direct_values(draw, [z_word(eps) for eps in STAR_WORDS], n, trials, seed)
     for eps in STAR_WORDS:
@@ -431,27 +458,48 @@ def test_fixed_diagonal_estimates_agree_with_direct_traces():
 
 @pytest.fixture
 def products(monkeypatch):
-    """The products a run forms, counted on the matrices themselves: every
-    matrix of a trial derives from the sampled T, so each product goes
-    through Counting."""
-    counted = []
+    """What a run forms, counted on the matrices themselves: the letters each
+    block draws are Counting stacks, from which every product derives.
+
+    ``trials`` gets, for each product, the number of trials its block covers;
+    ``onto_product`` counts the products whose right factor is a product, and
+    ``conjugated`` the conjugates taken of a product."""
+    seen = SimpleNamespace(trials=[], onto_product=0, conjugated=0)
 
     class Counting(np.ndarray):
-        def __matmul__(self, other):
-            counted.append(1)
-            return super().__matmul__(other)
+        formed = False
 
-    sample = rmt._sample_utgrm
-    monkeypatch.setattr(rmt, "_sample_utgrm", lambda *args: sample(*args).view(Counting))
-    return counted
+        def __array_finalize__(self, obj):
+            self.formed = getattr(obj, "formed", False)  # a view of a product is one too
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs).view(Counting)
+            out.formed = ufunc is np.matmul
+            if ufunc is np.matmul:
+                seen.trials.append(len(out))
+                seen.onto_product += inputs[1].formed
+            if ufunc is np.conjugate:
+                seen.conjugated += inputs[0].formed
+            return out
+
+    run = rmt._run_trials
+
+    def counting(draw, *args):
+        return run(lambda *a: {x: m.view(Counting) for x, m in draw(*a).items()}, *args)
+
+    monkeypatch.setattr(rmt, "_run_trials", counting)
+    return seen
 
 
 def test_sweep_forms_one_product_per_class_prefix(products):
-    trials = 2
-    sweep = pure_t_word_sweep(6, n=4, trials=trials, seed=0)
+    # n = 16 stacks 16 trials a block: 20 trials take blocks of 16 and 4
+    trials = 20
+    sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=0)
     # the classes' halves of 2 or 3 letters, each as the lesser of it and its
     # adjoint, are TT, TT*, TTT, TTT* and TT*T
-    assert len(products) == 5 * trials
+    assert sorted(products.trials) == [4] * 5 + [16] * 5
+    assert sum(products.trials) == 5 * trials
     # the prefixes of length 2 to 5 over all 126 words number 4 + 8 + 16 + 32
     prefixes = {w[:k] for w in sweep for k in range(2, len(w))}
     assert len(prefixes) == 60
@@ -461,30 +509,79 @@ def test_equal_halves_form_one_product(products):
     # Z* Z Z* Z is traced as Z Z* Z Z*: its two halves share the product Z Z*
     trials = 3
     estimate_word_moment(["Z*", "Z", "Z*", "Z"], n=4, trials=trials, seed=0, mu=UniformDisk(1))
-    assert len(products) == trials
+    assert products.trials == [trials]
 
 
-def test_sweep_memory_is_bounded_and_freed():
-    # a trial holds T, T* and at most four products; nothing outlives the call
-    n = 128
-    matrix = n * n * np.dtype(complex).itemsize
+@pytest.mark.parametrize(
+    "word",
+    [("D", "D", "D", "T", "D", "T"), ("D", "D", "D", "T", "D*", "T*")],
+    ids=" ".join,
+)
+def test_flagged_prefix_is_not_conjugated(products, word):
+    # the second half's prefix T D is held as its adjoint D* T*, so the half
+    # T D T (first word) is formed as its adjoint T* @ (D* T*), which the trace
+    # reads through np.vdot, and T D* T* (second word) as T @ (D* T*)
+    n, trials, seed, mu = 8, 70, 51, UniformDisk(1)
+    est = estimate_word_moment(list(word), n, trials, seed, mu=mu)
+    assert_agrees(est, direct_values(draw_dz(mu, 1.0, n), [word], n, trials, seed)[word], word)
+    assert products.onto_product == 2  # one letter @ product step per block
+    assert products.conjugated == 0
+
+
+@pytest.mark.parametrize("n, trials", [(8, 70), (16, 5)], ids=["64+6", "5-of-16"])
+@pytest.mark.parametrize("kind", ["dt", "z", "elliptic"])
+def test_partial_blocks_agree_with_direct_traces(kind, n, trials):
+    # n = 8 stacks 64 trials a block and n = 16 stacks 16
+    seed, mu, theta = 53, UniformAnnulus(F(3, 2)), math.pi / 3
+    if kind == "elliptic":
+        draw, words = draw_elliptic(theta, n), [z_word(eps) for eps in STAR_WORDS]
+        run = {z_word(eps): partial(estimate_elliptic_moment, theta, eps) for eps in STAR_WORDS}
+    else:
+        draw, words = draw_dz(mu, 0.5, n), DT_WORDS if kind == "dt" else Z_WORDS
+        run = {w: partial(estimate_word_moment, list(w), mu=mu, c=0.5) for w in words}
+    direct = direct_values(draw, words, n, trials, seed)
+    for w in words:
+        assert_agrees(run[w](n=n, trials=trials, seed=seed), direct[w], w)
+
+
+def traced_growth(run):
+    """Peak and retained growth of traced memory over a second ``run()``."""
     started = not tracemalloc.is_tracing()
     gc.collect()
     gc.disable()
     try:
-        pure_t_word_sweep(6, n=n, trials=2, seed=0)  # warm imports and free lists
+        run()  # warm imports and free lists
         if started:
             tracemalloc.start()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        pure_t_word_sweep(6, n=n, trials=2, seed=0)
+        run()
         now, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
         gc.enable()
-    assert (peak - base) / matrix < 6.5
-    assert (now - base) / matrix < 0.5
+    return peak - base, now - base
+
+
+def test_block_memory_is_bounded_and_freed():
+    # n = 16 stacks 16 trials: a block holds T, T* and at most four products,
+    # and the run's per-word bookkeeping (126 estimates, 22 x 32 trial values)
+    # takes under half a block at this size
+    n = 16
+    block = 16 * n * n * np.dtype(complex).itemsize
+    peak, kept = traced_growth(lambda: pure_t_word_sweep(6, n=n, trials=32, seed=0))
+    assert peak / block < 7
+    assert kept / block < 0.5
+
+
+def test_sweep_memory_is_bounded_and_freed():
+    # n = 128 stacks one trial: a trial holds T, T* and at most four products
+    n = 128
+    matrix = n * n * np.dtype(complex).itemsize
+    peak, kept = traced_growth(lambda: pure_t_word_sweep(6, n=n, trials=2, seed=0))
+    assert peak / matrix < 6.5
+    assert kept / matrix < 0.5
 
 
 T_ADJOINT = {"T": "T*", "T*": "T"}
