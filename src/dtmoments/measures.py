@@ -154,7 +154,8 @@ class MomentTable:
     """Explicit mixed moments up to a declared maximal total degree.
 
     Entries are stored for (r, s); a missing entry falls back to the conjugate
-    of (s, r), so only one triangle need be given.
+    of (s, r), so only one triangle need be given.  As for any measure, M(s, r)
+    must be the conjugate of M(r, s), and M(r, r) = E|z|^(2r) real and >= 0.
     """
 
     max_degree: int
@@ -164,6 +165,11 @@ class MomentTable:
         table = dict(self.entries)
         if table.get((0, 0), CQ_ONE) != CQ_ONE:
             raise ValueError("M(0, 0) must be 1")
+        for (r, s), v in table.items():
+            if r == s and not (v.is_real() and v.re >= 0):
+                raise ValueError(f"M({r}, {r}) = {v!r} must be real and >= 0")
+            if (s, r) in table and table[s, r] != v.conjugate():
+                raise ValueError(f"M({r}, {s}) and M({s}, {r}) must be conjugates")
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
 
     def moment(self, r: int, s: int) -> ComplexRational:

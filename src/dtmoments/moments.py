@@ -40,7 +40,13 @@ ALL_LETTERS = T_LETTERS + D_LETTERS + Z_LETTERS
 
 def parse_word(text: str) -> tuple[str, ...]:
     """Split a word like "Z* Z" or "D T D* T*" into letter tokens."""
-    letters = tuple(text.split())
+    return _check_letters(text.split())
+
+
+def _check_letters(letters) -> tuple[str, ...]:
+    """The letters as a tuple, if each is a word letter and Z letters are not
+    mixed with D/T letters; else a WordParseError."""
+    letters = tuple(letters)
     for tok in letters:
         if tok not in ALL_LETTERS:
             raise WordParseError(f"unknown word letter {tok!r}")

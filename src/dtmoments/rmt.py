@@ -41,7 +41,7 @@ from .measures import (
     UniformDisk,
     UniformEllipse,
 )
-from .moments import D_LETTERS, T_LETTERS, Z_LETTERS
+from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters
 from .ncpair import ONE, StarWord
 
 DEFAULT_SIZE_CAP = 2048
@@ -310,6 +310,7 @@ def estimate_word_moment(
     D + c*T.
     """
     _check_size(n, trials)
+    letters = _check_letters(letters)
     uses_z = any(t in Z_LETTERS for t in letters)
     uses_d = any(t in D_LETTERS for t in letters)
     if (uses_d or uses_z) and mu is None:
@@ -325,7 +326,7 @@ def estimate_word_moment(
             mats["D"] = _with_diagonal(np.zeros_like(t), d)
         return mats
 
-    return _run_trials(draw, [tuple(letters)], n, trials, seed)[0]
+    return _run_trials(draw, [letters], n, trials, seed)[0]
 
 
 def _z_letters(eps: StarWord) -> tuple[str, ...]:

@@ -4,8 +4,8 @@ inverses and to the free-cumulant picture.
 
 A :class:`Series` holds coefficients by power, Fraction-valued by default.
 Binary operations truncate to the shorter operand, so every identity below is
-an exact coefficientwise statement up to the working order.  Reversion is by
-Lagrange inversion, and one solve converts moments to free cumulants and back.
+an exact coefficientwise statement up to the working order.  One solve of
+w = z*Phi(w) converts moments to free cumulants and back, and reverts series.
 """
 
 from __future__ import annotations
@@ -101,29 +101,29 @@ class Series:
     def revert(self) -> "Series":
         """Compositional inverse g with self(g(z)) = z; needs f0=0, f1 != 0.
 
-        By Lagrange inversion, [z^m] g = [w^(m-1)] (w/f(w))^m / m: one
-        reciprocal, then one series product per coefficient.
+        With f(w) = f1 w h(w), G(u) = g(f1 u) solves G = u Phi(G) for Phi = 1/h,
+        so G/u is the moment series M whose free cumulants are the coefficients
+        of 1/h - 1, and g_(k+1) = M_k / f1^(k+1).
         """
-        if self[0] != 0 or self[1] == 0:
+        f1 = self[1]
+        if self[0] != 0 or f1 == 0:
             raise ValueError("reversion needs f(0) = 0 and f'(0) != 0")
-        phi = self.shift(-1).reciprocal()  # w / f(w)
-        power = Series((Fraction(1),) + (Fraction(0),) * (phi.order - 1))
-        g = [Fraction(0)]
-        for m in range(1, self.order):
-            power = power * phi
-            g.append(power[m - 1] / m)
-        return Series(tuple(g))
+        phi = self.shift(-1).reciprocal() * f1  # 1/h
+        m = (1, *free_cumulants_to_moments(Series((0, *phi.coeffs[1:]))).coeffs[1:])
+        return Series((0, *(mk / f1 ** (k + 1) for k, mk in enumerate(m))))
 
 
 # -- moment / free-cumulant conversion ---------------------------------------
 
 
 def _moment_cumulant_solve(known: Series, known_are_moments: bool) -> Series:
-    """Solve m_n = sum_{s=1..n} kappa_s [z^n](zM)^s, M = 1 + m_1 z + ..., for
-    the cumulants given the moments or for the moments given the cumulants.
+    """The one series inversion: solve w = z Phi(w), Phi(w) = 1 + sum_s kappa_s w^s,
+    for w = zM, M = 1 + m_1 z + ..., given the cumulants or the moments.
 
-    Row n of the table [z^n](zM)^s = [z^(n-s)] M^s needs only m_1..m_(n-1),
-    and its diagonal entry [z^n](zM)^n = 1 isolates the unknown at index n.
+    Coefficientwise, m_n = sum_{s=1..n} kappa_s [z^n](zM)^s: the R-transform
+    equation M(z) = 1 + R(zM(z)).  Row n of the table [z^n](zM)^s = [z^(n-s)] M^s
+    needs only m_1..m_(n-1), and its diagonal entry [z^n](zM)^n = 1 isolates
+    the unknown at index n.
     """
     m, kappa = [Fraction(1)], [Fraction(0)]
     mpow = [[Fraction(1)] + [Fraction(0)] * known.order]  # mpow[s][k] = [z^k] M^s
@@ -165,8 +165,7 @@ def r_transform_closed_form(order: int) -> Series:
     The singularity at 0 is removable; coefficient j is the (j+1)-st free
     cumulant of the squared-generator spectral law.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_at_least_one(order=order)
     n = order + 1
     log_over_z = Series(tuple(Fraction(1, j + 1) for j in range(n)))  # -log(1-z)/z
     one_minus_z = Series((Fraction(1), Fraction(-1)) + (Fraction(0),) * (n - 2))
@@ -175,33 +174,38 @@ def r_transform_closed_form(order: int) -> Series:
     return r_shifted.shift(-1).truncate(order)
 
 
-def _moment_transfer(moments, order: int) -> Series:
-    """The series t / (1 - sum_p moments(p) t^{p+1}) truncated past ``order``."""
-    denom = Series((Fraction(1), *(-moments(p) for p in range(order))))
-    return denom.reciprocal().shift(1).truncate(order + 1)
+def _require_at_least_one(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _inverse_check(moments, closed, order: int) -> bool:
-    """Does reverting the transfer series of ``moments`` give
-    sum_j closed(j) z^(j+1) up to ``order``?"""
-    want = Series.from_one_indexed(closed(j) for j in range(order))
-    return _moment_transfer(moments, order).revert() == want
+    """Does reverting t/D(t), D(t) = 1 - sum_p moments(p) t^(p+1), give
+    sum_j closed(j) z^(j+1) up to ``order``?  The reverse is g = z D(g), so g/z
+    is the moment series with free cumulants kappa_s = -moments(s-1)."""
+    kappa = Series((Fraction(0), *(-moments(p) for p in range(order - 1))))
+    want = Series.from_one_indexed(closed(j) for j in range(1, order))
+    return closed(0) == 1 and free_cumulants_to_moments(kappa) == want
 
 
 def kn_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum alpha_N(p) t^{p+1}) give z (1 + z/N)^{-N}?"""
+    _require_at_least_one(N=N, order=order)
     return _inverse_check(lambda p: stn_moment(N, p),
                           lambda j: Fraction((-1) ** j * comb(N + j - 1, j), N**j), order)
 
 
 def ln_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum beta_N(p) t^{p+1}) give z (1 - z/N)^N?"""
+    _require_at_least_one(N=N, order=order)
     return _inverse_check(lambda p: ttn_moment(N, p),
                           lambda j: Fraction(comb(N, j) * (-1) ** j, N**j), order)
 
 
 def l_limit_inverse_check(order: int) -> bool:
     """Does the limit transfer series (with moments p^p/(p+1)!) invert to z e^{-z}?"""
+    _require_at_least_one(order=order)
     return _inverse_check(lambda p: Fraction(1) if p == 0 else tstt_moment(p),
                           lambda j: Fraction((-1) ** j, factorial(j)), order)
 
@@ -209,6 +213,7 @@ def l_limit_inverse_check(order: int) -> bool:
 def finite_n_r_relation_check(N: int, order: int) -> bool:
     """Coefficientwise check that the R-series of the full and strict block
     moment families differ by the free Poisson term 1/(N(1-z))."""
+    _require_at_least_one(N=N, order=order)
     r_mu = moments_to_free_cumulants(
         Series.from_one_indexed(tuple(stn_moment(N, p) for p in range(1, order + 1)))
     )

@@ -7,7 +7,7 @@ from conftest import measure_spec, quadrature_mixed_moment, table_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtmoments.cli import parse_measure_arg
+from dtmoments.cli import EXIT_PARSE, main, parse_measure_arg
 from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.exact import ComplexRational as CQ
 from dtmoments.measures import (
@@ -250,6 +250,30 @@ class TestMomentTable:
         table = MomentTable(4, (((2, 1), CQ(F(1, 3), F(1, 5))),))
         assert table.moment(1, 2) == CQ(F(1, 3), F(-1, 5))
 
+    def test_conjugate_pair_given_twice_must_agree(self):
+        pair = (((2, 1), CQ(F(1, 3), F(1, 5))), ((1, 2), CQ(F(1, 3), F(-1, 5))))
+        assert MomentTable(4, pair).moment(1, 2) == CQ(F(1, 3), F(-1, 5))
+        with pytest.raises(ValueError, match="conjugates"):
+            MomentTable(4, (pair[0], ((1, 2), CQ(F(1, 3), F(1, 5)))))
+
+    @pytest.mark.parametrize("value", [CQ(F(-3)), CQ(F(0), F(1)), CQ(F(1, 2), F(-1, 4))])
+    def test_diagonal_must_be_real_and_nonnegative(self, value):
+        # M(r, r) is the mean of |z|^(2r); these were served as moments
+        with pytest.raises(ValueError, match=r"M\(1, 1\)"):
+            MomentTable(2, (((1, 1), value),))
+        assert MomentTable(2, (((1, 1), CQ(F(0))),)).moment(1, 1) == 0
+
+    @pytest.mark.parametrize("entry, word", [
+        ({"r": 1, "s": 1, "re": "-3"}, "Z Z*"),
+        ({"r": 1, "s": 1, "re": "1", "im": "1"}, "D D*"),
+    ])
+    def test_cli_refuses_a_table_no_measure_has(self, capsys, entry, word):
+        # printed -5/2 and i with exit 0
+        spec = json.dumps({"type": "table", "max_degree": 2, "entries": [entry]})
+        assert main(["moment", "--word", word, "--measure", spec]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and "M(1, 1)" in err
+
     @pytest.mark.parametrize(
         "twin",
         [
@@ -283,10 +307,19 @@ def exact_models(draw):
     if kind is UniformAnnulus:
         return UniformAnnulus(draw(st.fractions(min_value=1, max_value=4, max_denominator=12)))
     if kind is MomentTable:
+        # each off-diagonal pair once, in either order, and a real diagonal >= 0,
+        # as a measure's moments are
         degree = draw(st.integers(1, 4))
         orders = st.tuples(st.integers(0, degree), st.integers(0, degree))
-        keys = draw(st.sets(orders.filter(lambda rs: 0 < sum(rs) <= degree), max_size=5))
-        return MomentTable(degree, tuple((rs, _gaussian_rational(draw)) for rs in sorted(keys)))
+        keys = draw(st.sets(orders.filter(lambda rs: rs[0] >= rs[1] and 0 < sum(rs) <= degree),
+                            max_size=5))
+        entries = {}
+        for r, s in keys:
+            if r == s:
+                entries[r, s] = CQ(draw(st.fractions(min_value=0, max_value=2, max_denominator=12)))
+            else:
+                entries[(r, s) if draw(st.booleans()) else (s, r)] = _gaussian_rational(draw)
+        return MomentTable(degree, tuple(sorted(entries.items())))
     return kind(*(draw(_positive(F(3))) for _ in range(2 if kind is UniformEllipse else 1)))
 
 

@@ -225,6 +225,13 @@ class TestEstimators:
         with pytest.raises(WordParseError):
             estimate_word_moment(["D", "T"], n=8, trials=2, seed=0)
 
+    @pytest.mark.parametrize("letters", [("Q",), ("T", "Z"), ("Z*", "D"), ("T T*",)])
+    def test_letters_are_checked_by_the_word_rule(self, letters):
+        # ("Q",) raised KeyError, and ("T", "Z") gave an estimate for a word
+        # that the exact engine refuses
+        with pytest.raises(WordParseError):
+            estimate_word_moment(letters, n=8, trials=2, seed=0, mu=UniformDisk(1))
+
     def test_mean_of_point_mass_word(self):
         w = CQ(F(1, 3), F(2, 3))
         est = estimate_word_moment(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import comb
 
 import pytest
@@ -7,7 +8,8 @@ from conftest import moments_from_cumulants_by_partitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmoments.quasinil import tstt_moment
+from dtmoments import transforms
+from dtmoments.quasinil import tstt_moment, ttn_moment
 from dtmoments.transforms import (
     Series,
     finite_n_r_relation_check,
@@ -22,6 +24,18 @@ from dtmoments.transforms import (
 rationals = st.fractions(
     min_value=F(-4), max_value=F(4), max_denominator=12
 )
+
+
+def lagrange_revert(f: Series) -> Series:
+    """Compositional inverse by Lagrange inversion, an oracle independent of
+    the moment-cumulant solve: [z^m] g = [w^(m-1)] (w/f(w))^m / m."""
+    phi = f.shift(-1).reciprocal()  # w / f(w)
+    power = Series((F(1),) + (F(0),) * (phi.order - 1))
+    g = [F(0)]
+    for m in range(1, f.order):
+        power = power * phi
+        g.append(power[m - 1] / m)
+    return Series(tuple(g))
 
 
 class TestSeriesAlgebra:
@@ -58,6 +72,18 @@ class TestSeriesAlgebra:
         f = Series((F(0), lead) + tuple(tail))
         identity = Series((F(0), F(1))).truncate(f.order)
         assert f.compose(f.revert()) == identity
+
+    @given(
+        st.lists(rationals, max_size=12),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6).filter(
+            lambda lead: lead not in (0, 1)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reversion_matches_lagrange_inversion(self, tail, lead):
+        f = Series((F(0), lead) + tuple(tail))
+        got, want = f.revert(), lagrange_revert(f)
+        assert got.coeffs == want.coeffs
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
     def test_revert_requires_unit(self):
         with pytest.raises(ValueError):
@@ -141,8 +167,6 @@ class TestClosedForms:
         assert all(r[j] == kappa[j + 1] for j in range(8))
 
     def test_one_block_analogue_is_geometric(self):
-        from dtmoments.quasinil import ttn_moment
-
         kappa = moments_to_free_cumulants(
             Series.from_one_indexed([ttn_moment(1, p) for p in range(1, 9)])
         )
@@ -159,12 +183,10 @@ class TestInversionChecks:
             assert ln_inverse_check(n, 8)
 
     def test_l1_inverse_is_z_minus_z_squared(self):
-        # the one-block transfer series reverts to z(1 - z)
-        from dtmoments.quasinil import ttn_moment
-        from dtmoments.transforms import _moment_transfer
-
-        series = _moment_transfer(lambda p: ttn_moment(1, p), 8)
-        got = series.revert()
+        # the one-block transfer series t / (1 - sum_p beta_1(p) t^(p+1))
+        # reverts to z(1 - z)
+        denom = Series((F(1), *(-ttn_moment(1, p) for p in range(8))))
+        got = denom.reciprocal().shift(1).truncate(9).revert()
         want = Series((F(0), F(1), F(-1)) + (F(0),) * 6)
         assert got == want
 
@@ -174,3 +196,41 @@ class TestInversionChecks:
     def test_r_relation(self):
         for n in (1, 2, 3, 5):
             assert finite_n_r_relation_check(n, 8)
+
+    @pytest.mark.parametrize("check", [
+        *(partial(kn_inverse_check, n) for n in (1, 2, 5)),
+        *(partial(ln_inverse_check, n) for n in (1, 2, 5)),
+        l_limit_inverse_check,
+    ], ids=["kn-1", "kn-2", "kn-5", "ln-1", "ln-2", "ln-5", "limit"])
+    def test_a_perturbed_closed_form_is_rejected(self, monkeypatch, check):
+        # each inverse check must compare every closed-form coefficient it
+        # covers: bumping any one of them by 1 turns the answer to False
+        solve = transforms._inverse_check
+        for order in range(1, 12):
+            assert check(order), order
+            for j in range(order):
+                def bumped(moments, closed, k, j=j):
+                    return solve(moments, lambda i: closed(i) + (i == j), k)
+
+                monkeypatch.setattr(transforms, "_inverse_check", bumped)
+                assert not check(order), (order, j)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: kn_inverse_check(2, 0), "order"),
+        (lambda: kn_inverse_check(0, 3), "N"),
+        (lambda: ln_inverse_check(2, -1), "order"),
+        (lambda: ln_inverse_check(0, 3), "N"),
+        (lambda: l_limit_inverse_check(0), "order"),
+        (lambda: finite_n_r_relation_check(2, 0), "order"),
+        (lambda: finite_n_r_relation_check(-1, 3), "N"),
+    ], ids=["kn-order", "kn-N", "ln-order", "ln-N", "limit-order", "fnr-order", "fnr-N"])
+    def test_order_and_n_below_one_are_refused(self, monkeypatch, call, name):
+        # these returned a vacuous True or raised from deep in the series work
+        def no_series_work(*args):
+            raise AssertionError("series work ran before the input check")
+
+        for fn in ("stn_moment", "ttn_moment", "tstt_moment"):
+            monkeypatch.setattr(transforms, fn, no_series_work)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            call()
