@@ -25,7 +25,6 @@ from .measures import (
 )
 from .moments import (
     DEFAULT_Z_LEN_CAP,
-    D_LETTERS,
     DTWord,
     T_LETTERS,
     Z_LETTERS,
@@ -232,8 +231,9 @@ def cmd_mc(args, out) -> int:
         for flag, value in (("--measure", args.measure), ("--c", args.c)):
             if value is not None:
                 raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
-        if any(t in D_LETTERS for t in letters):
-            raise WordParseError("--theta samples the elliptic operator; D letters are not allowed")
+        other = next((t for t in letters if t not in Z_LETTERS), None)
+        if other is not None:
+            raise WordParseError(f"--theta samples the elliptic Z; letter {other!r} is not Z or Z*")
         if not 0.0 < args.theta < math.pi / 2:
             raise ValueError("theta must lie in (0, pi/2)")
         eps = _star_word(letters)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--trials", type=int, default=100)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--theta", type=float, default=None,
-                      help="sample the elliptic model at this angle instead of D + cT")
+                      help="sample the elliptic Z at this angle instead of D + cT; Z words only")
     add_output(p_mc, "json")
     p_mc.set_defaults(func=cmd_mc)
 

@@ -14,11 +14,12 @@ into a block, as numpy's per-call cost, not arithmetic, prices a trial at
 n = 8-32; from n = 64 a block is one trial.  Each trial draws one matrix per
 unstarred letter and traces one word per class: the rotations of a word and
 of its adjoint, as tr(w) is unchanged by rotation and tr(w*) = conj tr(w).
-That trace is the trace of the product of the word's two halves, and a half
-and its adjoint share one product per block, built on its prefix's product
-and freed after its last use.  Each estimate is a mean over trials of the
-normalized matrix trace of a word, with the standard error taken per
-real/imaginary part (the larger of the two is reported).
+That trace is the trace of the product of the word's two halves, the second
+held as the lesser of it and its adjoint.  Each prefix of a half is one
+product per block, its shorter prefix's product times a letter, freed after
+its last use.  Each estimate is a mean over trials of the normalized matrix
+trace of a word, with the standard error taken per real/imaginary part (the
+larger of the two is reported).
 """
 
 from __future__ import annotations
@@ -173,10 +174,14 @@ def _check_size(n: int, trials: int) -> None:
         raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
-def _canonical(half: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
-    """The lesser of a word and its adjoint, and whether it is the adjoint."""
-    adj = tuple(_ADJOINT[tok] for tok in reversed(half))
-    return (adj, True) if adj < half else (half, False)
+def _check_scale(c: float) -> None:
+    if not c > 0:
+        raise ValueError("the scale c must be positive")
+
+
+def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:
+    """The adjoint word: reversed, each letter swapped for its adjoint."""
+    return tuple(_ADJOINT[tok] for tok in reversed(word))
 
 
 def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[int, bool]]]:
@@ -190,22 +195,11 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     index: dict[tuple[str, ...], int] = {}
     members = []
     for word in words:
-        sides = ((tuple(word), False), (tuple(_ADJOINT[tok] for tok in reversed(word)), True))
+        sides = ((tuple(word), False), (_adjoint(tuple(word)), True))
         rotations = ((w[i:] + w[:i], flag) for w, flag in sides for i in range(len(w) or 1))
         rep, flag = min(rotations)
         members.append((index.setdefault(rep, len(index)), flag))
     return list(index), members
-
-
-def _plan_product(key: tuple[str, ...], forms: list, flipped: dict) -> None:
-    """Append each unformed prefix of ``key``, then ``key``, as (key, left, right).
-    Where the held prefix is adj(key[:-1]), the step forms adj(key) as
-    adj(last letter) @ prefix and sets ``flipped[key]``: no product is conjugated."""
-    if len(key) > 1 and key not in flipped:
-        left, flip = (key[:-1], False) if len(key) == 2 else _canonical(key[:-1])
-        _plan_product(left, forms, flipped)
-        flipped[key] = flip != flipped.get(left, False)
-        forms.append((key, (_ADJOINT[key[-1]],), left) if flipped[key] else (key, left, key[-1:]))
 
 
 _BLOCK_ENTRIES = 4096  # a block stacks max(1, 4096 // n^2) trials
@@ -227,30 +221,29 @@ def _run_trials(
     ``rngs`` yields (see ``_streams``); a starred letter is copied as its
     conjugate transpose only if a product uses it.  One word per class is
     traced (the empty word's trace is 1), as the O(n^2) trace of the product of
-    its halves w[:ceil(|w|/2)] and the rest.  A half h is held once per block
-    as the product of c = min(h, adj h) or of adj c (see ``_plan_product``);
-    where that is adj h, the trace reads it through ``np.vdot``, trial by trial.
-    The plan is made before the trials, and frees each product and letter
-    after its last use.  Stacked products and traces equal each trial's bit
-    for bit.  From n = 64 on, a product's arithmetic outweighs numpy's
-    per-call cost, so a block is one trial and holds no more than one.
+    its halves a = w[:ceil(|w|/2)] and b, the lesser of the rest and its
+    adjoint; where b is the adjoint, the trace reads it through ``np.vdot``,
+    trial by trial.  Each prefix p of a half, from two letters up, is held
+    once per block as held[p[:-1]] @ held[p[-1:]], so every product's right
+    factor is a letter.  The plan is made before the trials, and frees each
+    product and letter after its last use.  Stacked products and traces equal
+    each trial's bit for bit.  From n = 64 on, a product's arithmetic
+    outweighs numpy's per-call cost, so a block is one trial and holds no
+    more than one.
     """
     reps, members = _classes(words)
-    steps, flipped, last = [], {}, {}
+    steps, last = [], {}  # last: each key planned so far, to the step that uses it last
     for i in sorted((i for i, rep in enumerate(reps) if rep), key=reps.__getitem__):
         rep = reps[i]
-        # only b or its prefixes can be flagged: adj(p) < p for a prefix p of rep would
-        # make adj(p) + adj(rest), a rotation of adj(rep), less than rep
         mid = (len(rep) + 1) // 2
-        a, (b, flip) = rep[:mid], _canonical(rep[mid:])
-        forms: list = []
-        for half in filter(None, (a, b)):
-            _plan_product(half, forms, flipped)
-        flip = flip != flipped.get(b, False)  # b held as adj(rep[mid:]): vdot(b, a) is tr(a b^H)
+        a, b = rep[:mid], min(rep[mid:], _adjoint(rep[mid:]))
+        prefixes = dict.fromkeys(h[:k] for h in (a, b) for k in range(2, len(h) + 1))
+        forms = [p for p in prefixes if p not in last]
+        flip = b != rep[mid:]  # b held as adj(rep[mid:]): vdot(b, a) is tr(a b^H)
         trace = partial(map, np.vdot) if flip else _TRACE_OF_PRODUCT if b else _TRACE
         keys = (b, a) if flip else (a, b) if b else (a,)
         steps.append((i, forms, trace, keys, []))
-        last.update(dict.fromkeys(set(keys).union(*(f[1:] for f in forms)), steps[-1]))
+        last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p in forms)), steps[-1]))
     for key, step in last.items():
         step[-1].append(key)
     letters = [key[0] for key in last if len(key) == 1]
@@ -264,8 +257,8 @@ def _run_trials(
                 for x in letters}
         del mats  # drops the letters no word uses
         for i, forms, trace, keys, frees in steps:
-            for key, left, right in forms:
-                held[key] = held[left] @ held[right]
+            for key in forms:
+                held[key] = held[key[:-1]] @ held[key[-1:]]
             values[i, block] = [complex(v) / n for v in trace(*[held[key] for key in keys])]
             for key in frees:
                 del held[key]
@@ -307,7 +300,7 @@ def estimate_word_moment(
     The diagonal is i.i.d. from ``mu`` (required for D or Z words) and the
     triangular factor is strictly upper triangular with i.i.d. complex
     N(0, 1/n) entries, drawn independently per trial; a Z letter stands for
-    D + c*T.
+    D + c*T, with c > 0.  A c other than 1 needs Z letters.
     """
     _check_size(n, trials)
     letters = _check_letters(letters)
@@ -315,6 +308,9 @@ def estimate_word_moment(
     uses_d = any(t in D_LETTERS for t in letters)
     if (uses_d or uses_z) and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
+    if not uses_z and c != 1:
+        raise WordParseError("c scales T inside Z; it needs a word with Z letters")
+    _check_scale(c)
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):
@@ -370,6 +366,7 @@ def deterministic_diagonal_run(
     ``entries_generator(n)`` and is reused across trials.
     """
     _check_size(n, trials)
+    _check_scale(c)
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")
@@ -388,11 +385,13 @@ def pure_t_word_sweep(
 
     One triangular sample per trial serves all words.  The runner traces one
     word per rotation-and-adjoint class through the products of its two
-    halves, each formed once per trial as the lesser of it and its adjoint:
+    halves and their prefixes, each formed once per trial:
     at ``max_len`` 6 the 126 words fall into 22 classes, and a trial forms 5
     matrix products where the prefixes of all the words would take 60.
     """
     _check_size(n, trials)
+    if max_len < 1:
+        raise ValueError(f"max_len {max_len} is below 1")
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )

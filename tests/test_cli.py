@@ -339,6 +339,16 @@ class TestMC:
         assert out == ""
         assert "D" in err
 
+    @pytest.mark.parametrize("word, letter", [("T* T", "T*"), ("T T*", "T"), ("D* D", "D*")])
+    def test_elliptic_mode_reads_z_letters_only(self, capsys, word, letter):
+        # T* T printed the elliptic Z* Z estimate, with target 1, under its own name
+        code, out, err = run(
+            capsys, "mc", "--word", word, "--theta", "0.785398", "--n", "8", "--trials", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{letter!r}" in err
+
     @pytest.mark.parametrize(
         "flag, value", [("--trials", "1"), ("--n", "0"), ("--n", "-2")]
     )

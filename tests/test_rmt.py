@@ -264,6 +264,47 @@ class TestEstimators:
         jsonschema.validate(est.to_record("T T*"), schema)
 
 
+class TestScaleAndLength:
+    def test_c_on_a_word_without_z_letters_is_refused(self):
+        # c scales T inside Z; T* T at c = 5 gave about 0.44, the c = 1 value
+        with pytest.raises(WordParseError, match="Z letters"):
+            estimate_word_moment(["T*", "T"], 8, 400, 0, c=5.0)
+        with pytest.raises(WordParseError, match="Z letters"):
+            estimate_word_moment(["D*", "T"], 8, 2, 0, mu=UniformDisk(1), c=2.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_scale_must_be_positive(self, c):
+        # ZWord refuses these; both estimators sampled them
+        with pytest.raises(ValueError, match="the scale c must be positive"):
+            estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=c)
+        with pytest.raises(ValueError, match="the scale c must be positive"):
+            deterministic_diagonal_run(lambda n: [0.0] * n, c, StarWord((STAR, ONE)), 8, 2, 0)
+
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_sweep_needs_a_letter(self, max_len):
+        # returned {} where no word was asked for
+        with pytest.raises(ValueError, match="max_len"):
+            pure_t_word_sweep(max_len, n=8, trials=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: estimate_word_moment(["T"], n, 2, 0, c=5.0),
+            lambda n: estimate_word_moment(["Z"], n, 2, 0, mu=UniformDisk(1), c=0.0),
+            lambda n: deterministic_diagonal_run(
+                lambda m: [0.0] * m, -1.0, StarWord((ONE,)), n, 2, 0
+            ),
+            lambda n: pure_t_word_sweep(0, n, 2, 0),
+        ],
+        ids=["word-c", "word-scale", "fixed-scale", "sweep-length"],
+    )
+    def test_size_is_checked_first(self, run):
+        with pytest.raises(ValueError, match="cap"):
+            run(DEFAULT_SIZE_CAP + 1)
+        with pytest.raises(ValueError, match="size 0"):
+            run(0)
+
+
 class TestElliptic:
     def test_quarter_turn_is_circular(self):
         est = estimate_elliptic_moment(
@@ -469,25 +510,25 @@ def products(monkeypatch):
     block draws are Counting stacks, from which every product derives.
 
     ``trials`` gets, for each product, the number of trials its block covers;
-    ``onto_product`` counts the products whose right factor is a product, and
-    ``conjugated`` the conjugates taken of a product."""
-    seen = SimpleNamespace(trials=[], onto_product=0, conjugated=0)
+    ``right_not_letter`` counts the products whose right factor is not a drawn
+    letter or its adjoint, and ``conjugated`` the conjugates taken of a product."""
+    seen = SimpleNamespace(trials=[], right_not_letter=0, conjugated=0)
 
     class Counting(np.ndarray):
-        formed = False
+        letter = True
 
         def __array_finalize__(self, obj):
-            self.formed = getattr(obj, "formed", False)  # a view of a product is one too
+            self.letter = getattr(obj, "letter", True)  # a view keeps its source's kind
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
             out = getattr(ufunc, method)(*plain, **kwargs).view(Counting)
-            out.formed = ufunc is np.matmul
+            out.letter = ufunc is np.conjugate and inputs[0].letter  # a letter's adjoint
             if ufunc is np.matmul:
                 seen.trials.append(len(out))
-                seen.onto_product += inputs[1].formed
+                seen.right_not_letter += not inputs[1].letter
             if ufunc is np.conjugate:
-                seen.conjugated += inputs[0].formed
+                seen.conjugated += not inputs[0].letter
             return out
 
     run = rmt._run_trials
@@ -503,8 +544,8 @@ def test_sweep_forms_one_product_per_class_prefix(products):
     # n = 16 stacks 16 trials a block: 20 trials take blocks of 16 and 4
     trials = 20
     sweep = pure_t_word_sweep(6, n=16, trials=trials, seed=0)
-    # the classes' halves of 2 or 3 letters, each as the lesser of it and its
-    # adjoint, are TT, TT*, TTT, TTT* and TT*T
+    # the classes' halves of 2 or 3 letters and their prefixes, a second half
+    # as the lesser of it and its adjoint, are TT, TT*, TTT, TTT* and TT*T
     assert sorted(products.trials) == [4] * 5 + [16] * 5
     assert sum(products.trials) == 5 * trials
     # the prefixes of length 2 to 5 over all 126 words number 4 + 8 + 16 + 32
@@ -519,19 +560,27 @@ def test_equal_halves_form_one_product(products):
     assert products.trials == [trials]
 
 
+def test_sweep_to_eight_letters_forms_thirteen_products(products):
+    # n = 6 stacks all 3 trials in one block
+    pure_t_word_sweep(8, n=6, trials=3, seed=0)
+    assert products.trials == [3] * 13
+    assert products.right_not_letter == products.conjugated == 0
+
+
 @pytest.mark.parametrize(
     "word",
     [("D", "D", "D", "T", "D", "T"), ("D", "D", "D", "T", "D*", "T*")],
     ids=" ".join,
 )
 def test_flagged_prefix_is_not_conjugated(products, word):
-    # the second half's prefix T D is held as its adjoint D* T*, so the half
-    # T D T (first word) is formed as its adjoint T* @ (D* T*), which the trace
-    # reads through np.vdot, and T D* T* (second word) as T @ (D* T*)
+    # the second halves are T D T and, as the lesser of T D* T* and its
+    # adjoint, T D T*; both start with T D, held as the plain product T @ D
+    # although its adjoint D* T* is the lesser, and the second word's trace
+    # reads T D T* through np.vdot
     n, trials, seed, mu = 8, 70, 51, UniformDisk(1)
     est = estimate_word_moment(list(word), n, trials, seed, mu=mu)
     assert_agrees(est, direct_values(draw_dz(mu, 1.0, n), [word], n, trials, seed)[word], word)
-    assert products.onto_product == 2  # one letter @ product step per block
+    assert products.right_not_letter == 0  # every product is a prefix times a letter
     assert products.conjugated == 0
 
 
@@ -544,8 +593,9 @@ def test_partial_blocks_agree_with_direct_traces(kind, n, trials):
         draw, words = draw_elliptic(theta, n), [z_word(eps) for eps in STAR_WORDS]
         run = {z_word(eps): partial(estimate_elliptic_moment, theta, eps) for eps in STAR_WORDS}
     else:
-        draw, words = draw_dz(mu, 0.5, n), DT_WORDS if kind == "dt" else Z_WORDS
-        run = {w: partial(estimate_word_moment, list(w), mu=mu, c=0.5) for w in words}
+        c = 0.5 if kind == "z" else 1.0  # c scales T inside Z only
+        draw, words = draw_dz(mu, c, n), DT_WORDS if kind == "dt" else Z_WORDS
+        run = {w: partial(estimate_word_moment, list(w), mu=mu, c=c) for w in words}
     direct = direct_values(draw, words, n, trials, seed)
     for w in words:
         assert_agrees(run[w](n=n, trials=trials, seed=seed), direct[w], w)
@@ -589,6 +639,34 @@ def test_sweep_memory_is_bounded_and_freed():
     peak, kept = traced_growth(lambda: pure_t_word_sweep(6, n=n, trials=2, seed=0))
     assert peak / matrix < 6.5
     assert kept / matrix < 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([UniformDisk(1), UniformAnnulus(F(3, 2))]),
+    st.one_of(
+        st.lists(st.sampled_from(("D", "D*", "T", "T*")), min_size=1, max_size=8),
+        st.lists(st.sampled_from(("Z", "Z*")), min_size=1, max_size=8),
+    ),
+)
+def test_random_words_agree_with_direct_traces(mu, letters):
+    # words of up to 8 letters reach every plan whose second half is held as its adjoint
+    n, trials, seed = 6, 3, 59
+    word, c = tuple(letters), 0.5 if letters[0].startswith("Z") else 1.0
+    plain = all(tok in ("T", "T*") for tok in word)  # no diagonal is drawn
+    draw = (lambda rng: {"T": utgrm(rng, n, 1 / n)}) if plain else draw_dz(mu, c, n)
+    est = estimate_word_moment(letters, n, trials, seed, mu=mu, c=c)
+    assert_agrees(est, direct_values(draw, [word], n, trials, seed)[word], word)
+
+
+def test_sweep_to_eight_letters_agrees_with_direct_traces():
+    n, trials, seed = 6, 3, 61
+    sweep = pure_t_word_sweep(8, n, trials, seed)
+    words = [w for k in range(1, 9) for w in itertools.product(("T", "T*"), repeat=k)]
+    direct = direct_values(lambda rng: {"T": utgrm(rng, n, 1 / n)}, words, n, trials, seed)
+    assert set(sweep) == set(direct)
+    for letters, values in direct.items():
+        assert_agrees(sweep[letters], values, letters)
 
 
 T_ADJOINT = {"T": "T*", "T*": "T"}
