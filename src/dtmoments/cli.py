@@ -14,15 +14,8 @@ import sys
 from fractions import Fraction
 
 from .errors import CapExceededError, WordParseError
-from .exact import ComplexRational, MomentValue, format_rational, parse_rational
-from .measures import (
-    Atomic,
-    MeasureModel,
-    UniformAnnulus,
-    UniformDisk,
-    UniformEllipse,
-    measure_from_json,
-)
+from .exact import MomentValue, format_rational, parse_rational
+from .measures import MeasureModel, UniformEllipse, measure_from_json
 from .moments import (
     DEFAULT_Z_LEN_CAP,
     DTWord,
@@ -31,10 +24,8 @@ from .moments import (
     ZWord,
     dt_word_moment,
     parse_word,
-    t_word_moment,
     z_word_moment,
 )
-from .ncpair import ONE, STAR, StarWord
 from .quasinil import DEFAULT_NK_CAP, conjecture_value, m_recursive, tstt_moment
 from .rmt import estimate_elliptic_moment, estimate_word_moment
 from .spectral import density_grid, density_moment
@@ -55,35 +46,30 @@ EXIT_NUMERIC = 4
 
 
 def parse_measure_arg(text: str) -> MeasureModel:
-    """A measure given as JSON or as one of the CLI shorthands:
-    delta0 | delta:<re>,<im> | disk:<R> | annulus:<c> | ellipse:<a>,<b>."""
+    """A measure given as JSON or as one of the CLI shorthands, each read as
+    its JSON spec: delta0 | delta:<re>[,<im>] | disk:<R> | annulus:<c> |
+    ellipse:<a>,<b>.  An unknown kind, an empty field or a wrong count raises
+    WordParseError; any other fault raises what ``measure_from_json`` does."""
     text = text.strip()
     if text.startswith("{"):
         return measure_from_json(text)
-    if text == "delta0":
-        return Atomic.delta(0)
-    kind, _, rest = text.partition(":")
-    # each shorthand's builder and its least and greatest parameter counts
-    builders = {
-        "delta": (lambda re, im=Fraction(0): Atomic.delta(ComplexRational(re, im)), 1, 2),
-        "disk": (UniformDisk, 1, 1),
-        "annulus": (UniformAnnulus, 1, 1),
-        "ellipse": (UniformEllipse, 2, 2),
-    }
-    if kind not in builders:
+    kind, _, rest = ("delta:0" if text == "delta0" else text).partition(":")
+    names = dict(delta=("re", "im"), disk=("radius",), annulus=("c",), ellipse=("a", "b")).get(kind)
+    if names is None:
         raise WordParseError(f"unknown measure {text!r}")
-    build, least, most = builders[kind]
-    try:
-        params = [parse_rational(tok) for tok in rest.split(",") if tok != ""]
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise WordParseError(f"bad measure shorthand {text!r}: {e}") from None
-    if not least <= len(params) <= most:
-        counts = str(least) if least == most else f"{least} to {most}"
+    fields = rest.split(",") if rest else []
+    least = 1 if kind == "delta" else len(names)
+    if "" in fields:
+        raise WordParseError(f"empty field in measure {text!r}")
+    if not least <= len(fields) <= len(names):
+        counts = str(least) if least == len(names) else f"{least} to {len(names)}"
         raise WordParseError(
-            f"measure {kind!r} takes {counts} parameter{'s' * (most > 1)}, got {len(params)}"
+            f"measure {kind!r} takes {counts} parameter{'s' * (len(names) > 1)}, got {len(fields)}"
         )
-    # domain violations (e.g. an annulus with c < 1) propagate as ValueError
-    return build(*params)
+    spec = dict(zip(names, fields))
+    if kind == "delta":
+        return measure_from_json({"type": "atomic", "atoms": [{**spec, "w": "1"}]})
+    return measure_from_json({"type": kind, **spec})
 
 
 def parse_exponents(text: str) -> tuple[int, ...]:
@@ -119,7 +105,7 @@ def _word_inputs(args, letters) -> tuple[MeasureModel, Fraction]:
         c = parse_rational("1" if args.c is None else args.c)
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise WordParseError(f"bad --c {args.c!r}: {e}") from None
-    mu = parse_measure_arg(args.measure or "delta0")  # an invalid measure still exits 4
+    mu = parse_measure_arg(args.measure or "delta0")  # a measure outside its domain exits 4
     if args.c is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--c scales T inside Z; it needs a word with Z letters")
     if args.measure not in (None, "delta0") and all(t in T_LETTERS for t in letters):
@@ -236,7 +222,7 @@ def cmd_mc(args, out) -> int:
             raise WordParseError(f"--theta samples the elliptic Z; letter {other!r} is not Z or Z*")
         if not 0.0 < args.theta < math.pi / 2:
             raise ValueError("theta must lie in (0, pi/2)")
-        eps = _star_word(letters)
+        eps = ZWord.from_letters(letters).eps
         a, b = math.cos(args.theta), math.sin(args.theta)
         target = z_word_moment(
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
@@ -245,22 +231,17 @@ def cmd_mc(args, out) -> int:
     else:
         mu, c = _word_inputs(args, letters)
         target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
+        reads_mu = any(t not in T_LETTERS for t in letters)
         est = estimate_word_moment(
-            letters, args.n, args.trials, args.seed, mu=mu, c=float(c)
+            letters, args.n, args.trials, args.seed, mu=mu if reads_mu else None, c=float(c)
         )
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
     return EXIT_OK
 
 
-def _star_word(letters) -> StarWord:
-    return StarWord(tuple(ONE if t in ("T", "Z") else STAR for t in letters))
-
-
 def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
-    """Exact moment of a T-only, Z or D/T word; ``c`` enters Z words only."""
-    if all(t in T_LETTERS for t in letters):
-        return t_word_moment(_star_word(letters))
+    """Exact moment of a Z or D/T word, T-only included; ``c`` enters Z words only."""
     if any(t in Z_LETTERS for t in letters):
         return z_word_moment(ZWord.from_letters(letters, c), mu, max_len=max_len)
     return dt_word_moment(DTWord.from_letters(letters), mu)

@@ -76,7 +76,7 @@ class UniformDisk:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", exact_or_float(self.radius))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("disk radius must be positive")
 
     def moment(self, r: int, s: int):
@@ -95,7 +95,7 @@ class UniformAnnulus:
 
     def __post_init__(self):
         object.__setattr__(self, "c", exact_or_float(self.c))
-        if self.c < 1:
+        if not self.c >= 1:
             raise ValueError("annulus parameter must satisfy c >= 1")
 
     def moment(self, r: int, s: int):
@@ -119,7 +119,7 @@ class UniformEllipse:
     def __post_init__(self):
         object.__setattr__(self, "a", exact_or_float(self.a))
         object.__setattr__(self, "b", exact_or_float(self.b))
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError("ellipse parameters must be positive")
 
     def _alpha_beta_products(self):
@@ -163,9 +163,13 @@ class MomentTable:
 
     def __post_init__(self):
         table = dict(self.entries)
+        if not self.max_degree >= 0:
+            raise ValueError("max_degree must be nonnegative")
         if table.get((0, 0), CQ_ONE) != CQ_ONE:
             raise ValueError("M(0, 0) must be 1")
         for (r, s), v in table.items():
+            if not (r >= 0 and s >= 0 and r + s <= self.max_degree):
+                raise ValueError(f"M({r}, {s}) needs orders >= 0 within max_degree {self.max_degree}")
             if r == s and not (v.is_real() and v.re >= 0):
                 raise ValueError(f"M({r}, {r}) = {v!r} must be real and >= 0")
             if (s, r) in table and table[s, r] != v.conjugate():
@@ -256,6 +260,10 @@ def measure_from_json(spec) -> MeasureModel:
       {"type": "annulus", "c": "p/q"}
       {"type": "ellipse", "a": ..., "b": ...}
       {"type": "table", "max_degree": d, "entries": [{"r": r, "s": s, "re": ..., "im": ...}]}
+
+    A malformed spec (an unknown type, a missing field, a field that does not
+    parse, "1/0" included) raises ``WordParseError``; a well-formed spec
+    outside its model's domain raises the model's own ``ValueError``.
     """
     if isinstance(spec, str):
         try:
@@ -265,20 +273,21 @@ def measure_from_json(spec) -> MeasureModel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise WordParseError("measure spec must be an object with a 'type' field")
     kind = spec["type"]
+    if kind not in ("atomic", "disk", "annulus", "ellipse", "table"):
+        raise WordParseError(f"unknown measure type {kind!r}")
     try:
         if kind == "atomic":
-            return Atomic(tuple((_cq_from_json(a), a["w"]) for a in spec["atoms"]))
-        if kind == "disk":
-            return UniformDisk(parse_rational(spec["radius"]))
-        if kind == "annulus":
-            return UniformAnnulus(parse_rational(spec["c"]))
-        if kind == "ellipse":
-            return UniformEllipse(parse_rational(spec["a"]), parse_rational(spec["b"]))
-        if kind == "table":
-            entries = tuple(
-                ((int(e["r"]), int(e["s"])), _cq_from_json(e)) for e in spec["entries"]
-            )
-            return MomentTable(int(spec["max_degree"]), entries)
-    except (KeyError, TypeError, ValueError) as e:
-        raise WordParseError(f"bad measure spec for type {kind!r}: {e}") from None
-    raise WordParseError(f"unknown measure type {kind!r}")
+            atoms = tuple((_cq_from_json(a), parse_rational(a["w"])) for a in spec["atoms"])
+            model, params = Atomic, [atoms]
+        elif kind == "disk":
+            model, params = UniformDisk, [parse_rational(spec["radius"])]
+        elif kind == "annulus":
+            model, params = UniformAnnulus, [parse_rational(spec["c"])]
+        elif kind == "ellipse":
+            model, params = UniformEllipse, [parse_rational(spec["a"]), parse_rational(spec["b"])]
+        else:
+            entries = tuple(((int(e["r"]), int(e["s"])), _cq_from_json(e)) for e in spec["entries"])
+            model, params = MomentTable, [int(spec["max_degree"]), entries]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise WordParseError(f"bad measure spec {spec!r}: {type(e).__name__}: {e}") from None
+    return model(*params)  # a spec outside the model's domain raises its ValueError

@@ -111,7 +111,7 @@ class ZWord:
 
     def __post_init__(self):
         object.__setattr__(self, "c", exact_or_float(self.c))
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("the scale c must be positive")
 
     @classmethod

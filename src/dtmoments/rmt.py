@@ -297,10 +297,10 @@ def estimate_word_moment(
 ) -> Estimate:
     """Monte Carlo normalized trace of a word in {D, D*, T, T*} or {Z, Z*}.
 
-    The diagonal is i.i.d. from ``mu`` (required for D or Z words) and the
-    triangular factor is strictly upper triangular with i.i.d. complex
-    N(0, 1/n) entries, drawn independently per trial; a Z letter stands for
-    D + c*T, with c > 0.  A c other than 1 needs Z letters.
+    The diagonal is i.i.d. from ``mu`` (required for D or Z words, refused
+    for others) and the triangular factor is strictly upper triangular with
+    i.i.d. complex N(0, 1/n) entries, drawn independently per trial; a Z
+    letter stands for D + c*T, with c > 0.  A c other than 1 needs Z letters.
     """
     _check_size(n, trials)
     letters = _check_letters(letters)
@@ -308,13 +308,15 @@ def estimate_word_moment(
     uses_d = any(t in D_LETTERS for t in letters)
     if (uses_d or uses_z) and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
+    if not (uses_d or uses_z) and mu is not None:
+        raise WordParseError("a measure is the law of D; it needs a word with D or Z letters")
     if not uses_z and c != 1:
         raise WordParseError("c scales T inside Z; it needs a word with Z letters")
     _check_scale(c)
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):
-        t, d = _triangular(rngs, size, upper, mu if uses_d or uses_z else None)
+        t, d = _triangular(rngs, size, upper, mu)
         mats = {"T": t}
         if uses_z:
             mats["Z"] = _with_diagonal(c * t, d)  # onto T's zero diagonal

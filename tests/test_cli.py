@@ -216,6 +216,69 @@ class TestMeasureArg:
         assert out == ""
         assert "disk" in err
 
+    @pytest.mark.parametrize("text", ["delta:,1", "disk:1,", "delta:1,,2"])
+    def test_empty_field_exits_2(self, capsys, text):
+        # empty fields were dropped and the rest shifted: delta:,1 read as
+        # delta:1, and D D printed 1 with exit 0 where delta:0,1 gives -1
+        code, out, err = run(capsys, "moment", "--word", "D D", "--measure", text)
+        assert code == 2
+        assert out == ""
+        assert "empty" in err
+
+    def test_unparsable_json_rational_exits_2_with_its_spec(self, capsys):
+        # exited 4 with the bare message "Fraction(1, 0)"
+        spec = '{"type": "disk", "radius": "1/0"}'
+        code, out, err = run(capsys, "moment", "--word", "D D*", "--measure", spec)
+        assert code == 2
+        assert out == ""
+        assert "'radius': '1/0'" in err
+
+    @pytest.mark.parametrize("text", ["annulus:1/2", '{"type": "annulus", "c": "1/2"}'])
+    def test_annulus_below_one_exits_4_in_both_spellings(self, capsys, text):
+        # the JSON spelling exited 2, as if it were malformed
+        code, out, err = run(capsys, "moment", "--word", "D D*", "--measure", text)
+        assert code == 4
+        assert out == ""
+        assert "c >= 1" in err
+
+
+# each fault of a measure, in its shorthand and its JSON spelling (None where
+# the spelling cannot express it), and the exit code both spellings share
+MEASURE_FAULTS = {
+    "unknown kind": ("square:1", {"type": "square", "radius": "1"}, 2),
+    "wrong count": ("ellipse:1", None, 2),  # JSON names its fields: see missing key
+    "empty field": ("disk:1,", {"type": "disk", "radius": ""}, 2),
+    "unparsable rational": ("disk:1/0", {"type": "disk", "radius": "x"}, 2),
+    "missing key": ("disk", {"type": "disk"}, 2),
+    "disk radius zero": ("disk:0", {"type": "disk", "radius": "0"}, 4),
+    "disk radius negative": ("disk:-1/2", {"type": "disk", "radius": "-1/2"}, 4),
+    "annulus c below one": ("annulus:1/2", {"type": "annulus", "c": "1/2"}, 4),
+    "ellipse a not positive": ("ellipse:0,1", {"type": "ellipse", "a": "0", "b": "1"}, 4),
+    "ellipse b not positive": ("ellipse:1,-1", {"type": "ellipse", "a": "1", "b": "-1"}, 4),
+    "atomic weight not positive": (
+        None, {"type": "atomic", "atoms": [{"re": "0", "w": "2"}, {"re": "1", "w": "-1"}]}, 4),
+    "atomic weights not summing to one": (
+        None, {"type": "atomic", "atoms": [{"re": "0", "w": "1/2"}]}, 4),
+    "table no measure has": (
+        None, {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": 1, "re": "-3"}]}, 4),
+}
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        pytest.param(text, code, id=f"{fault}-{spelling}")
+        for fault, (short, spec, code) in MEASURE_FAULTS.items()
+        for spelling, text in (("shorthand", short), ("json", spec and json.dumps(spec)))
+        if text
+    ],
+)
+def test_a_measure_fault_exits_alike_in_both_spellings(capsys, text, code):
+    # malformed exits 2 and outside its model's domain exits 4, however written
+    got, out, err = run(capsys, "moment", "--word", "D D*", "--measure", text)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
+
 
 class TestConjecture:
     def test_table_rows_all_equal(self, capsys):
@@ -394,6 +457,13 @@ class TestMC:
         assert got == code
         assert out == ""
         assert err.startswith("error:") and reason in err
+
+    @pytest.mark.parametrize("measure", [(), ("--measure", "delta0")], ids=["default", "delta0"])
+    def test_t_word_passes_no_measure_to_the_estimator(self, capsys, measure):
+        # the estimator refuses a measure on a word without D or Z letters
+        code, out, _ = run(capsys, "mc", "--word", "T* T", "--n", "8", "--trials", "4", *measure)
+        assert code == 0
+        assert json.loads(out)["target_re"] == 0.5
 
     def test_measure_and_c_default_to_delta0_and_one(self, capsys):
         code, out, _ = run(capsys, "mc", "--word", "Z* Z", "--n", "8", "--trials", "4")

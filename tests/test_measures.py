@@ -7,9 +7,10 @@ from conftest import measure_spec, quadrature_mixed_moment, table_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtmoments.cli import EXIT_PARSE, main, parse_measure_arg
+from dtmoments.cli import EXIT_NUMERIC, main, parse_measure_arg
 from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.exact import ComplexRational as CQ
+from dtmoments.exact import format_rational
 from dtmoments.measures import (
     Atomic,
     MomentTable,
@@ -239,7 +240,34 @@ class TestScaleConjugate:
                 assert nu.moment(r, s) == mu.moment(s, r)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformDisk(math.nan),
+        lambda: UniformAnnulus(math.nan),
+        lambda: UniformEllipse(math.nan, 1.0),
+        lambda: UniformEllipse(1.0, math.nan),
+    ],
+    ids=["disk", "annulus", "ellipse-a", "ellipse-b"],
+)
+def test_a_nan_parameter_is_refused(make):
+    # nan passed each `<=` check, and every moment came back nan tagged float
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestMomentTable:
+    @pytest.mark.parametrize(
+        "degree, entries",
+        [(-1, ()), (2, (((-1, 0), CQ(1)),)), (2, (((3, 3), CQ(1)),))],
+        ids=["negative-degree", "negative-order", "over-degree"],
+    )
+    def test_a_table_that_serves_no_entry_is_refused(self, degree, entries):
+        # each was accepted: MomentTable(-1, ()) cannot serve M(0, 0), and
+        # these entries were never served
+        with pytest.raises(ValueError, match="max_degree"):
+            MomentTable(degree, entries)
+
     def test_degree_cap(self):
         table = MomentTable(3, (((1, 1), CQ(F(1, 2))),))
         assert table.moment(1, 1) == F(1, 2)
@@ -268,9 +296,10 @@ class TestMomentTable:
         ({"r": 1, "s": 1, "re": "1", "im": "1"}, "D D*"),
     ])
     def test_cli_refuses_a_table_no_measure_has(self, capsys, entry, word):
-        # printed -5/2 and i with exit 0
+        # printed -5/2 and i with exit 0; a well-formed spec outside its
+        # model's domain exits 4, as a shorthand does
         spec = json.dumps({"type": "table", "max_degree": 2, "entries": [entry]})
-        assert main(["moment", "--word", word, "--measure", spec]) == EXIT_PARSE
+        assert main(["moment", "--word", word, "--measure", spec]) == EXIT_NUMERIC
         out, err = capsys.readouterr()
         assert out == "" and "M(1, 1)" in err
 
@@ -323,6 +352,29 @@ def exact_models(draw):
     return kind(*(draw(_positive(F(3))) for _ in range(2 if kind is UniformEllipse else 1)))
 
 
+@st.composite
+def shorthand_models(draw):
+    """An exact model of each kind a CLI shorthand writes: a disk, annulus or
+    ellipse, or a point mass anywhere in the plane."""
+    kind = draw(st.sampled_from([Atomic, UniformDisk, UniformAnnulus, UniformEllipse]))
+    if kind is Atomic:
+        return Atomic.delta(_gaussian_rational(draw))
+    if kind is UniformAnnulus:
+        return UniformAnnulus(draw(st.fractions(min_value=1, max_value=4, max_denominator=12)))
+    return kind(*(draw(_positive(F(3))) for _ in range(2 if kind is UniformEllipse else 1)))
+
+
+def shorthand(mu) -> str:
+    """The CLI shorthand of a model from ``shorthand_models``."""
+    if isinstance(mu, Atomic):
+        (loc, _), = mu.atoms
+        params = (loc.re, loc.im)
+    else:
+        params = vars(mu).values()
+    kind = {Atomic: "delta", UniformDisk: "disk", UniformAnnulus: "annulus", UniformEllipse: "ellipse"}
+    return f"{kind[type(mu)]}:" + ",".join(map(format_rational, params))
+
+
 class TestJsonSpec:
     def test_roundtrip(self):
         specs = [
@@ -345,9 +397,13 @@ class TestJsonSpec:
 
     def test_bad_specs_raise(self):
         for bad in ("not json", '{"type": "nope"}', '{"radius": 1}',
-                    '{"type": "annulus", "c": "1/2"}'):
+                    '{"type": "disk", "radius": "1/0"}'):
             with pytest.raises(WordParseError):
                 measure_from_json(bad)
+        # well-formed but outside the annulus's domain: the model's own error
+        with pytest.raises(ValueError, match="c >= 1") as info:
+            measure_from_json('{"type": "annulus", "c": "1/2"}')
+        assert not isinstance(info.value, WordParseError)
 
     @given(mu=exact_models())
     @settings(max_examples=60, deadline=None)
@@ -355,3 +411,8 @@ class TestJsonSpec:
         spec = measure_spec(mu)
         assert measure_from_json(spec) == mu
         assert parse_measure_arg(json.dumps(spec)) == mu
+
+    @given(mu=shorthand_models())
+    @settings(max_examples=60, deadline=None)
+    def test_shorthand_json_spec_and_model_agree(self, mu):
+        assert parse_measure_arg(shorthand(mu)) == parse_measure_arg(json.dumps(measure_spec(mu))) == mu

@@ -263,6 +263,11 @@ class TestZWordMoment:
         assert zw.c == F(2, 3) and isinstance(zw.c, F)
         assert z_word_moment(zw, UniformDisk(1)).as_fraction() == F(1, 2) + F(2, 9)
 
+    def test_a_nan_scale_is_refused(self):
+        # it was accepted, and z_word_moment gave nan+0j tagged float
+        with pytest.raises(ValueError, match="the scale c must be positive"):
+            ZWord(StarWord((STAR, ONE)), float("nan"))
+
     def test_length_cap(self):
         k = DEFAULT_Z_LEN_CAP + 2
         zw = ZWord(StarWord((ONE,) * k))

@@ -272,6 +272,11 @@ class TestScaleAndLength:
         with pytest.raises(WordParseError, match="Z letters"):
             estimate_word_moment(["D*", "T"], 8, 2, 0, mu=UniformDisk(1), c=2.0)
 
+    def test_measure_on_a_word_without_d_or_z_letters_is_refused(self):
+        # mu is the law of D; T* T on a disk of radius 2 equalled the call without mu
+        with pytest.raises(WordParseError, match="D or Z letters"):
+            estimate_word_moment(["T*", "T"], 8, 400, 0, mu=UniformDisk(2))
+
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_scale_must_be_positive(self, c):
         # ZWord refuses these; both estimators sampled them
@@ -290,13 +295,14 @@ class TestScaleAndLength:
         "run",
         [
             lambda n: estimate_word_moment(["T"], n, 2, 0, c=5.0),
+            lambda n: estimate_word_moment(["T"], n, 2, 0, mu=UniformDisk(1)),
             lambda n: estimate_word_moment(["Z"], n, 2, 0, mu=UniformDisk(1), c=0.0),
             lambda n: deterministic_diagonal_run(
                 lambda m: [0.0] * m, -1.0, StarWord((ONE,)), n, 2, 0
             ),
             lambda n: pure_t_word_sweep(0, n, 2, 0),
         ],
-        ids=["word-c", "word-scale", "fixed-scale", "sweep-length"],
+        ids=["word-c", "word-measure", "word-scale", "fixed-scale", "sweep-length"],
     )
     def test_size_is_checked_first(self, run):
         with pytest.raises(ValueError, match="cap"):
@@ -655,7 +661,7 @@ def test_random_words_agree_with_direct_traces(mu, letters):
     word, c = tuple(letters), 0.5 if letters[0].startswith("Z") else 1.0
     plain = all(tok in ("T", "T*") for tok in word)  # no diagonal is drawn
     draw = (lambda rng: {"T": utgrm(rng, n, 1 / n)}) if plain else draw_dz(mu, c, n)
-    est = estimate_word_moment(letters, n, trials, seed, mu=mu, c=c)
+    est = estimate_word_moment(letters, n, trials, seed, mu=None if plain else mu, c=c)
     assert_agrees(est, direct_values(draw, [word], n, trials, seed)[word], word)
 
 
