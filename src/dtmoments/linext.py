@@ -118,6 +118,19 @@ def _glue(f: list, g: list, below: bool) -> list:
     return out
 
 
+def _add(f: list, g: list) -> list:
+    """Sum of two rank vectors as polynomials: v of length m is sum_i v[i]
+    B(i, m-1-i), B(i, j) = x^i (1-x)^j / (i! j!), of integral sum(v) / m!;
+    B(i, j) = (i+1) B(i+1, j) + (j+1) B(i, j+1) raises the shorter exactly."""
+    if len(f) < len(g):
+        f, g = g, f
+    if not g:
+        return f
+    for m in range(len(g), len(f)):
+        g = [k * x + (m - k) * y for k, x, y in zip(range(m + 1), [0, *g], [*g, 0])]
+    return [x + y for x, y in zip(f, g)]
+
+
 def nto(sigma: Pairing, eps: StarWord) -> int:
     """Ordering count of the folded tree.
 

@@ -19,9 +19,9 @@ Sampling lives elsewhere; these models are pure moment oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from .errors import CapExceededError, WordParseError
 from .exact import (
@@ -76,8 +76,8 @@ class UniformDisk:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", exact_or_float(self.radius))
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not 0 < self.radius < inf:
+            raise ValueError("disk radius must be positive and finite")
 
     def moment(self, r: int, s: int):
         return _tagged(self.radius ** (2 * r) / (r + 1) if r == s else 0 * self.radius)
@@ -95,8 +95,8 @@ class UniformAnnulus:
 
     def __post_init__(self):
         object.__setattr__(self, "c", exact_or_float(self.c))
-        if not self.c >= 1:
-            raise ValueError("annulus parameter must satisfy c >= 1")
+        if not 1 <= self.c < inf:
+            raise ValueError("annulus parameter must satisfy c >= 1 and be finite")
 
     def moment(self, r: int, s: int):
         c = self.c
@@ -119,8 +119,8 @@ class UniformEllipse:
     def __post_init__(self):
         object.__setattr__(self, "a", exact_or_float(self.a))
         object.__setattr__(self, "b", exact_or_float(self.b))
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("ellipse parameters must be positive")
+        if not (0 < self.a < inf and 0 < self.b < inf):
+            raise ValueError("ellipse parameters must be positive and finite")
 
     def _alpha_beta_products(self):
         # alpha, beta are half the sum and half the difference of the semi-axes;
@@ -245,10 +245,27 @@ def conjugate(mu: MeasureModel) -> MeasureModel:
 # -- JSON specification ------------------------------------------------------
 
 
-def _cq_from_json(obj) -> ComplexRational:
-    if isinstance(obj, dict):
-        return ComplexRational(obj.get("re", 0), obj.get("im", 0))
-    return ComplexRational(obj)
+def _only(obj: dict, *keys: str) -> dict:
+    """``obj``, if it holds no key outside ``keys``."""
+    unread = sorted(set(obj) - set(keys))
+    if unread:
+        raise ValueError(f"unknown keys {unread}")
+    return obj
+
+
+def _order(value) -> int:
+    """A moment order or degree, read exactly: 2, 2.0 and "2" read as 2."""
+    q = parse_rational(value)
+    if q.denominator != 1:
+        raise ValueError(f"order {value!r} is not an integer")
+    return int(q)
+
+
+def _cq_from_json(obj: dict) -> ComplexRational:
+    return ComplexRational(obj.get("re", 0), obj.get("im", 0))
+
+
+_SHAPES = {"disk": UniformDisk, "annulus": UniformAnnulus, "ellipse": UniformEllipse}
 
 
 def measure_from_json(spec) -> MeasureModel:
@@ -261,9 +278,11 @@ def measure_from_json(spec) -> MeasureModel:
       {"type": "ellipse", "a": ..., "b": ...}
       {"type": "table", "max_degree": d, "entries": [{"r": r, "s": s, "re": ..., "im": ...}]}
 
-    A malformed spec (an unknown type, a missing field, a field that does not
-    parse, "1/0" included) raises ``WordParseError``; a well-formed spec
-    outside its model's domain raises the model's own ``ValueError``.
+    A disk, annulus or ellipse names its model's fields.  A malformed spec (an
+    unknown type or key, a missing field, a field that does not parse, "1/0"
+    included, an order that is not an integer) raises ``WordParseError``; a
+    well-formed spec outside its model's domain raises the model's own
+    ``ValueError``.
     """
     if isinstance(spec, str):
         try:
@@ -273,21 +292,25 @@ def measure_from_json(spec) -> MeasureModel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise WordParseError("measure spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind not in ("atomic", "disk", "annulus", "ellipse", "table"):
+    if kind not in ("atomic", "table", *_SHAPES):
         raise WordParseError(f"unknown measure type {kind!r}")
     try:
         if kind == "atomic":
-            atoms = tuple((_cq_from_json(a), parse_rational(a["w"])) for a in spec["atoms"])
+            _only(spec, "type", "atoms")
+            atoms = tuple((_cq_from_json(_only(a, "re", "im", "w")), parse_rational(a["w"]))
+                          for a in spec["atoms"])
             model, params = Atomic, [atoms]
-        elif kind == "disk":
-            model, params = UniformDisk, [parse_rational(spec["radius"])]
-        elif kind == "annulus":
-            model, params = UniformAnnulus, [parse_rational(spec["c"])]
-        elif kind == "ellipse":
-            model, params = UniformEllipse, [parse_rational(spec["a"]), parse_rational(spec["b"])]
+        elif kind == "table":
+            _only(spec, "type", "max_degree", "entries")
+            entries = tuple(
+                ((_order(e["r"]), _order(e["s"])), _cq_from_json(_only(e, "r", "s", "re", "im")))
+                for e in spec["entries"])
+            model, params = MomentTable, [_order(spec["max_degree"]), entries]
         else:
-            entries = tuple(((int(e["r"]), int(e["s"])), _cq_from_json(e)) for e in spec["entries"])
-            model, params = MomentTable, [int(spec["max_degree"]), entries]
+            model = _SHAPES[kind]
+            names = [field.name for field in fields(model)]
+            _only(spec, "type", *names)
+            params = [parse_rational(spec[name]) for name in names]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise WordParseError(f"bad measure spec {spec!r}: {type(e).__name__}: {e}") from None
     return model(*params)  # a spec outside the model's domain raises its ValueError

@@ -8,8 +8,9 @@ mixed moments at the class exponent totals, times the tree's
 linear-extension count, all divided by (k/2 + 1)!.
 
 The pairings are never enumerated: :func:`_word_sum` sums over all of them
-at once by an interval DP over letter positions, in O(k^5) integer
-operations for a T-word of k letters instead of Catalan(k/2) tree counts.
+at once by an interval DP over letter positions, with one rank vector per
+root exponent pair (r, s), in O(k^5) integer operations for a T-word of k
+letters instead of Catalan(k/2) tree counts.
 A letter of the combined generator Z = D + c*T offers both its diagonal and
 its triangular part, so one DP sums over all 2^k choices of parts; a D/T
 word gives each nonempty block one diagonal position ahead of its T-slot.
@@ -20,16 +21,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from .errors import CapExceededError, WordParseError
 from .exact import ComplexRational, MomentValue, exact_or_float, rational_sqrt
-from .linext import _glue
+from .linext import _add, _glue
 from .measures import MeasureModel, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
-# a cold (Z*Z)^12 on the unit disk takes about 2 s, and two more letters
-# multiply that by about 1.6
+# a cold (Z*Z)^12 on the unit disk takes about 0.4 s, and two more letters
+# multiply that by about 1.8 ((Z*Z)^16 about 1.7 s)
 DEFAULT_Z_LEN_CAP = 24
 
 T_LETTERS = ("T", "T*")
@@ -111,8 +112,8 @@ class ZWord:
 
     def __post_init__(self):
         object.__setattr__(self, "c", exact_or_float(self.c))
-        if not self.c > 0:
-            raise ValueError("the scale c must be positive")
+        if not 0 < self.c < inf:
+            raise ValueError("the scale c must be positive and finite")
 
     @classmethod
     def from_letters(cls, letters, c=Fraction(1)) -> "ZWord":
@@ -129,23 +130,17 @@ def _word_sum(parts, moment, c_sq=1):
     of part per letter and every compatible non-crossing pairing.
 
     ``parts[p]`` is position p's diagonal exponents (r, s), or None, and its
-    triangular symbol, or None; each triangular part weighs c.  An interval
-    DP over positions a..e-1: the interval folds to a tree rooted at the
-    class of the corners just before a and just after e - 1, and ``G[a][e]``
-    maps that root's exponents (r, s), summed over the diagonal parts it
-    holds, and its tree's vertex count L to the root's Atkinson rank vector
-    (of length L), summed over the interval's part choices and pairings with
-    the closed classes' moments applied.  A diagonal part at a joins the
-    root.  A triangular part at a paired with one at j puts the corner after
-    j in the root and hangs the class of the corners after a and before j,
-    the root of a+1..j-1, on it across the arc; that class closes, so its
-    moment is taken, once per pair (a, j) in ``closed[a][j]``, and its vector
-    glued on.  Gluing is bilinear, so sums of vectors of one length glue as
-    one.  The trace is the sum over the keys of the whole word of
-    moment(r, s) * sum(vec) * c^(2(L-1)) / L!.
+    triangular symbol, or None; each triangular part weighs c.  Positions
+    a..e-1 fold to a tree rooted at the class of the corners before a and
+    after e - 1; ``G[a][e]`` maps the root's exponents (r, s) to its rank
+    vector, summed over part choices and pairings as a polynomial that
+    ``_glue`` multiplies (``linext._add``).  A diagonal part at a joins the
+    root; an arc from a to j hangs the root of a+1..j-1 on it and closes that
+    class: ``closed[a][j]`` is its vector times its moment and c^2.  The
+    trace sums moment(r, s) * sum(vec) / len(vec)!.
     """
     n = len(parts)
-    empty = {(0, 0, 1): [1]}
+    empty = {(0, 0): [1]}
     G = [[empty] * (n + 1) for _ in range(n + 1)]
     closed: list[dict] = [{} for _ in range(n)]
     for length in range(1, n + 1):
@@ -153,32 +148,24 @@ def _word_sum(parts, moment, c_sq=1):
             e = a + length
             diag, sym = parts[a]
             if sym is not None and parts[e - 1][1] not in (None, sym):
-                child: dict[int, list] = {}
-                for (r, s, size), vec in G[a + 1][e - 1].items():
-                    m = moment(r, s)
-                    if not m:
-                        continue
-                    acc = child.get(size)
-                    child[size] = [m * x for x in vec] if acc is None else [y + m * x for x, y in zip(vec, acc)]
+                child: list = []
+                for (r, s), vec in G[a + 1][e - 1].items():
+                    if m := moment(r, s) * c_sq:
+                        child = _add(child, [m * x for x in vec])
                 if child:
                     closed[a][e - 1] = child
             root = {}
             if diag is not None:
-                for (r, s, size), vec in G[a + 1][e].items():
-                    root[r + diag[0], s + diag[1], size] = vec
+                for (r, s), vec in G[a + 1][e].items():
+                    root[r + diag[0], s + diag[1]] = vec
             for j, child in closed[a].items():
-                for child_size, child_vec in child.items():
-                    for (r, s, size), vec in G[j + 1][e].items():
-                        glued = _glue(vec, child_vec, sym == STAR)
-                        key = (r, s, size + child_size)
-                        acc = root.get(key)
-                        root[key] = glued if acc is None else [x + y for x, y in zip(glued, acc)]
+                for (r, s), vec in G[j + 1][e].items():
+                    root[r, s] = _add(root.get((r, s), []), _glue(vec, child, sym == STAR))
             G[a][e] = root
     total = 0
-    for (r, s, size), vec in G[0][n].items():
-        m = moment(r, s)
-        if m:
-            total = m * sum(vec) * c_sq ** (size - 1) * Fraction(1, factorial(size)) + total
+    for (r, s), vec in G[0][n].items():
+        if m := moment(r, s):
+            total = m * sum(vec) * Fraction(1, factorial(len(vec))) + total
     # M(0, 0) and c^0 are 1 in the measure's and the scale's own arithmetic:
     # a float measure or scale keeps its float tag when every term vanished
     return total * moment(0, 0) * c_sq**0

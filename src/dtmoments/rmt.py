@@ -175,8 +175,8 @@ def _check_size(n: int, trials: int) -> None:
 
 
 def _check_scale(c: float) -> None:
-    if not c > 0:
-        raise ValueError("the scale c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("the scale c must be positive and finite")
 
 
 def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:

@@ -261,6 +261,11 @@ MEASURE_FAULTS = {
         None, {"type": "atomic", "atoms": [{"re": "0", "w": "1/2"}]}, 4),
     "table no measure has": (
         None, {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": 1, "re": "-3"}]}, 4),
+    # both read with exit 0: the ellipse as UniformEllipse(1, 1), the table as
+    # MomentTable(2, (((1, 0), 1/2),))
+    "unread key": ("ellipse:1,1,7", {"type": "ellipse", "a": "1", "b": "1", "c": "7"}, 2),
+    "fractional order": (
+        None, {"type": "table", "max_degree": 2.9, "entries": [{"r": 1.5, "s": 0.2, "re": "1/2"}]}, 2),
 }
 
 

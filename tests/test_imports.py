@@ -39,3 +39,46 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names (one leading underscore) defined in
+    ``sources``, a map of module name to source, that no module reads: no
+    load of the name, no attribute of that name and no import of it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_the_check_finds_unread_private_names():
+    sources = {
+        "a": "_USED = 1\n_LEFT, _PAIR = 2, 3\ndef _helper():\n    return _USED\n"
+             "class _Kept:\n    pass\n__dunder__ = 0\n",
+        "b": "from .a import _Kept\ndef _recurse(n):\n    return _recurse(n - 1)\n"
+             "def f(mod):\n    return mod._PAIR\n",
+    }
+    assert unread_private_names(sources) == ["a._LEFT", "a._helper"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.relative_to(PACKAGE).with_suffix("").as_posix(): p.read_text()
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    assert unread_private_names(sources) == []

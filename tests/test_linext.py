@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 from conftest import count_linear_extensions_brute
 
-from dtmoments.linext import TreePoset, count_linear_extensions, nto
+from dtmoments.linext import TreePoset, _add, count_linear_extensions, nto
 from dtmoments.ncpair import ONE, STAR, Pairing, StarWord
 
 
@@ -114,3 +115,28 @@ class TestNTO:
     def test_incompatible_rejected(self):
         with pytest.raises(ValueError):
             nto(Pairing(((1, 2),)), StarWord((ONE, ONE)))
+
+
+def rank_polynomial(v: list, x: F):
+    """The polynomial a rank vector of length m stands for, at x:
+    sum_i v[i] * x^i (1-x)^(m-1-i) / (i! (m-1-i)!)."""
+    m = len(v)
+    return sum(vi * x**i * (1 - x) ** (m - 1 - i) / (math.factorial(i) * math.factorial(m - 1 - i))
+               for i, vi in enumerate(v))
+
+
+def test_add_sums_rank_vectors_of_any_lengths_as_polynomials():
+    rng = random.Random(2207)
+    for trial in range(200):
+        f, g = ([rng.randint(-50, 50) if trial % 2 else F(rng.randint(-50, 50), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 8))] for _ in range(2))
+        got = _add(f, g)
+        assert len(got) == max(len(f), len(g))
+        for x in (F(1, 3), F(2, 7)):
+            assert rank_polynomial(got, x) == rank_polynomial(f, x) + rank_polynomial(g, x)
+        # the integral over [0, 1] is sum / len!
+        assert F(sum(got), math.factorial(len(got))) == (
+            F(sum(f), math.factorial(len(f))) + F(sum(g), math.factorial(len(g))))
+        if trial % 2:
+            assert all(isinstance(y, int) for y in got)
+        assert _add(f, []) == f and _add([], g) == g

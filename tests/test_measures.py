@@ -247,8 +247,13 @@ class TestScaleConjugate:
         lambda: UniformAnnulus(math.nan),
         lambda: UniformEllipse(math.nan, 1.0),
         lambda: UniformEllipse(1.0, math.nan),
+        lambda: UniformDisk(math.inf),
+        lambda: UniformAnnulus(math.inf),
+        lambda: UniformEllipse(math.inf, 1.0),
+        lambda: UniformEllipse(1.0, math.inf),
     ],
-    ids=["disk", "annulus", "ellipse-a", "ellipse-b"],
+    ids=["disk", "annulus", "ellipse-a", "ellipse-b",
+         "disk-inf", "annulus-inf", "ellipse-a-inf", "ellipse-b-inf"],
 )
 def test_a_nan_parameter_is_refused(make):
     # nan passed each `<=` check, and every moment came back nan tagged float
@@ -404,6 +409,44 @@ class TestJsonSpec:
         with pytest.raises(ValueError, match="c >= 1") as info:
             measure_from_json('{"type": "annulus", "c": "1/2"}')
         assert not isinstance(info.value, WordParseError)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "ellipse", "a": "1", "b": "1", "c": "7"},
+            {"type": "disk", "radius": "1", "R": "2"},
+            {"type": "atomic", "atoms": [{"re": "0", "w": "1"}], "weights": ["1"]},
+            {"type": "atomic", "atoms": [{"re": "0", "w": "1", "weight": "1/2"}]},
+            {"type": "table", "max_degree": 2, "entries": [], "degree": 3},
+            {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": 1, "re": "1/2", "i": "1"}]},
+        ],
+        ids=["ellipse", "disk", "atomic", "atom", "table", "table-entry"],
+    )
+    def test_an_unread_key_is_refused(self, spec):
+        # each extra key was ignored: the ellipse read as UniformEllipse(1, 1)
+        with pytest.raises(WordParseError):
+            measure_from_json(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "table", "max_degree": 2.9, "entries": [{"r": 1.5, "s": 0.2, "re": "1/2"}]},
+            {"type": "table", "max_degree": 2.9, "entries": []},
+            {"type": "table", "max_degree": "5/2", "entries": []},
+            {"type": "table", "max_degree": 2, "entries": [{"r": 1.5, "s": 0, "re": "1/2"}]},
+            {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": "1/2", "re": "1/2"}]},
+        ],
+        ids=["all", "float-degree", "string-degree", "float-order", "string-order"],
+    )
+    def test_a_fractional_order_is_refused(self, spec):
+        # int() truncated them: the first read as MomentTable(2, (((1, 0), 1/2),))
+        with pytest.raises(WordParseError):
+            measure_from_json(spec)
+
+    def test_integer_orders_read_in_any_spelling(self):
+        spec = {"type": "table", "max_degree": "2",
+                "entries": [{"r": 1.0, "s": "1", "re": "1/2"}]}
+        assert measure_from_json(spec) == MomentTable(2, (((1, 1), CQ(F(1, 2))),))
 
     @given(mu=exact_models())
     @settings(max_examples=60, deadline=None)

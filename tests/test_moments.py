@@ -201,14 +201,21 @@ class TestZWordMoment:
         zw = ZWord.from_letters(["Z*", "Z"])
         assert z_word_moment(zw, UniformDisk(1)).as_fraction() == 1
 
-    def test_circular_moments_match_free_poisson_oracle(self):
-        # independent route: moments of the squared circular generator are the
-        # free Poisson(1) moments, i.e. all free cumulants equal 1
-        ones = Series.from_one_indexed([F(1)] * 12)
-        catalan = free_cumulants_to_moments(ones)
-        for p in range(1, 13):
+    @pytest.mark.parametrize(
+        "mu, rate, order",
+        [(UniformDisk(1), 1, 12), (UniformAnnulus(F(7, 5)), F(7, 5), 10), (UniformAnnulus(3), 3, 10)],
+        ids=["disk:1", "annulus:7/5", "annulus:3"],
+    )
+    def test_circular_moments_match_free_poisson_oracle(self, mu, rate, order):
+        # independent route: with c = 1, Z* Z over the disk and over annulus:rate
+        # has the free Poisson(rate) moments, i.e. all free cumulants equal
+        # rate (the circular free Poisson operators); past 8 letters many
+        # tree sizes share one root exponent pair
+        cumulants = Series.from_one_indexed([F(rate)] * order)
+        want = free_cumulants_to_moments(cumulants)
+        for p in range(1, order + 1):
             zw = ZWord.from_letters(["Z*", "Z"] * p)
-            assert z_word_moment(zw, UniformDisk(1)).as_fraction() == catalan[p]
+            assert z_word_moment(zw, mu).as_fraction() == want[p]
 
     def test_scale_enters_through_c_squared(self):
         zw = ZWord(StarWord((STAR, ONE)), F(1, 2))
@@ -264,9 +271,10 @@ class TestZWordMoment:
         assert z_word_moment(zw, UniformDisk(1)).as_fraction() == F(1, 2) + F(2, 9)
 
     def test_a_nan_scale_is_refused(self):
-        # it was accepted, and z_word_moment gave nan+0j tagged float
-        with pytest.raises(ValueError, match="the scale c must be positive"):
-            ZWord(StarWord((STAR, ONE)), float("nan"))
+        # each was accepted, and z_word_moment gave nan+0j tagged float
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="the scale c must be positive"):
+                ZWord(StarWord((STAR, ONE)), c)
 
     def test_length_cap(self):
         k = DEFAULT_Z_LEN_CAP + 2

@@ -277,9 +277,10 @@ class TestScaleAndLength:
         with pytest.raises(WordParseError, match="D or Z letters"):
             estimate_word_moment(["T*", "T"], 8, 400, 0, mu=UniformDisk(2))
 
-    @pytest.mark.parametrize("c", [0.0, -1.0])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     def test_scale_must_be_positive(self, c):
-        # ZWord refuses these; both estimators sampled them
+        # ZWord refuses these; both estimators sampled them (inf gave a nan
+        # estimate)
         with pytest.raises(ValueError, match="the scale c must be positive"):
             estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=c)
         with pytest.raises(ValueError, match="the scale c must be positive"):
