@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CapExceededError, WordParseError
 from .exact import MomentValue, format_rational, parse_rational
-from .measures import MeasureModel, UniformEllipse, measure_from_json
+from .measures import _SHAPES, MeasureModel, UniformEllipse, measure_from_json
 from .moments import (
     DEFAULT_Z_LEN_CAP,
     DTWord,
@@ -44,29 +46,29 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
+# the least value of each bounded integer flag, by dest; main checks these
+# before any other input is read
+_LEAST = dict(max_degree=1, n_max=1, k_max=1, p_max=0, grid=1, order=1, n=1, trials=2)
+
 
 def parse_measure_arg(text: str) -> MeasureModel:
     """A measure given as JSON or as one of the CLI shorthands, each read as
     its JSON spec: delta0 | delta:<re>[,<im>] | disk:<R> | annulus:<c> |
-    ellipse:<a>,<b>.  An unknown kind, an empty field or a wrong count raises
-    WordParseError; any other fault raises what ``measure_from_json`` does."""
+    ellipse:<a>,<b>.  An unknown kind, an empty field or too many parameters
+    raises WordParseError; any other fault raises what ``measure_from_json`` does."""
     text = text.strip()
     if text.startswith("{"):
         return measure_from_json(text)
     kind, _, rest = ("delta:0" if text == "delta0" else text).partition(":")
-    names = dict(delta=("re", "im"), disk=("radius",), annulus=("c",), ellipse=("a", "b")).get(kind)
-    if names is None:
+    if kind not in ("delta", *_SHAPES):
         raise WordParseError(f"unknown measure {text!r}")
-    fields = rest.split(",") if rest else []
-    least = 1 if kind == "delta" else len(names)
-    if "" in fields:
+    names = ("re", "im") if kind == "delta" else [field.name for field in fields(_SHAPES[kind])]
+    values = rest.split(",") if rest else []
+    if "" in values:
         raise WordParseError(f"empty field in measure {text!r}")
-    if not least <= len(fields) <= len(names):
-        counts = str(least) if least == len(names) else f"{least} to {len(names)}"
-        raise WordParseError(
-            f"measure {kind!r} takes {counts} parameter{'s' * (len(names) > 1)}, got {len(fields)}"
-        )
-    spec = dict(zip(names, fields))
+    if len(values) > len(names):
+        raise WordParseError(f"measure {kind!r} got {len(values)} parameters; it takes {' and '.join(names)}")
+    spec = dict(zip(names, values))
     if kind == "delta":
         return measure_from_json({"type": "atomic", "atoms": [{**spec, "w": "1"}]})
     return measure_from_json({"type": kind, **spec})
@@ -113,13 +115,11 @@ def _word_inputs(args, letters) -> tuple[MeasureModel, Fraction]:
     return mu, c
 
 
-def cmd_moment(args, out) -> int:
+def cmd_moment(args, out) -> None:
     if bool(args.word) == bool(args.exponents):
         raise WordParseError("moment needs exactly one of --word / --exponents")
     letters = parse_word(args.word) if args.word else ()
     mu, c = _word_inputs(args, letters)
-    if args.max_degree is not None and args.max_degree < 1:
-        raise WordParseError("--max-degree must be at least 1")
     if args.max_degree is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--max-degree caps Z-words only")
     if args.exponents:
@@ -134,12 +134,9 @@ def cmd_moment(args, out) -> int:
         value = _word_value(letters, mu, c, cap)
         payload = _moment_payload(args.word, value)
     _emit(payload, args.format, out)
-    return EXIT_OK
 
 
-def cmd_conjecture(args, out) -> int:
-    if args.n_max < 1 or args.k_max < 1:
-        raise WordParseError("--n-max and --k-max must be at least 1")
+def cmd_conjecture(args, out) -> None:
     rows = []
     for n in range(1, args.n_max + 1):
         for k in range(1, args.k_max + 1):
@@ -160,15 +157,9 @@ def cmd_conjecture(args, out) -> int:
                 }
             )
     _emit(rows, args.format, out)
-    return EXIT_OK
 
 
-def cmd_density(args, out) -> int:
-    if args.p_max < 0:
-        raise WordParseError("--p-max must be nonnegative")
-    if args.grid < 1:
-        raise WordParseError("--grid must be at least 1")
-    # the check table is built first, so a --p-max over the cap writes nothing
+def cmd_density(args, out) -> None:
     check = []
     for p in range(0, args.p_max + 1):
         got = density_moment(p)
@@ -177,13 +168,10 @@ def cmd_density(args, out) -> int:
     rows = [{"x": pt.x, "phi": pt.phi, "v": pt.v} for pt in density_grid(args.grid)]
     _emit(rows, args.format, out)
     _emit(check, args.format, out)
-    return EXIT_OK
 
 
-def cmd_series(args, out) -> int:
+def cmd_series(args, out) -> None:
     order = args.order
-    if order < 1:
-        raise WordParseError("--order must be at least 1")
     rows = []
     for n in (1, 2, 3):
         rows.append({"check": "strict_block_inverse", "n": n, "order": order,
@@ -204,14 +192,9 @@ def cmd_series(args, out) -> int:
                      "ok": format_rational(kappa[j])
                      + ("" if kappa[j] == closed[j - 1] else " != closed form")})
     _emit(rows, args.format, out)
-    return EXIT_OK
 
 
-def cmd_mc(args, out) -> int:
-    if args.n < 1:
-        raise WordParseError("--n must be at least 1")
-    if args.trials < 2:
-        raise WordParseError("--trials must be at least 2 for a standard error")
+def cmd_mc(args, out) -> None:
     letters = parse_word(args.word)
     if args.theta is not None:
         for flag, value in (("--measure", args.measure), ("--c", args.c)):
@@ -237,7 +220,6 @@ def cmd_mc(args, out) -> int:
         )
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
-    return EXIT_OK
 
 
 def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
@@ -304,27 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
-    opened = None
+    """Run one subcommand; its output reaches stdout or --out only if it succeeds."""
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        if getattr(args, "out", None):
-            opened = open(args.out, "w", newline="")
-            out = opened
-        return args.func(args, out)
-    except WordParseError as e:
+        for dest, value in vars(args).items():
+            if dest in _LEAST and value is not None and value < _LEAST[dest]:
+                raise WordParseError(f"--{dest.replace('_', '-')} must be at least {_LEAST[dest]}")
+        args.func(args, out)
+        if not args.out:
+            sys.stdout.write(out.getvalue())
+        else:
+            with open(args.out, "w", newline="") as f:
+                f.write(out.getvalue())
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    finally:
-        if opened is not None:
-            opened.close()
+        if isinstance(e, CapExceededError):
+            return EXIT_CAP
+        return EXIT_PARSE if isinstance(e, (WordParseError, OSError)) else EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -262,7 +262,8 @@ def _order(value) -> int:
 
 
 def _cq_from_json(obj: dict) -> ComplexRational:
-    return ComplexRational(obj.get("re", 0), obj.get("im", 0))
+    """A value's ``re`` and optional ``im``, as the shorthand ``delta:<re>[,<im>]``."""
+    return ComplexRational(obj["re"], obj.get("im", 0))
 
 
 _SHAPES = {"disk": UniformDisk, "annulus": UniformAnnulus, "ellipse": UniformEllipse}

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from conftest import measure_spec
 
 import dtmoments
-from dtmoments.cli import main, parse_measure_arg
+from dtmoments.cli import build_parser, main, parse_measure_arg
 from dtmoments.errors import WordParseError
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk
 from dtmoments.moments import DEFAULT_Z_LEN_CAP
@@ -171,6 +172,25 @@ class TestMoment:
         assert out == ""
         assert json.loads(target.read_text())["re"] == "1/2"
 
+    @pytest.mark.parametrize("before", [None, b'{"kept": true}\n'], ids=["absent", "present"])
+    def test_a_failed_command_leaves_out_as_it_was(self, capsys, tmp_path, before):
+        # the file was opened before the word was read: a failure left it empty
+        target = tmp_path / "keep.json"
+        if before is not None:
+            target.write_bytes(before)
+        code, out, err = run(capsys, "moment", "--word", "X", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert (target.read_bytes() if target.exists() else None) == before
+
+    def test_an_out_that_cannot_be_opened_exits_2(self, capsys, tmp_path):
+        # it ended in a FileNotFoundError traceback and exit 1
+        target = tmp_path / "missing" / "result.json"
+        code, out, err = run(capsys, "moment", "--word", "T* T", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_matches_schema(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as resources
@@ -266,6 +286,9 @@ MEASURE_FAULTS = {
     "unread key": ("ellipse:1,1,7", {"type": "ellipse", "a": "1", "b": "1", "c": "7"}, 2),
     "fractional order": (
         None, {"type": "table", "max_degree": 2.9, "entries": [{"r": 1.5, "s": 0.2, "re": "1/2"}]}, 2),
+    # both read with exit 0, a missing re as 0: the entry as M(1, 1) = 0, the atom as delta0
+    "table entry without re": (None, {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": 1}]}, 2),
+    "atom without re": (None, {"type": "atomic", "atoms": [{"w": "1"}]}, 2),
 }
 
 
@@ -283,6 +306,49 @@ def test_a_measure_fault_exits_alike_in_both_spellings(capsys, text, code):
     got, out, err = run(capsys, "moment", "--word", "D D*", "--measure", text)
     assert (got, out) == (code, "")
     assert err.startswith("error: ")
+
+
+# one below the least value of each bounded integer flag, in a command whose
+# other inputs are valid, except where an id names a second fault
+BELOW_LEAST = [
+    pytest.param(["moment", "--word", "Z* Z"], "--max-degree", "0", id="max-degree"),
+    pytest.param(["moment", "--word", "T* T", "--measure", "annulus:1/2"], "--max-degree", "0",
+                 id="max-degree-and-measure-domain"),  # exited 4: the measure was read first
+    pytest.param(["conjecture"], "--n-max", "0", id="n-max"),
+    pytest.param(["conjecture"], "--k-max", "0", id="k-max"),
+    pytest.param(["density", "--grid", "20"], "--p-max", "-1", id="p-max"),
+    pytest.param(["density", "--p-max", "1"], "--grid", "0", id="grid"),
+    pytest.param(["series"], "--order", "0", id="order"),
+    pytest.param(["mc", "--word", "T* T", "--trials", "4"], "--n", "0", id="n"),
+    pytest.param(["mc", "--word", "T* T", "--n", "8"], "--trials", "1", id="trials"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", BELOW_LEAST)
+def test_a_flag_below_its_least_value_exits_2(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ")
+
+
+# the integer flags with no least value, and why none is needed
+UNBOUNDED_FLAGS = {
+    "--seed": "masked to 64 bits, so every int keys a generator",
+    "--cap": "a negative cap only marks every row skipped",
+}
+
+
+def test_every_integer_flag_has_a_least_value():
+    # main checks the bound table; a new int flag must join it or this list
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    int_flags = {
+        action.dest: action.option_strings[0]
+        for command in subparsers.choices.values()
+        for action in command._actions
+        if action.type is int
+    }
+    assert {flag for dest, flag in int_flags.items() if dest not in dtmoments.cli._LEAST} == set(UNBOUNDED_FLAGS)
+    assert set(dtmoments.cli._LEAST) <= set(int_flags)
 
 
 class TestConjecture:

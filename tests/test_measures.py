@@ -443,6 +443,20 @@ class TestJsonSpec:
         with pytest.raises(WordParseError):
             measure_from_json(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "table", "max_degree": 2, "entries": [{"r": 1, "s": 1}]},
+            {"type": "atomic", "atoms": [{"w": "1"}]},
+            {"type": "atomic", "atoms": [{"re": "0", "w": "1/2"}, {"im": "1", "w": "1/2"}]},
+        ],
+        ids=["table-entry", "atom", "second-atom"],
+    )
+    def test_a_value_without_re_is_refused(self, spec):
+        # re defaulted to 0: the entry read as M(1, 1) = 0 and the atom as delta0
+        with pytest.raises(WordParseError, match="'re'"):
+            measure_from_json(spec)
+
     def test_integer_orders_read_in_any_spelling(self):
         spec = {"type": "table", "max_degree": "2",
                 "entries": [{"r": 1.0, "s": "1", "re": "1/2"}]}
