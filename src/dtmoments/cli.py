@@ -54,7 +54,7 @@ _LEAST = dict(max_degree=1, n_max=1, k_max=1, p_max=0, grid=1, order=1, n=1, tri
 def parse_measure_arg(text: str) -> MeasureModel:
     """A measure given as JSON or as one of the CLI shorthands, each read as
     its JSON spec: delta0 | delta:<re>[,<im>] | disk:<R> | annulus:<c> |
-    ellipse:<a>,<b>.  An unknown kind, an empty field or too many parameters
+    ellipse:<a>,<b>.  An unknown kind, an empty field or a wrong parameter count
     raises WordParseError; any other fault raises what ``measure_from_json`` does."""
     text = text.strip()
     if text.startswith("{"):
@@ -66,8 +66,9 @@ def parse_measure_arg(text: str) -> MeasureModel:
     values = rest.split(",") if rest else []
     if "" in values:
         raise WordParseError(f"empty field in measure {text!r}")
-    if len(values) > len(names):
-        raise WordParseError(f"measure {kind!r} got {len(values)} parameters; it takes {' and '.join(names)}")
+    if not (1 if kind == "delta" else len(names)) <= len(values) <= len(names):
+        takes = "re and optionally im" if kind == "delta" else " and ".join(names)
+        raise WordParseError(f"measure {kind!r} got {len(values)} parameters; it takes {takes}")
     spec = dict(zip(names, values))
     if kind == "delta":
         return measure_from_json({"type": "atomic", "atoms": [{**spec, "w": "1"}]})
@@ -200,12 +201,9 @@ def cmd_mc(args, out) -> None:
         for flag, value in (("--measure", args.measure), ("--c", args.c)):
             if value is not None:
                 raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
-        other = next((t for t in letters if t not in Z_LETTERS), None)
-        if other is not None:
-            raise WordParseError(f"--theta samples the elliptic Z; letter {other!r} is not Z or Z*")
+        eps = ZWord.from_letters(letters).eps
         if not 0.0 < args.theta < math.pi / 2:
             raise ValueError("theta must lie in (0, pi/2)")
-        eps = ZWord.from_letters(letters).eps
         a, b = math.cos(args.theta), math.sin(args.theta)
         target = z_word_moment(
             ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)

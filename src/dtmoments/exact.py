@@ -19,9 +19,11 @@ from numbers import Rational
 
 def parse_rational(s) -> Fraction:
     """Parse "p/q" strings, rationals and integer-valued floats into Fractions;
-    a non-integer float is refused, as it is not exact."""
+    a non-integer float is refused, as it is not exact, and so is a boolean."""
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, bool):
+        raise TypeError(f"a boolean {s!r} is not a number")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, float):
@@ -51,7 +53,7 @@ class ComplexRational:
     def _coerce(self, other):
         if isinstance(other, ComplexRational):
             return other
-        if isinstance(other, (int, Fraction, Rational)):
+        if isinstance(other, (int, Fraction, Rational)) and not isinstance(other, bool):
             return ComplexRational(other)
         return None  # float/complex handled by the caller
 
@@ -181,7 +183,7 @@ class MomentValue:
     def wrap(cls, v) -> "MomentValue":
         """Tag a raw scalar: rationals become exact, other numbers float."""
         if isinstance(v, Rational):
-            v = ComplexRational(v)
+            v = ComplexRational(Fraction(v))
         return cls(v if isinstance(v, ComplexRational) else complex(v))
 
     @property

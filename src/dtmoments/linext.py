@@ -7,15 +7,16 @@ Because the order's Hasse diagram is a tree, Atkinson's count applies
 (M. D. Atkinson, On computing the number of linear extensions of a tree,
 Order 7 (1990) 23-25): root the tree, give every vertex the vector of
 extension counts of its subtree by the vertex's rank, and glue each child on
-through a prefix sum and a binomial convolution.  That is O(n^2) operations
-on exact Python integers, so trees of any size are counted exactly.
+with the word engine's integral and product of rank vectors (``moments``).
+That is O(n^2) operations on exact Python integers, so trees of any size
+are counted exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
+from .moments import _integral, _mul
 from .ncpair import (
     OrientedQuotientGraph,
     Pairing,
@@ -65,8 +66,8 @@ def count_linear_extensions(p: TreePoset) -> int:
     Atkinson's count for tree-shaped orders, O(n^2) big-integer operations:
     with the tree rooted at vertex 0, each vertex carries the vector whose
     i-th entry counts the extensions of its subtree that put the vertex at
-    rank i.  Children are glued on one at a time (:func:`_glue`); the answer
-    is the sum of the root's vector.
+    rank i.  Each child's vector is integrated below or above the vertex and
+    multiplied in; the answer is the sum of the root's vector.
     """
     n = p.n_vertices
     adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
@@ -86,49 +87,9 @@ def count_linear_extensions(p: TreePoset) -> int:
         f = [1]
         for w, below in adj[v]:
             if w != parent[v]:
-                f = _glue(f, ranks[w], below)
+                f = _mul(f, _integral(ranks[w], below))
         ranks[v] = f
     return sum(ranks[0])
-
-
-def _glue(f: list, g: list, below: bool) -> list:
-    """Rank vector of a vertex after hanging one more subtree on it.
-
-    ``f`` is the vertex's vector over its m glued elements, ``g`` the child's
-    over its q elements.  With j child-side elements before the vertex, the
-    child fits if it is among the first j (``below``) or not (above), so
-    h[j] is a prefix or suffix sum of ``g``; the two sides then interleave
-    freely before and after the vertex.  The result is bilinear in ``f`` and
-    ``g``, so their entries may be weighted sums (exact or float) of counts.
-    """
-    m, q = len(f), len(g)
-    h = [0] * (q + 1)
-    if below:
-        for j in range(q):
-            h[j + 1] = h[j] + g[j]
-    else:
-        for j in range(q - 1, -1, -1):
-            h[j] = h[j + 1] + g[j]
-    out = [0] * (m + q)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, hj in enumerate(h):
-                if hj:
-                    out[i + j] += fi * hj * comb(i + j, i) * comb(m - 1 - i + q - j, q - j)
-    return out
-
-
-def _add(f: list, g: list) -> list:
-    """Sum of two rank vectors as polynomials: v of length m is sum_i v[i]
-    B(i, m-1-i), B(i, j) = x^i (1-x)^j / (i! j!), of integral sum(v) / m!;
-    B(i, j) = (i+1) B(i+1, j) + (j+1) B(i, j+1) raises the shorter exactly."""
-    if len(f) < len(g):
-        f, g = g, f
-    if not g:
-        return f
-    for m in range(len(g), len(f)):
-        g = [k * x + (m - k) * y for k, x, y in zip(range(m + 1), [0, *g], [*g, 0])]
-    return [x + y for x, y in zip(f, g)]
 
 
 def nto(sigma: Pairing, eps: StarWord) -> int:

@@ -9,8 +9,9 @@ linear-extension count, all divided by (k/2 + 1)!.
 
 The pairings are never enumerated: :func:`_word_sum` sums over all of them
 at once by an interval DP over letter positions, with one rank vector per
-root exponent pair (r, s), in O(k^5) integer operations for a T-word of k
-letters instead of Catalan(k/2) tree counts.
+root exponent pair (r, s): a polynomial in the root's position x, which an
+arc integrates once, when it closes, and a join multiplies.  That is O(k^5)
+integer operations for a T-word of k letters, not Catalan(k/2) tree counts.
 A letter of the combined generator Z = D + c*T offers both its diagonal and
 its triangular part, so one DP sums over all 2^k choices of parts; a D/T
 word gives each nonempty block one diagonal position ahead of its T-slot.
@@ -21,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf
+from math import comb, factorial, inf
 
 from .errors import CapExceededError, WordParseError
 from .exact import ComplexRational, MomentValue, exact_or_float, rational_sqrt
-from .linext import _add, _glue
 from .measures import MeasureModel, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
@@ -133,11 +133,10 @@ def _word_sum(parts, moment, c_sq=1):
     triangular symbol, or None; each triangular part weighs c.  Positions
     a..e-1 fold to a tree rooted at the class of the corners before a and
     after e - 1; ``G[a][e]`` maps the root's exponents (r, s) to its rank
-    vector, summed over part choices and pairings as a polynomial that
-    ``_glue`` multiplies (``linext._add``).  A diagonal part at a joins the
-    root; an arc from a to j hangs the root of a+1..j-1 on it and closes that
-    class: ``closed[a][j]`` is its vector times its moment and c^2.  The
-    trace sums moment(r, s) * sum(vec) / len(vec)!.
+    vector, summed over part choices and pairings.  A diagonal part at a
+    joins the root; an arc from a to j closes the class of a+1..j-1, and
+    ``closed[a][j]``, its vector integrated once times its moment and c^2,
+    multiplies the root.  The trace sums moment(r, s) * sum(vec) / len(vec)!.
     """
     n = len(parts)
     empty = {(0, 0): [1]}
@@ -153,14 +152,14 @@ def _word_sum(parts, moment, c_sq=1):
                     if m := moment(r, s) * c_sq:
                         child = _add(child, [m * x for x in vec])
                 if child:
-                    closed[a][e - 1] = child
+                    closed[a][e - 1] = _integral(child, sym == STAR)
             root = {}
             if diag is not None:
                 for (r, s), vec in G[a + 1][e].items():
                     root[r + diag[0], s + diag[1]] = vec
             for j, child in closed[a].items():
                 for (r, s), vec in G[j + 1][e].items():
-                    root[r, s] = _add(root.get((r, s), []), _glue(vec, child, sym == STAR))
+                    root[r, s] = _add(root.get((r, s), []), _mul(vec, child))
             G[a][e] = root
     total = 0
     for (r, s), vec in G[0][n].items():
@@ -169,6 +168,46 @@ def _word_sum(parts, moment, c_sq=1):
     # M(0, 0) and c^0 are 1 in the measure's and the scale's own arithmetic:
     # a float measure or scale keeps its float tag when every term vanished
     return total * moment(0, 0) * c_sq**0
+
+
+def _integral(g: list, below: bool) -> list:
+    """Rank vector g integrated from 0 to x (``below``) or from x to 1: its
+    prefix or suffix sums, one entry longer (:func:`_add` has the format)."""
+    q = len(g)
+    h = [0] * (q + 1)
+    if below:
+        for j in range(q):
+            h[j + 1] = h[j] + g[j]
+    else:
+        for j in range(q - 1, -1, -1):
+            h[j] = h[j + 1] + g[j]
+    return h
+
+
+def _mul(f: list, h: list) -> list:
+    """Product of two rank vectors as polynomials; entries may be counts or
+    their exact or float weighted sums."""
+    m, q = len(f), len(h) - 1
+    out = [0] * (m + q)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, hj in enumerate(h):
+                if hj:
+                    out[i + j] += fi * hj * comb(i + j, i) * comb(m - 1 - i + q - j, q - j)
+    return out
+
+
+def _add(f: list, g: list) -> list:
+    """Sum of two rank vectors as polynomials: v of length m is sum_i v[i]
+    B(i, m-1-i), B(i, j) = x^i (1-x)^j / (i! j!), of integral sum(v) / m!;
+    B(i, j) = (i+1) B(i+1, j) + (j+1) B(i, j+1) raises the shorter exactly."""
+    if len(f) < len(g):
+        f, g = g, f
+    if not g:
+        return f
+    for m in range(len(g), len(f)):
+        g = [k * x + (m - k) * y for k, x, y in zip(range(m + 1), [0, *g], [*g, 0])]
+    return [x + y for x, y in zip(f, g)]
 
 
 def _moments_of(mu: MeasureModel):

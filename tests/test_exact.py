@@ -30,6 +30,14 @@ class TestParseRational:
         with pytest.raises(TypeError, match="not exact"):
             CQ(F(1), 0.5)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_is_refused(self, value):
+        # read as the int 1 or 0, so a JSON true radius read as the unit disk
+        for parse in (parse_rational, CQ, lambda v: CQ(F(1), v)):
+            with pytest.raises(TypeError, match="boolean"):
+                parse(value)
+        assert CQ(F(1)) != value and CQ(F(0)) != value
+
 
 class TestMomentValue:
     def test_the_value_type_is_the_tag(self):

@@ -82,3 +82,34 @@ def test_every_private_name_is_read():
     sources = {p.relative_to(PACKAGE).with_suffix("").as_posix(): p.read_text()
                for p in sorted(PACKAGE.rglob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def linext_importers(sources: dict[str, str]) -> list[str]:
+    """The modules of ``sources``, a map of module name to source, that import
+    from ``linext`` in any spelling."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.rpartition(".")[2] == "linext" for name in names):
+                found.append(module)
+                break
+    return sorted(found)
+
+
+def test_the_check_finds_linext_imports():
+    sources = {"a": "from .linext import nto\n", "b": "from . import linext\n",
+               "c": "import dtmoments.linext as le\n", "d": "from .moments import _mul\n"}
+    assert linext_importers(sources) == ["a", "b", "c"]
+
+
+def test_only_the_package_imports_linext():
+    # the word engine owns its rank-vector algebra, so the pairing oracle's
+    # tree count can leave the package without taking the engine's steps along
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert linext_importers(sources) == []

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from conftest import count_linear_extensions_brute
 
-from dtmoments.linext import TreePoset, _add, count_linear_extensions, nto
+from dtmoments.linext import TreePoset, count_linear_extensions, nto
+from dtmoments.moments import _add
 from dtmoments.ncpair import ONE, STAR, Pairing, StarWord
 
 

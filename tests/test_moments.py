@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from conftest import pairing_sum, table_of
@@ -24,6 +24,8 @@ from dtmoments.moments import (
     DEFAULT_Z_LEN_CAP,
     DTWord,
     ZWord,
+    _integral,
+    _mul,
     adjoint_dt,
     dt_word_moment,
     parse_word,
@@ -276,6 +278,11 @@ class TestZWordMoment:
             with pytest.raises(ValueError, match="the scale c must be positive"):
                 ZWord(StarWord((STAR, ONE)), c)
 
+    def test_a_boolean_scale_is_refused(self):
+        # True read as the scale 1
+        with pytest.raises(TypeError, match="boolean"):
+            ZWord(StarWord((STAR, ONE)), True)
+
     def test_length_cap(self):
         k = DEFAULT_Z_LEN_CAP + 2
         zw = ZWord(StarWord((ONE,) * k))
@@ -285,6 +292,39 @@ class TestZWordMoment:
 
     def test_empty_word(self):
         assert z_word_moment(ZWord(StarWord(())), DELTA0).as_fraction() == 1
+
+
+def power_coefficients(v: list) -> list:
+    """The coefficients c_k of sum_k c_k x^k, the polynomial the rank vector v
+    of length m stands for: sum_i v[i] x^i (1-x)^(m-1-i) / (i! (m-1-i)!)."""
+    m = len(v)
+    c = [F(0)] * m
+    for i, vi in enumerate(v):
+        w = F(vi) / (factorial(i) * factorial(m - 1 - i))
+        for t in range(m - i):
+            c[i + t] += w * comb(m - 1 - i, t) * (-1) ** t
+    return c
+
+
+def at(c: list, x: F) -> F:
+    return sum(ck * x**k for k, ck in enumerate(c))
+
+
+def test_integral_and_mul_are_the_polynomial_integral_and_product():
+    rng = random.Random(2404)
+    for trial in range(200):
+        f, g = ([rng.randint(-50, 50) if trial % 2 else F(rng.randint(-50, 50), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 6))] for _ in range(2))
+        antiderivative = [F(0)] + [ck / (k + 1) for k, ck in enumerate(power_coefficients(g))]
+        below, above, product = _integral(g, True), _integral(g, False), _mul(f, g)
+        assert len(below) == len(above) == len(g) + 1 and len(product) == len(f) + len(g) - 1
+        for x in (F(0), F(1, 3), F(2, 7), F(5, 6), F(1)):
+            assert at(power_coefficients(below), x) == at(antiderivative, x)
+            assert at(power_coefficients(above), x) == at(antiderivative, 1) - at(antiderivative, x)
+            assert at(power_coefficients(product), x) == (
+                at(power_coefficients(f), x) * at(power_coefficients(g), x))
+        if trial % 2:
+            assert all(isinstance(y, int) for y in below + above + product)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +522,7 @@ class TestInvariants:
     def test_orthogonality_of_decorated_powers(self):
         mu = Atomic(((CQ(F(1, 2), F(1, 5)), F(1, 3)), (CQ(F(-1), F(1)), F(2, 3))))
         m11 = mu.moment(1, 1)
-        from math import factorial
+        from math import comb, factorial
 
         for p in range(5):
             for q in range(5):
