@@ -24,7 +24,7 @@ print(f"support: (0, {SUPPORT_UPPER:.6f}); largest grid x = {points[-1].x:.6f}")
 print("\nmoment check (quadrature vs p^p/(p+1)!):")
 for p in range(0, 7):
     got = density_moment(p)
-    want = 1.0 if p == 0 else float(tstt_moment(p))
+    want = float(tstt_moment(p))
     print(f"  p={p}: {got:.12f} vs {want:.12f}  (|err| = {abs(got - want):.2e})")
 
 x = math.e - 1e-3

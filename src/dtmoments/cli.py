@@ -164,7 +164,7 @@ def cmd_density(args, out) -> None:
     check = []
     for p in range(0, args.p_max + 1):
         got = density_moment(p)
-        want = float(tstt_moment(p)) if p >= 1 else 1.0
+        want = float(tstt_moment(p))
         check.append({"p": p, "quadrature": got, "closed_form": want, "abs_err": abs(got - want)})
     rows = [{"x": pt.x, "phi": pt.phi, "v": pt.v} for pt in density_grid(args.grid)]
     _emit(rows, args.format, out)

@@ -2,7 +2,8 @@
 
 All closed-form moment computations in this package run over Gaussian
 rationals (pairs of :class:`fractions.Fraction` for the real and imaginary
-parts), and :func:`parse_rational` reads every exact input.  Mixing a
+parts); :func:`parse_rational` reads every exact input, :func:`positive`
+every scale or radius and :func:`order` every order or exponent.  Mixing a
 :class:`ComplexRational` with a float or complex operand degrades to
 ``complex``, mirroring how ``Fraction`` interacts with ``float``; a
 :class:`MomentValue` is exact exactly when it holds a ``ComplexRational``, so
@@ -11,6 +12,7 @@ exactness is never silently claimed.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +37,26 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, Rational):
         return Fraction(s)
     raise TypeError(f"cannot parse rational from {s!r}")
+
+
+def positive(x, what: str) -> Fraction | float:
+    """A scale or radius in (0, inf): a float stays a float, anything else is
+    read by :func:`parse_rational`."""
+    x = x if isinstance(x, float) else parse_rational(x)
+    if not 0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return x
+
+
+def order(x) -> int:
+    """A moment order, exponent or degree, read exactly: 2, 2.0 and "2" read
+    as 2; a boolean or a non-integer raises."""
+    if type(x) is int:
+        return x
+    q = parse_rational(x)
+    if q.denominator != 1:
+        raise ValueError(f"order {x!r} is not an integer")
+    return int(q)
 
 
 @dataclass(frozen=True)
@@ -159,8 +181,6 @@ def rational_sqrt(q: Fraction):
     """
     if q < 0:
         raise ValueError("negative operand")
-    import math
-
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
@@ -204,13 +224,6 @@ class MomentValue:
         if not self.value.is_real():
             raise ValueError("value has a nonzero imaginary part")
         return self.value.re
-
-
-def exact_or_float(x) -> Fraction | float:
-    """Coerce a model parameter: exact types stay exact, floats stay floats."""
-    if isinstance(x, float):
-        return x
-    return parse_rational(x)
 
 
 def format_rational(q: Fraction) -> str:

@@ -21,17 +21,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 
 from .errors import CapExceededError, WordParseError
-from .exact import (
-    CQ_ONE,
-    CQ_ZERO,
-    ComplexRational,
-    MomentValue,
-    exact_or_float,
-    parse_rational,
-)
+from .exact import CQ_ONE, CQ_ZERO, ComplexRational, MomentValue, order, parse_rational, positive
+
+
+def _cq(value) -> ComplexRational:
+    """A location, value or factor, read by ``ComplexRational`` unless it is one."""
+    return value if isinstance(value, ComplexRational) else ComplexRational(value)
 
 
 def _tagged(value: Fraction | float):
@@ -46,9 +44,7 @@ class Atomic:
     atoms: tuple[tuple[ComplexRational, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(
-            (loc if isinstance(loc, ComplexRational) else ComplexRational(loc), parse_rational(w))
-            for loc, w in self.atoms))
+        object.__setattr__(self, "atoms", tuple((_cq(loc), parse_rational(w)) for loc, w in self.atoms))
         if sum((w for _, w in self.atoms), Fraction(0)) != 1:
             raise ValueError("atomic weights must sum to exactly 1")
         if any(w <= 0 for _, w in self.atoms):
@@ -75,9 +71,7 @@ class UniformDisk:
     radius: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", exact_or_float(self.radius))
-        if not 0 < self.radius < inf:
-            raise ValueError("disk radius must be positive and finite")
+        object.__setattr__(self, "radius", positive(self.radius, "disk radius"))
 
     def moment(self, r: int, s: int):
         return _tagged(self.radius ** (2 * r) / (r + 1) if r == s else 0 * self.radius)
@@ -94,8 +88,8 @@ class UniformAnnulus:
     c: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", exact_or_float(self.c))
-        if not 1 <= self.c < inf:
+        object.__setattr__(self, "c", positive(self.c, "annulus parameter"))
+        if self.c < 1:
             raise ValueError("annulus parameter must satisfy c >= 1 and be finite")
 
     def moment(self, r: int, s: int):
@@ -117,10 +111,8 @@ class UniformEllipse:
     b: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", exact_or_float(self.a))
-        object.__setattr__(self, "b", exact_or_float(self.b))
-        if not (0 < self.a < inf and 0 < self.b < inf):
-            raise ValueError("ellipse parameters must be positive and finite")
+        object.__setattr__(self, "a", positive(self.a, "ellipse parameters"))
+        object.__setattr__(self, "b", positive(self.b, "ellipse parameters"))
 
     def _alpha_beta_products(self):
         # alpha, beta are half the sum and half the difference of the semi-axes;
@@ -162,7 +154,8 @@ class MomentTable:
     entries: tuple[tuple[tuple[int, int], ComplexRational], ...]
 
     def __post_init__(self):
-        table = dict(self.entries)
+        object.__setattr__(self, "max_degree", order(self.max_degree))
+        table = {(order(r), order(s)): _cq(v) for (r, s), v in self.entries}
         if not self.max_degree >= 0:
             raise ValueError("max_degree must be nonnegative")
         if table.get((0, 0), CQ_ONE) != CQ_ONE:
@@ -199,6 +192,7 @@ class ScaledMeasure:
     lam: ComplexRational
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _cq(self.lam))
         if self.lam == CQ_ZERO:
             raise ValueError("scaling by zero is rejected")
 
@@ -211,6 +205,7 @@ MeasureModel = Atomic | UniformDisk | UniformAnnulus | UniformEllipse | MomentTa
 
 def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
     """M(r, s) of the model, tagged with the backend that produced it."""
+    r, s = order(r), order(s)
     if r < 0 or s < 0:
         raise ValueError("moment orders must be nonnegative")
     return MomentValue.wrap(mu.moment(r, s))
@@ -218,15 +213,12 @@ def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
 
 def scale(mu: MeasureModel, lam: ComplexRational) -> MeasureModel:
     """The measure of ``lam * z`` when z is distributed by ``mu``."""
-    if not isinstance(lam, ComplexRational):
-        lam = ComplexRational(lam)
-    if lam == CQ_ZERO:
-        raise ValueError("scaling by zero is rejected")
+    scaled = ScaledMeasure(mu, lam)
     if isinstance(mu, Atomic):
-        return Atomic(tuple((lam * loc, w) for loc, w in mu.atoms))
+        return Atomic(tuple((scaled.lam * loc, w) for loc, w in mu.atoms))
     if isinstance(mu, ScaledMeasure):
-        return ScaledMeasure(mu.base, lam * mu.lam)
-    return ScaledMeasure(mu, lam)
+        return ScaledMeasure(mu.base, scaled.lam * mu.lam)
+    return scaled
 
 
 def conjugate(mu: MeasureModel) -> MeasureModel:
@@ -251,14 +243,6 @@ def _only(obj: dict, *keys: str) -> dict:
     if unread:
         raise ValueError(f"unknown keys {unread}")
     return obj
-
-
-def _order(value) -> int:
-    """A moment order or degree, read exactly: 2, 2.0 and "2" read as 2."""
-    q = parse_rational(value)
-    if q.denominator != 1:
-        raise ValueError(f"order {value!r} is not an integer")
-    return int(q)
 
 
 def _cq_from_json(obj: dict) -> ComplexRational:
@@ -304,9 +288,9 @@ def measure_from_json(spec) -> MeasureModel:
         elif kind == "table":
             _only(spec, "type", "max_degree", "entries")
             entries = tuple(
-                ((_order(e["r"]), _order(e["s"])), _cq_from_json(_only(e, "r", "s", "re", "im")))
+                ((order(e["r"]), order(e["s"])), _cq_from_json(_only(e, "r", "s", "re", "im")))
                 for e in spec["entries"])
-            model, params = MomentTable, [_order(spec["max_degree"]), entries]
+            model, params = MomentTable, [order(spec["max_degree"]), entries]
         else:
             model = _SHAPES[kind]
             names = [field.name for field in fields(model)]

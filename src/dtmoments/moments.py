@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 
 from .errors import CapExceededError, WordParseError
-from .exact import ComplexRational, MomentValue, exact_or_float, rational_sqrt
+from .exact import ComplexRational, MomentValue, order, positive, rational_sqrt
 from .measures import MeasureModel, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
@@ -76,6 +76,7 @@ class DTWord:
         expected = k if k else (1 if self.blocks else 0)
         if len(self.blocks) != expected:
             raise ValueError("need exactly one diagonal block per T-slot")
+        object.__setattr__(self, "blocks", tuple((order(a), order(b)) for a, b in self.blocks))
         if any(a < 0 or b < 0 for a, b in self.blocks):
             raise ValueError("diagonal exponents must be nonnegative")
 
@@ -111,9 +112,7 @@ class ZWord:
     c: Fraction | float = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", exact_or_float(self.c))
-        if not 0 < self.c < inf:
-            raise ValueError("the scale c must be positive and finite")
+        object.__setattr__(self, "c", positive(self.c, "the scale c"))
 
     @classmethod
     def from_letters(cls, letters, c=Fraction(1)) -> "ZWord":

@@ -20,6 +20,8 @@ import threading
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from .exact import order
+
 DEFAULT_NK_CAP = 12
 ZERO = None  # the canonical form of a sequence whose trace is identically zero
 
@@ -73,8 +75,9 @@ def m_recursive(seq) -> Fraction:
     stays attached.  It runs on the integers W = (m+1)! times the trace; a
     dict local to the call looks up sub-sequences as formed, before
     canonicalizing, and ``_MEMO`` keeps W by canonical form across calls.
+    The exponents are read here, once, by ``order``.
     """
-    canon = canonicalize(seq)
+    canon = canonicalize(map(order, seq))
     if canon is ZERO:
         return Fraction(0)
     return Fraction(_scaled(canon, {}), factorial(sum(canon[0::2]) + 1))
@@ -114,9 +117,9 @@ def _scaled(seq: tuple, formed: dict) -> int:
 
 
 def tstt_moment(p: int) -> Fraction:
-    """Trace of (T*T)^p in closed form: p^p / (p+1)!."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """Trace of (T*T)^p in closed form: p^p / (p+1)!; equals 1 at p = 0."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
     return Fraction(p**p, factorial(p + 1))
 
 

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, WordParseError
+from .exact import positive
 from .measures import (
     Atomic,
     MeasureModel,
@@ -174,11 +175,6 @@ def _check_size(n: int, trials: int) -> None:
         raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
 
 
-def _check_scale(c: float) -> None:
-    if not 0 < c < math.inf:
-        raise ValueError("the scale c must be positive and finite")
-
-
 def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:
     """The adjoint word: reversed, each letter swapped for its adjoint."""
     return tuple(_ADJOINT[tok] for tok in reversed(word))
@@ -312,7 +308,7 @@ def estimate_word_moment(
         raise WordParseError("a measure is the law of D; it needs a word with D or Z letters")
     if not uses_z and c != 1:
         raise WordParseError("c scales T inside Z; it needs a word with Z letters")
-    _check_scale(c)
+    c = float(positive(c, "the scale c"))
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):
@@ -368,7 +364,7 @@ def deterministic_diagonal_run(
     ``entries_generator(n)`` and is reused across trials.
     """
     _check_size(n, trials)
-    _check_scale(c)
+    c = float(positive(c, "the scale c"))
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")

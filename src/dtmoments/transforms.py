@@ -206,8 +206,7 @@ def ln_inverse_check(N: int, order: int) -> bool:
 def l_limit_inverse_check(order: int) -> bool:
     """Does the limit transfer series (with moments p^p/(p+1)!) invert to z e^{-z}?"""
     _require_at_least_one(order=order)
-    return _inverse_check(lambda p: Fraction(1) if p == 0 else tstt_moment(p),
-                          lambda j: Fraction((-1) ** j, factorial(j)), order)
+    return _inverse_check(tstt_moment, lambda j: Fraction((-1) ** j, factorial(j)), order)
 
 
 def finite_n_r_relation_check(N: int, order: int) -> bool:

@@ -7,9 +7,17 @@ from hypothesis import strategies as st
 
 from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, parse_rational
 from dtmoments.exact import ComplexRational as CQ
+from dtmoments.measures import MomentTable, UniformAnnulus, UniformDisk, mixed_moment
+from dtmoments.moments import DTWord, ZWord, dt_word_moment
+from dtmoments.ncpair import ONE, STAR, StarWord
+from dtmoments.quasinil import m_recursive
+from dtmoments.rmt import estimate_word_moment
 
 PART = st.fractions(min_value=-3, max_value=3, max_denominator=15)
 GAUSSIAN = st.builds(CQ, PART, PART)
+# an integer in every exact spelling: int, integer float, "p/1", Fraction, NumPy int
+SPELLINGS = (int, float, lambda k: f"{k}/1", F, np.int64)
+EPS = StarWord((ONE, STAR))
 
 
 class TestParseRational:
@@ -153,3 +161,59 @@ class TestComplexRationalOperators:
     )
     def test_repr(self, value, text):
         assert repr(value) == text
+
+
+# each reads one order x, and a table also its degree
+ORDER_READERS = {
+    "mixed_moment": lambda x, degree: mixed_moment(UniformAnnulus(2), x, x),
+    "MomentTable": lambda x, degree: MomentTable(degree, (((x, x), F(1, 3)),)),
+    "dt_word_moment": lambda x, degree: dt_word_moment(DTWord(EPS, ((x, 0), (0, x))), UniformDisk(1)),
+    "m_recursive": lambda x, degree: m_recursive((x, x)),
+}
+
+
+class TestReaders:
+    """``order`` reads every order and exponent, and ``positive`` every scale
+    and radius, alike in every reader."""
+
+    @given(k=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_every_spelling_of_an_order_gives_one_exact_value(self, k):
+        want = {name: read(k, 2 * k) for name, read in ORDER_READERS.items()}
+        assert want["mixed_moment"].exact and want["dt_word_moment"].exact
+        for spell in SPELLINGS:
+            got = {name: read(spell(k), spell(2 * k)) for name, read in ORDER_READERS.items()}
+            assert got == want, spell
+            assert got["mixed_moment"].exact and got["dt_word_moment"].exact
+
+    @given(q=st.fractions(min_value=0, max_value=4, max_denominator=6).filter(
+        lambda q: q.denominator != 1))
+    @settings(max_examples=20, deadline=None)
+    def test_every_order_reader_refuses_booleans_and_non_integers(self, q):
+        for bad in (True, False, q, float(q), f"{q.numerator}/{q.denominator}"):
+            for read in (*ORDER_READERS.values(), lambda x, _: MomentTable(x, ())):
+                with pytest.raises((TypeError, ValueError), match="boolean|not exact|not an integer"):
+                    read(bad, 4)
+
+    @given(r=st.integers(1, 4))
+    @settings(max_examples=8, deadline=None)
+    def test_every_spelling_of_a_scale_reads_alike(self, r):
+        want = estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=float(r))
+        for spell in SPELLINGS:
+            x = spell(r)
+            disk = UniformDisk(x)
+            assert disk.radius == r and isinstance(disk.radius, float if spell is float else F)
+            assert mixed_moment(disk, 1, 1).as_complex() == r * r / 2
+            assert ZWord(EPS, x).c == r
+            assert estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=x) == want
+
+    @pytest.mark.parametrize("bad, error", [
+        (True, TypeError), (0, ValueError), (-1.0, ValueError), ("-1/2", ValueError),
+        (F(0), ValueError), (np.int64(-2), ValueError), (float("nan"), ValueError),
+        (float("inf"), ValueError), (0.5 + 0j, TypeError),
+    ], ids=repr)
+    def test_every_scale_reader_refuses_the_same_values(self, bad, error):
+        for read in (UniformDisk, lambda c: ZWord(EPS, c),
+                     lambda c: estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=c)):
+            with pytest.raises(error):
+                read(bad)

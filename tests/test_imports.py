@@ -113,3 +113,31 @@ def test_only_the_package_imports_linext():
     # tree count can leave the package without taking the engine's steps along
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert linext_importers(sources) == []
+
+
+def inf_comparisons(source: str) -> list[int]:
+    """The lines of ``source`` that compare a value with ``inf`` in any
+    spelling (``inf``, ``math.inf``, ``np.inf``)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.Name) and x.id == "inf" or isinstance(x, ast.Attribute) and x.attr == "inf"
+            for x in (node.left, *node.comparators)))
+
+
+def test_the_check_finds_inf_comparisons():
+    source = (
+        "import math\nfrom math import inf\n"
+        "def f(c, limit=math.inf):\n"
+        "    if not 0 < c < math.inf:\n"
+        "        raise ValueError\n"
+        "    return c != inf and c < limit\n"
+    )
+    assert inf_comparisons(source) == [4, 6]
+
+
+def test_only_exact_bounds_a_value_by_inf():
+    # exact.positive holds the finite-and-positive rule; a hand-written bound
+    # elsewhere is a second copy of it
+    bounded = [p.relative_to(PACKAGE).as_posix() for p in MODULES if inf_comparisons(p.read_text())]
+    assert bounded == ["exact.py"]

@@ -14,6 +14,7 @@ from dtmoments.exact import format_rational
 from dtmoments.measures import (
     Atomic,
     MomentTable,
+    ScaledMeasure,
     UniformAnnulus,
     UniformDisk,
     UniformEllipse,
@@ -228,6 +229,15 @@ class TestScaleConjugate:
         with pytest.raises(ValueError):
             scale(UniformDisk(1), CQ(F(0)))
 
+    def test_scaled_measure_reads_its_factor_as_scale_does(self):
+        # ScaledMeasure kept the int 2, which the sampler could not read, and
+        # took 0.5, which scale refuses, with a float tag
+        mu = ScaledMeasure(UniformDisk(1), 2)
+        assert mu == scale(UniformDisk(1), 2) and mu.lam == CQ(F(2))
+        for make in (ScaledMeasure, scale):
+            with pytest.raises(TypeError, match="not exact"):
+                make(UniformDisk(1), 0.5)
+
     def test_conjugate_rotation_invariant(self):
         assert conjugate(UniformDisk(F(2))) == UniformDisk(F(2))
         assert conjugate(UniformEllipse(F(1), F(2))) == UniformEllipse(F(1), F(2))
@@ -261,6 +271,27 @@ def test_a_nan_parameter_is_refused(make):
         make()
 
 
+class TestMixedMomentOrders:
+    @pytest.mark.parametrize("mu", [UniformDisk(1), UniformAnnulus(2)], ids=["disk", "annulus"])
+    def test_a_non_integer_order_is_refused(self, mu):
+        # M(1.5, 0) of the disk was an exact 0, and M(1.5, 1.5) of the
+        # annulus a float 1.8627
+        for r, s in ((1.5, 0), (1.5, 1.5)):
+            with pytest.raises(TypeError, match="1.5"):
+                mixed_moment(mu, r, s)
+        with pytest.raises(ValueError, match="not an integer"):
+            mixed_moment(mu, F(1, 2), F(1, 2))
+
+    def test_an_integer_float_order_is_exact(self):
+        # the float orders reached the radius's power and tagged 2 as float
+        got = mixed_moment(UniformDisk(2), 1.0, 1.0)
+        assert got.exact and got.value == 2
+
+    def test_a_boolean_order_is_refused(self):
+        with pytest.raises(TypeError, match="boolean"):
+            mixed_moment(UniformDisk(1), True, True)
+
+
 class TestMomentTable:
     @pytest.mark.parametrize(
         "degree, entries",
@@ -272,6 +303,17 @@ class TestMomentTable:
         # these entries were never served
         with pytest.raises(ValueError, match="max_degree"):
             MomentTable(degree, entries)
+
+    def test_a_fractional_order_is_refused(self):
+        # M(3/2, 0) was stored and served as 1
+        with pytest.raises(ValueError, match="not an integer"):
+            MomentTable(2, (((F(3, 2), 0), CQ(1)),))
+
+    def test_a_rational_value_is_read_exactly(self):
+        # a Fraction value raised AttributeError at construction
+        table = MomentTable(2, (((1, 1), F(1, 2)),))
+        assert table == MomentTable(2, (((1, 1), CQ(F(1, 2))),))
+        assert table.moment(1, 1) == CQ(F(1, 2))
 
     def test_degree_cap(self):
         table = MomentTable(3, (((1, 1), CQ(F(1, 2))),))

@@ -109,6 +109,17 @@ class TestDTWord:
         assert w.blocks == ((3, 0), (0, 1))
         assert w.eps.symbols == (ONE, STAR)
 
+    def test_a_non_integer_block_is_refused(self):
+        # ((0.5, 0), (0, 0.5)) gave an exact 0 from dt_word_moment
+        for half, error in ((0.5, TypeError), (F(1, 2), ValueError), (True, TypeError)):
+            with pytest.raises(error):
+                DTWord(StarWord((ONE, STAR)), ((half, 0), (0, half)))
+
+    def test_blocks_are_read_as_ints(self):
+        w = DTWord(StarWord((ONE, STAR)), ((1.0, 0), (0, "1")))
+        assert w == DTWord(StarWord((ONE, STAR)), ((1, 0), (0, 1)))
+        assert all(type(x) is int for block in w.blocks for x in block)
+
     def test_pure_d_word(self):
         w = DTWord.from_letters(["D", "D*", "D"])
         assert w.blocks == ((2, 1),)

@@ -119,6 +119,23 @@ class TestRecursion:
                 star_word_for(seq)
             ).as_fraction(), seq
 
+    def test_a_non_integer_exponent_is_named(self):
+        # both said "exponents must be nonnegative"
+        with pytest.raises(TypeError, match="1.5"):
+            m_recursive((1.5, 1.5))
+        with pytest.raises(ValueError, match="not an integer"):
+            m_recursive((F(3, 2), F(3, 2)))
+
+    def test_a_boolean_exponent_is_refused(self):
+        # (True, True) gave 1/2
+        with pytest.raises(TypeError, match="boolean"):
+            m_recursive((True, True))
+
+    def test_an_integer_float_exponent_is_exact(self):
+        # (1.0, 1.0) raised TypeError inside the recursion
+        got = m_recursive((1.0, 1.0))
+        assert got == F(1, 2) and isinstance(got, F)
+
     @pytest.mark.parametrize("seq", [(2, -1, 0, 1), (-1, 0), (-1, -1), (1, 0, 0, -1)])
     def test_negative_exponent_rejected(self, seq):
         # unbalanced inputs used to pass the balance test first and return 0
@@ -275,6 +292,12 @@ class TestClosedForms:
         assert tstt_moment(1) == F(1, 2)
         assert tstt_moment(2) == F(2, 3)
         assert tstt_moment(3) == F(9, 8)
+
+    def test_tstt_at_zero_is_the_trace_of_one(self):
+        # 0^0 / 1! = 1, as stn_moment and ttn_moment give at p = 0
+        assert tstt_moment(0) == m_recursive(()) == stn_moment(2, 0) == 1
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            tstt_moment(-1)
 
     def test_tstt_equals_recursion(self):
         for p in range(1, 6):

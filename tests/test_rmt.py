@@ -18,6 +18,7 @@ from dtmoments.errors import WordParseError
 from dtmoments.measures import (
     Atomic,
     MomentTable,
+    ScaledMeasure,
     UniformAnnulus,
     UniformDisk,
     UniformEllipse,
@@ -141,6 +142,11 @@ class TestSamplers:
         hx = 2 * a2 / math.sqrt(a2 + b2)
         hy = 2 * b2 / math.sqrt(a2 + b2)
         assert np.all((d.real / hx) ** 2 + (d.imag / hy) ** 2 <= 1 + 1e-12)
+
+    def test_a_scaled_measure_with_an_int_factor_samples(self):
+        # the factor stayed an int, and sampling raised AttributeError
+        got = sample_measure(ScaledMeasure(UniformDisk(1), 2), 16, _rng(0, 0))
+        np.testing.assert_array_equal(got, 2 * sample_measure(UniformDisk(1), 16, _rng(0, 0)))
 
     def test_moment_table_not_sampleable(self):
         table = MomentTable(2, (((1, 1), CQ(F(1, 2))),))
@@ -277,7 +283,7 @@ class TestScaleAndLength:
         with pytest.raises(WordParseError, match="D or Z letters"):
             estimate_word_moment(["T*", "T"], 8, 400, 0, mu=UniformDisk(2))
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, "-1/2"])
     def test_scale_must_be_positive(self, c):
         # ZWord refuses these; both estimators sampled them (inf gave a nan
         # estimate)
@@ -285,6 +291,25 @@ class TestScaleAndLength:
             estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=c)
         with pytest.raises(ValueError, match="the scale c must be positive"):
             deterministic_diagonal_run(lambda n: [0.0] * n, c, StarWord((STAR, ONE)), 8, 2, 0)
+
+    def test_a_boolean_scale_is_refused(self):
+        # True sampled c = 1
+        with pytest.raises(TypeError, match="boolean"):
+            estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=True)
+        with pytest.raises(TypeError, match="boolean"):
+            deterministic_diagonal_run(lambda n: [0.0] * n, True, StarWord((STAR, ONE)), 8, 2, 0)
+
+    def test_an_exact_scale_samples_as_its_float(self, monkeypatch):
+        # a Fraction c made object arrays, 25 times slower at n = 16
+        original, dtypes = rmt._with_diagonal, set()
+        monkeypatch.setattr(rmt, "_with_diagonal", lambda m, d: dtypes.add(m.dtype) or original(m, d))
+        word, eps = ["Z*", "Z"], StarWord((STAR, ONE))
+        for c in (F(1, 2), "1/2"):
+            assert estimate_word_moment(word, 16, 50, 0, mu=UniformDisk(1), c=c) == \
+                estimate_word_moment(word, 16, 50, 0, mu=UniformDisk(1), c=0.5)
+            assert deterministic_diagonal_run(lambda n: [0.5] * n, c, eps, 16, 50, 0) == \
+                deterministic_diagonal_run(lambda n: [0.5] * n, 0.5, eps, 16, 50, 0)
+        assert dtypes == {np.dtype(complex)}
 
     @pytest.mark.parametrize("max_len", [0, -2])
     def test_sweep_needs_a_letter(self, max_len):
