@@ -16,8 +16,8 @@ from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CapExceededError, WordParseError
-from .exact import MomentValue, format_rational, parse_rational
-from .measures import _SHAPES, MeasureModel, UniformEllipse, measure_from_json
+from .exact import MomentValue, format_rational, order, parse_rational
+from .measures import _SHAPES, Atomic, MeasureModel, UniformEllipse, measure_from_json
 from .moments import (
     DEFAULT_Z_LEN_CAP,
     DTWord,
@@ -76,12 +76,14 @@ def parse_measure_arg(text: str) -> MeasureModel:
 
 
 def parse_exponents(text: str) -> tuple[int, ...]:
+    """Comma-separated exponents, each read by ``order`` ("2.0" reads as 2); a
+    negative or non-integer token or an odd count raises WordParseError."""
     try:
-        seq = tuple(int(tok) for tok in text.split(","))
-    except ValueError as e:
+        seq = tuple(order(tok, "exponent", 0) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError) as e:
         raise WordParseError(f"bad exponent tuple {text!r}: {e}") from None
-    if len(seq) % 2 != 0 or any(x < 0 for x in seq):
-        raise WordParseError("exponent tuples need an even count of nonnegative ints")
+    if len(seq) % 2 != 0:
+        raise WordParseError("exponent tuples need an even count")
     return seq
 
 
@@ -102,8 +104,8 @@ def _emit(payload, fmt: str, out) -> None:
 
 def _word_inputs(args, letters) -> tuple[MeasureModel, Fraction]:
     """The measure and scale of --measure and --c, refusing a --c without Z
-    letters and a --measure other than delta0 without D or Z letters:
-    neither would be read."""
+    letters and a --measure other than the point mass at 0, however spelled,
+    without D or Z letters: neither would be read."""
     try:
         c = parse_rational("1" if args.c is None else args.c)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -111,7 +113,7 @@ def _word_inputs(args, letters) -> tuple[MeasureModel, Fraction]:
     mu = parse_measure_arg(args.measure or "delta0")  # a measure outside its domain exits 4
     if args.c is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--c scales T inside Z; it needs a word with Z letters")
-    if args.measure not in (None, "delta0") and all(t in T_LETTERS for t in letters):
+    if mu != Atomic.delta(0) and all(t in T_LETTERS for t in letters):
         raise WordParseError("--measure is the law of D; it needs a word with D or Z letters")
     return mu, c
 

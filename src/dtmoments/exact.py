@@ -3,11 +3,11 @@
 All closed-form moment computations in this package run over Gaussian
 rationals (pairs of :class:`fractions.Fraction` for the real and imaginary
 parts); :func:`parse_rational` reads every exact input, :func:`positive`
-every scale or radius and :func:`order` every order or exponent.  Mixing a
-:class:`ComplexRational` with a float or complex operand degrades to
-``complex``, mirroring how ``Fraction`` interacts with ``float``; a
-:class:`MomentValue` is exact exactly when it holds a ``ComplexRational``, so
-exactness is never silently claimed.
+every scale or radius and :func:`order` every count, order, exponent, size
+or seed, with its least value.  Mixing a :class:`ComplexRational` with a
+float or complex operand degrades to ``complex``, mirroring how ``Fraction``
+interacts with ``float``; a :class:`MomentValue` is exact exactly when it
+holds a ``ComplexRational``, so exactness is never silently claimed.
 """
 
 from __future__ import annotations
@@ -48,15 +48,17 @@ def positive(x, what: str) -> Fraction | float:
     return x
 
 
-def order(x) -> int:
-    """A moment order, exponent or degree, read exactly: 2, 2.0 and "2" read
-    as 2; a boolean or a non-integer raises."""
-    if type(x) is int:
-        return x
-    q = parse_rational(x)
-    if q.denominator != 1:
-        raise ValueError(f"order {x!r} is not an integer")
-    return int(q)
+def order(x, what: str = "order", least: int | None = None) -> int:
+    """A count, order, exponent, size or seed, read exactly: 2, 2.0 and "2"
+    read as 2; a boolean, a non-integer or a value below ``least`` raises."""
+    if type(x) is not int:
+        q = parse_rational(x)
+        if q.denominator != 1:
+            raise ValueError(f"{what} {x!r} is not an integer")
+        x = int(q)
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact import order
 from .moments import _integral, _mul
 from .ncpair import (
     OrientedQuotientGraph,
@@ -40,9 +41,8 @@ class TreePoset:
 
     def __post_init__(self):
         object.__setattr__(self, "covers", tuple(sorted(set(self.covers))))
-        n = self.n_vertices
-        if n < 1:
-            raise ValueError("poset needs at least one vertex")
+        n = order(self.n_vertices, "n_vertices", 1)
+        object.__setattr__(self, "n_vertices", n)
         if len(self.covers) != n - 1:
             raise ValueError("cover support of a tree has exactly n-1 edges")
         for a, b in self.covers:

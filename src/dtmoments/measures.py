@@ -154,15 +154,15 @@ class MomentTable:
     entries: tuple[tuple[tuple[int, int], ComplexRational], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "max_degree", order(self.max_degree))
-        table = {(order(r), order(s)): _cq(v) for (r, s), v in self.entries}
-        if not self.max_degree >= 0:
-            raise ValueError("max_degree must be nonnegative")
+        d = order(self.max_degree, "max_degree", 0)
+        what = f"order of a max_degree {d} table"
+        table = {(order(r, what, 0), order(s, what, 0)): _cq(v) for (r, s), v in self.entries}
+        object.__setattr__(self, "max_degree", d)
         if table.get((0, 0), CQ_ONE) != CQ_ONE:
             raise ValueError("M(0, 0) must be 1")
         for (r, s), v in table.items():
-            if not (r >= 0 and s >= 0 and r + s <= self.max_degree):
-                raise ValueError(f"M({r}, {s}) needs orders >= 0 within max_degree {self.max_degree}")
+            if r + s > d:
+                raise ValueError(f"M({r}, {s}) exceeds max_degree {d}")
             if r == s and not (v.is_real() and v.re >= 0):
                 raise ValueError(f"M({r}, {r}) = {v!r} must be real and >= 0")
             if (s, r) in table and table[s, r] != v.conjugate():
@@ -205,10 +205,7 @@ MeasureModel = Atomic | UniformDisk | UniformAnnulus | UniformEllipse | MomentTa
 
 def mixed_moment(mu: MeasureModel, r: int, s: int) -> MomentValue:
     """M(r, s) of the model, tagged with the backend that produced it."""
-    r, s = order(r), order(s)
-    if r < 0 or s < 0:
-        raise ValueError("moment orders must be nonnegative")
-    return MomentValue.wrap(mu.moment(r, s))
+    return MomentValue.wrap(mu.moment(order(r, least=0), order(s, least=0)))
 
 
 def scale(mu: MeasureModel, lam: ComplexRational) -> MeasureModel:

@@ -76,9 +76,8 @@ class DTWord:
         expected = k if k else (1 if self.blocks else 0)
         if len(self.blocks) != expected:
             raise ValueError("need exactly one diagonal block per T-slot")
-        object.__setattr__(self, "blocks", tuple((order(a), order(b)) for a, b in self.blocks))
-        if any(a < 0 or b < 0 for a, b in self.blocks):
-            raise ValueError("diagonal exponents must be nonnegative")
+        w = "diagonal exponent"
+        object.__setattr__(self, "blocks", tuple((order(a, w, 0), order(b, w, 0)) for a, b in self.blocks))
 
     @classmethod
     def from_letters(cls, letters) -> "DTWord":
@@ -269,7 +268,8 @@ def scaled_dt(
     mu: MeasureModel, c, lam: ComplexRational
 ) -> tuple[MeasureModel, Fraction | float]:
     """Parameters of lam*Z when Z has parameters (mu, c): push forward mu by
-    lam and multiply the scale by |lam|."""
+    lam and multiply the scale, read as ``ZWord`` reads it, by |lam|."""
+    c = positive(c, "the scale c")
     if not isinstance(lam, ComplexRational):
         lam = ComplexRational(lam)
     pushed = scale(mu, lam)  # rejects lam = 0
@@ -277,5 +277,6 @@ def scaled_dt(
 
 
 def adjoint_dt(mu: MeasureModel, c) -> tuple[MeasureModel, Fraction | float]:
-    """Parameters of Z*: the conjugated measure with the same scale."""
-    return conjugate(mu), c
+    """Parameters of Z*: the conjugated measure with the same scale, read as
+    ``ZWord`` reads it."""
+    return conjugate(mu), positive(c, "the scale c")

@@ -29,12 +29,17 @@ ZERO = None  # the canonical form of a sequence whose trace is identically zero
 def canonicalize(seq) -> tuple | None:
     """Canonical representative of an alternating exponent sequence.
 
-    Zero exponents are merged away (cyclically); an unbalanced sequence maps
-    to ZERO; otherwise the lexicographically least tuple over all rotations
-    and the reversal is returned.  The empty tuple stands for the trace of 1.
-    A negative exponent raises ValueError, balanced or not.
+    Exponents are read by ``order`` and zeros merged away (cyclically); an
+    unbalanced sequence maps to ZERO; otherwise the lexicographically least
+    tuple over all rotations and the reversal is returned.  The empty tuple
+    stands for the trace of 1.  A negative exponent raises ValueError,
+    balanced or not.
     """
-    seq = tuple(seq)
+    return _canonical(tuple(order(x, "exponent") for x in seq))
+
+
+def _canonical(seq: tuple) -> tuple | None:
+    """``canonicalize`` of a tuple of ints, which it does not read again."""
     if len(seq) % 2 != 0:
         raise ValueError("alternating exponent sequences have even length")
     if min(seq, default=0) < 0:
@@ -75,9 +80,9 @@ def m_recursive(seq) -> Fraction:
     stays attached.  It runs on the integers W = (m+1)! times the trace; a
     dict local to the call looks up sub-sequences as formed, before
     canonicalizing, and ``_MEMO`` keeps W by canonical form across calls.
-    The exponents are read here, once, by ``order``.
+    The exponents are read once, by the public ``canonicalize``.
     """
-    canon = canonicalize(map(order, seq))
+    canon = canonicalize(seq)
     if canon is ZERO:
         return Fraction(0)
     return Fraction(_scaled(canon, {}), factorial(sum(canon[0::2]) + 1))
@@ -88,7 +93,7 @@ def _scaled(seq: tuple, formed: dict) -> int:
     value = formed.get(seq)
     if value is not None:
         return value
-    canon = canonicalize(seq)
+    canon = _canonical(seq)
     if canon is ZERO:
         value = 0
     else:
@@ -118,15 +123,13 @@ def _scaled(seq: tuple, formed: dict) -> int:
 
 def tstt_moment(p: int) -> Fraction:
     """Trace of (T*T)^p in closed form: p^p / (p+1)!; equals 1 at p = 0."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    p = order(p, "p", 0)
     return Fraction(p**p, factorial(p + 1))
 
 
 def _block_moment(N: int, p: int, sign: int) -> Fraction:
     # (p + sign/N)(p + 2 sign/N)...(p + p sign/N) / (p+1)!
-    if N < 1 or p < 0:
-        raise ValueError("need N >= 1 and p >= 0")
+    N, p = order(N, "N", 1), order(p, "p", 0)
     return Fraction(prod(p + Fraction(sign * i, N) for i in range(1, p + 1)), factorial(p + 1))
 
 
@@ -145,6 +148,5 @@ def ttn_moment(N: int, p: int) -> Fraction:
 def conjecture_value(k: int, n: int) -> Fraction:
     """The conjectured closed form n^{nk} / (nk+1)! for the trace of
     ((T*)^k T^k)^n."""
-    if k < 1 or n < 1:
-        raise ValueError("need k, n >= 1")
+    k, n = order(k, "k", 1), order(n, "n", 1)
     return Fraction(n ** (n * k), factorial(n * k + 1))

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, WordParseError
-from .exact import positive
+from .exact import order, positive
 from .measures import (
     Atomic,
     MeasureModel,
@@ -166,13 +166,15 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
     return Estimate(complex(values.mean()), float(se), n, values.size, seed)
 
 
-def _check_size(n: int, trials: int) -> None:
+def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
+    n, trials, seed = order(n, "matrix size"), order(trials, "trials"), order(seed, "seed")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if n < 1:
         raise ValueError(f"matrix size {n} is below 1")
     if n > DEFAULT_SIZE_CAP:
         raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
+    return n, trials, seed
 
 
 def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:
@@ -298,7 +300,7 @@ def estimate_word_moment(
     i.i.d. complex N(0, 1/n) entries, drawn independently per trial; a Z
     letter stands for D + c*T, with c > 0.  A c other than 1 needs Z letters.
     """
-    _check_size(n, trials)
+    n, trials, seed = _check_size(n, trials, seed)
     letters = _check_letters(letters)
     uses_z = any(t in Z_LETTERS for t in letters)
     uses_d = any(t in D_LETTERS for t in letters)
@@ -335,7 +337,7 @@ def estimate_elliptic_moment(
     H1 and H2 are independent self-adjoint Gaussian matrices with entry
     variance 1/n; theta must lie in (0, pi/2).
     """
-    _check_size(n, trials)
+    n, trials, seed = _check_size(n, trials, seed)
     if not 0.0 < theta < math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2)")
     upper = ~np.tri(n, dtype=bool)
@@ -363,7 +365,7 @@ def deterministic_diagonal_run(
     Only the triangular factor is random; the diagonal comes from
     ``entries_generator(n)`` and is reused across trials.
     """
-    _check_size(n, trials)
+    n, trials, seed = _check_size(n, trials, seed)
     c = float(positive(c, "the scale c"))
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
@@ -387,9 +389,8 @@ def pure_t_word_sweep(
     at ``max_len`` 6 the 126 words fall into 22 classes, and a trial forms 5
     matrix products where the prefixes of all the words would take 60.
     """
-    _check_size(n, trials)
-    if max_len < 1:
-        raise ValueError(f"max_len {max_len} is below 1")
+    n, trials, seed = _check_size(n, trials, seed)
+    max_len = order(max_len, "max_len", 1)
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import CapExceededError
+from .exact import order
 
 SUPPORT_UPPER = math.e  # the spectral law of T*T lives on [0, e]
 DEFAULT_MOMENT_CAP = 300
@@ -121,10 +122,9 @@ def density_moment(p: int) -> float:
 
     The 64-node rule is within a relative 3.4e-14 of the closed form
     p^p/(p+1)! for every p up to the cap of 300; its error passes 1e-13 at
-    p = 332, as rho(v)^p crowds the integrand toward v = 0.
+    p = 332, as rho(v)^p crowds the integrand toward v = 0.  p is an integer.
     """
-    if p < 0:
-        raise ValueError("moment order must be nonnegative")
+    p = order(p, "p", 0)
     if p > DEFAULT_MOMENT_CAP:
         raise CapExceededError(f"moment order {p} exceeds the cap of {DEFAULT_MOMENT_CAP}")
     from numpy.polynomial.legendre import leggauss  # numpy only once a moment is asked for
@@ -145,8 +145,7 @@ def density_grid(num_points: int = 200) -> list[DensityPoint]:
     diverges at the lower support edge) are dropped, so fewer than
     ``num_points`` entries may come back for very fine grids.
     """
-    if num_points < 1:
-        raise ValueError("need at least one grid point")
+    num_points = order(num_points, "num_points", 1)
     pts = []
     for i in range(1, num_points + 1):
         v = math.pi * i / (num_points + 1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .exact import order as read_order
 from .quasinil import stn_moment, tstt_moment, ttn_moment
 
 
@@ -165,19 +166,13 @@ def r_transform_closed_form(order: int) -> Series:
     The singularity at 0 is removable; coefficient j is the (j+1)-st free
     cumulant of the squared-generator spectral law.
     """
-    _require_at_least_one(order=order)
+    order = read_order(order, "order", 1)
     n = order + 1
     log_over_z = Series(tuple(Fraction(1, j + 1) for j in range(n)))  # -log(1-z)/z
     one_minus_z = Series((Fraction(1), Fraction(-1)) + (Fraction(0),) * (n - 2))
     a = one_minus_z * log_over_z  # -(1-z) log(1-z) / z
     r_shifted = a.reciprocal() - Series((Fraction(1),) + (Fraction(0),) * (n - 1))
     return r_shifted.shift(-1).truncate(order)
-
-
-def _require_at_least_one(**counts) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _inverse_check(moments, closed, order: int) -> bool:
@@ -191,28 +186,28 @@ def _inverse_check(moments, closed, order: int) -> bool:
 
 def kn_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum alpha_N(p) t^{p+1}) give z (1 + z/N)^{-N}?"""
-    _require_at_least_one(N=N, order=order)
+    N, order = read_order(N, "N", 1), read_order(order, "order", 1)
     return _inverse_check(lambda p: stn_moment(N, p),
                           lambda j: Fraction((-1) ** j * comb(N + j - 1, j), N**j), order)
 
 
 def ln_inverse_check(N: int, order: int) -> bool:
     """Does reverting t/(1 - sum beta_N(p) t^{p+1}) give z (1 - z/N)^N?"""
-    _require_at_least_one(N=N, order=order)
+    N, order = read_order(N, "N", 1), read_order(order, "order", 1)
     return _inverse_check(lambda p: ttn_moment(N, p),
                           lambda j: Fraction(comb(N, j) * (-1) ** j, N**j), order)
 
 
 def l_limit_inverse_check(order: int) -> bool:
     """Does the limit transfer series (with moments p^p/(p+1)!) invert to z e^{-z}?"""
-    _require_at_least_one(order=order)
+    order = read_order(order, "order", 1)
     return _inverse_check(tstt_moment, lambda j: Fraction((-1) ** j, factorial(j)), order)
 
 
 def finite_n_r_relation_check(N: int, order: int) -> bool:
     """Coefficientwise check that the R-series of the full and strict block
     moment families differ by the free Poisson term 1/(N(1-z))."""
-    _require_at_least_one(N=N, order=order)
+    N, order = read_order(N, "N", 1), read_order(order, "order", 1)
     r_mu = moments_to_free_cumulants(
         Series.from_one_indexed(tuple(stn_moment(N, p) for p in range(1, order + 1)))
     )

@@ -13,7 +13,10 @@ folded tree with ``linext.nto``.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -101,31 +104,30 @@ def moments_from_cumulants_by_partitions(kappa, n: int) -> Fraction:
     return total
 
 
-def quadrature_mixed_moment(region, r: int, s: int, bounds) -> complex:
-    """Numeric M(r, s) = E[z^r conj(z)^s] over a uniform planar region.
+def quadrature_mixed_moment(lo, hi, r: int, s: int) -> complex:
+    """Numeric M(r, s) = E[z^r conj(z)^s] over the uniform measure on the
+    region lo(t) <= |z| <= hi(t), z = |z| e^(it), by 2-D quadrature in polar
+    coordinates.
 
-    ``region(x, y)`` is the indicator, ``bounds = (xmin, xmax, ymin, ymax)``.
+    ``lo`` and ``hi`` are smooth functions of the angle t, or constants.  A
+    quadrature warning is raised as an error, so an oracle that fails to
+    converge fails its test.
     """
     from scipy.integrate import dblquad
 
-    xmin, xmax, ymin, ymax = bounds
-
     def integrate(f):
-        val, _ = dblquad(
-            lambda y, x: f(x, y) if region(x, y) else 0.0,
-            xmin, xmax, ymin, ymax, epsabs=1e-10, epsrel=1e-10,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, _ = dblquad(lambda rho, t: f(rho * cmath.exp(1j * t)) * rho,
+                             0.0, 2 * math.pi, lo, hi, epsabs=1e-10, epsrel=1e-10)
         return val
 
-    area = integrate(lambda x, y: 1.0)
+    def moment(z):
+        return z**r * z.conjugate() ** s
 
-    def re_part(x, y):
-        return ((x + 1j * y) ** r * (x - 1j * y) ** s).real
-
-    def im_part(x, y):
-        return ((x + 1j * y) ** r * (x - 1j * y) ** s).imag
-
-    return complex(integrate(re_part) / area, integrate(im_part) / area)
+    area = integrate(lambda z: 1.0)
+    return complex(integrate(lambda z: moment(z).real) / area,
+                   integrate(lambda z: moment(z).imag) / area)
 
 
 def measure_spec(mu) -> dict:

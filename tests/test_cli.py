@@ -52,6 +52,28 @@ class TestMoment:
         assert code == 0
         assert json.loads(out)["re"] == "2/15"
 
+    def test_exponents_are_read_as_the_library_reads_them(self, capsys):
+        # "2.0,2.0" exited 2 with "invalid literal for int()"
+        code, out, _ = run(capsys, "moment", "--exponents", "2.0,2.0")
+        assert code == 0
+        assert json.loads(out) == {"word": "2.0,2.0", "backend": "exact", "re": "1/6", "im": "0"}
+
+    @pytest.mark.parametrize("text, token", [("1.5,1.5", "'1.5'"), ("1,3/2", "'3/2'"),
+                                             ("1,-1", ">= 0"), ("1,1,1", "even")])
+    def test_a_bad_exponent_is_a_parse_error_that_names_it(self, capsys, text, token):
+        code, out, err = run(capsys, "moment", "--exponents", text)
+        assert code == 2
+        assert out == ""
+        assert token in err
+
+    @pytest.mark.parametrize("measure", ["delta0", "delta:0", "delta:0,0", "delta:0/1,-0",
+                                         '{"type": "atomic", "atoms": [{"re": 0, "w": 1}]}'])
+    def test_t_word_takes_the_point_mass_at_zero_however_spelled(self, capsys, measure):
+        # every spelling but delta0 exited 2, as if it were another measure
+        code, out, _ = run(capsys, "moment", "--word", "T* T", "--measure", measure)
+        assert code == 0
+        assert json.loads(out)["re"] == "1/2"
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "moment", "--word", "T* T", "--format", "csv")
         assert code == 0

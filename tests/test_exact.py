@@ -5,13 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, parse_rational
+from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, order, parse_rational
 from dtmoments.exact import ComplexRational as CQ
+from dtmoments.linext import TreePoset
 from dtmoments.measures import MomentTable, UniformAnnulus, UniformDisk, mixed_moment
 from dtmoments.moments import DTWord, ZWord, dt_word_moment
 from dtmoments.ncpair import ONE, STAR, StarWord
-from dtmoments.quasinil import m_recursive
-from dtmoments.rmt import estimate_word_moment
+from dtmoments.quasinil import (
+    canonicalize,
+    conjecture_value,
+    m_recursive,
+    stn_moment,
+    tstt_moment,
+    ttn_moment,
+)
+from dtmoments.rmt import (
+    deterministic_diagonal_run,
+    estimate_elliptic_moment,
+    estimate_word_moment,
+    pure_t_word_sweep,
+)
+from dtmoments.spectral import density_grid, density_moment
+from dtmoments.transforms import (
+    finite_n_r_relation_check,
+    kn_inverse_check,
+    l_limit_inverse_check,
+    ln_inverse_check,
+    r_transform_closed_form,
+)
 
 PART = st.fractions(min_value=-3, max_value=3, max_denominator=15)
 GAUSSIAN = st.builds(CQ, PART, PART)
@@ -171,6 +192,45 @@ ORDER_READERS = {
     "m_recursive": lambda x, degree: m_recursive((x, x)),
 }
 
+TT = ["T", "T*"]
+# each puts its argument, read as 2, in one integer parameter of the entry named
+INTEGER_READERS = {
+    "tstt_moment-p": lambda x: tstt_moment(x),
+    "stn_moment-N": lambda x: stn_moment(x, 3),
+    "stn_moment-p": lambda x: stn_moment(3, x),
+    "ttn_moment-N": lambda x: ttn_moment(x, 3),
+    "ttn_moment-p": lambda x: ttn_moment(3, x),
+    "conjecture_value-k": lambda x: conjecture_value(x, 3),
+    "conjecture_value-n": lambda x: conjecture_value(3, x),
+    "kn_inverse_check-N": lambda x: kn_inverse_check(x, 4),
+    "kn_inverse_check-order": lambda x: kn_inverse_check(3, x),
+    "ln_inverse_check-N": lambda x: ln_inverse_check(x, 4),
+    "ln_inverse_check-order": lambda x: ln_inverse_check(3, x),
+    "l_limit_inverse_check-order": lambda x: l_limit_inverse_check(x),
+    "finite_n_r_relation_check-N": lambda x: finite_n_r_relation_check(x, 4),
+    "finite_n_r_relation_check-order": lambda x: finite_n_r_relation_check(3, x),
+    "r_transform_closed_form-order": lambda x: r_transform_closed_form(x),
+    "density_moment-p": lambda x: density_moment(x),
+    "density_grid-num_points": lambda x: density_grid(x),
+    "mixed_moment-r": lambda x: mixed_moment(UniformAnnulus(2), x, 1),
+    "mixed_moment-s": lambda x: mixed_moment(UniformAnnulus(2), 1, x),
+    "MomentTable-max_degree": lambda x: MomentTable(x, (((1, 1), F(1, 3)),)),
+    "MomentTable-r": lambda x: MomentTable(3, (((x, 1), F(1, 3)),)),
+    "MomentTable-s": lambda x: MomentTable(3, (((1, x), F(1, 3)),)),
+    "DTWord-a": lambda x: DTWord(EPS, ((x, 0), (0, 1))),
+    "DTWord-b": lambda x: DTWord(EPS, ((1, 0), (0, x))),
+    "canonicalize": lambda x: canonicalize((x, 1, 0, x, 1, 0)),
+    "m_recursive": lambda x: m_recursive((x, 1, 1, x)),
+    "estimate_word_moment-n": lambda x: estimate_word_moment(TT, x, 3, 0),
+    "estimate_word_moment-trials": lambda x: estimate_word_moment(TT, 4, x, 0),
+    "estimate_word_moment-seed": lambda x: estimate_word_moment(TT, 4, 3, x),
+    "estimate_elliptic_moment-seed": lambda x: estimate_elliptic_moment(0.5, EPS, 4, 3, x),
+    "deterministic_diagonal_run-n": lambda x: deterministic_diagonal_run(
+        lambda m: [0.5] * m, 1.0, EPS, x, 3, 0),
+    "pure_t_word_sweep-max_len": lambda x: pure_t_word_sweep(x, 4, 3, 0),
+    "TreePoset-n_vertices": lambda x: TreePoset(x, ((0, 1),)),
+}
+
 
 class TestReaders:
     """``order`` reads every order and exponent, and ``positive`` every scale
@@ -217,3 +277,37 @@ class TestReaders:
                      lambda c: estimate_word_moment(["Z*", "Z"], 8, 2, 0, mu=UniformDisk(1), c=c)):
             with pytest.raises(error):
                 read(bad)
+
+    @pytest.mark.parametrize("name", INTEGER_READERS)
+    def test_every_integer_parameter_reads_every_spelling_alike(self, name):
+        # booleans read as 0 or 1, integer floats raised TypeError, and
+        # canonicalize returned (2.0, ...) unread
+        read = INTEGER_READERS[name]
+        want = repr(read(2))
+        for x in (2.0, "2", F(2), np.int64(2)):
+            assert repr(read(x)) == want, x
+
+    @pytest.mark.parametrize("name", INTEGER_READERS)
+    def test_every_integer_parameter_refuses_booleans_and_non_integers(self, name):
+        # kn_inverse_check(2, True) was a vacuous True, and estimate_word_moment
+        # with n=True sampled a 1 x 1 matrix
+        for bad in (True, 1.5, "3/2"):
+            with pytest.raises((TypeError, ValueError), match="boolean|not exact|not an integer"):
+                INTEGER_READERS[name](bad)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: order(0, "k", 1), "k must be >= 1"),
+        (lambda: order("-1", least=0), "order must be >= 0"),
+        (lambda: order(F(3, 2), "k", 1), r"k Fraction\(3, 2\) is not an integer"),
+        (lambda: conjecture_value(0, 2), "k must be >= 1"),
+        (lambda: stn_moment(0, 2), "N must be >= 1"),
+        (lambda: density_moment(-1), "p must be >= 0"),
+        (lambda: density_grid(0.0), "num_points must be >= 1"),
+        (lambda: mixed_moment(UniformDisk(1), -1, 0), "order must be >= 0"),
+        (lambda: DTWord(EPS, ((-1, 0), (0, 0))), "diagonal exponent must be >= 0"),
+        (lambda: TreePoset(0, ()), "n_vertices must be >= 1"),
+    ], ids=["order-least", "order-default", "order-what", "conjecture", "block", "density",
+            "grid", "mixed", "dtword", "poset"])
+    def test_a_value_below_its_least_is_named(self, call, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            call()

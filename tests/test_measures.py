@@ -78,10 +78,8 @@ class TestDisk:
 
     def test_against_quadrature(self):
         got = mixed_moment(UniformDisk(1), 2, 2).as_complex()
-        oracle = quadrature_mixed_moment(
-            lambda x, y: x * x + y * y <= 1.0, 2, 2, (-1, 1, -1, 1)
-        )
-        assert abs(got - oracle) < 1e-3
+        oracle = quadrature_mixed_moment(0.0, 1.0, 2, 2)
+        assert abs(got - oracle) < 1e-9
 
 
 class TestAnnulus:
@@ -103,11 +101,8 @@ class TestAnnulus:
     def test_against_quadrature(self):
         c = 2.0
         got = mixed_moment(UniformAnnulus(F(2)), 1, 1).as_complex()
-        oracle = quadrature_mixed_moment(
-            lambda x, y: c - 1 <= x * x + y * y <= c,
-            1, 1, (-math.sqrt(c), math.sqrt(c), -math.sqrt(c), math.sqrt(c)),
-        )
-        assert abs(got - oracle) < 1e-3
+        oracle = quadrature_mixed_moment(math.sqrt(c - 1), math.sqrt(c), 1, 1)
+        assert abs(got - oracle) < 1e-9
 
 
 class TestEllipse:
@@ -131,11 +126,11 @@ class TestEllipse:
         a2, b2 = 1.0, 0.25
         half_x = 2 * a2 / math.sqrt(a2 + b2)
         half_y = 2 * b2 / math.sqrt(a2 + b2)
+        # the boundary at angle t lies at radius 1/sqrt(cos^2 t/half_x^2 + sin^2 t/half_y^2)
         oracle = quadrature_mixed_moment(
-            lambda x, y: (x / half_x) ** 2 + (y / half_y) ** 2 <= 1.0,
-            2, 0, (-half_x, half_x, -half_y, half_y),
+            0.0, lambda t: 1 / math.hypot(math.cos(t) / half_x, math.sin(t) / half_y), 2, 0
         )
-        assert abs(got.as_complex() - oracle) < 1e-3
+        assert abs(got.as_complex() - oracle) < 1e-9
 
     def test_second_mixed_moment_closed_form(self):
         # E|z|^2 = (a^4 + b^4) / (a^2 + b^2)

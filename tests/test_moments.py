@@ -612,6 +612,27 @@ class TestScaledAdjoint:
         assert isinstance(c, float)
         assert abs(c - 2**0.5) < 1e-15
 
+    @pytest.mark.parametrize("c", [-1, 0, float("nan")], ids=repr)
+    def test_scaled_dt_refuses_what_zword_refuses(self, c):
+        # these gave c = -2, 0 and nan
+        with pytest.raises(ValueError, match="the scale c must be positive"):
+            scaled_dt(UniformDisk(1), c, 2)
+
+    @pytest.mark.parametrize("c", [-1, 0, float("nan")], ids=repr)
+    def test_adjoint_dt_refuses_what_zword_refuses(self, c):
+        # these came back unread
+        with pytest.raises(ValueError, match="the scale c must be positive"):
+            adjoint_dt(UniformDisk(1), c)
+
+    def test_a_rational_string_scale_reads_exactly(self):
+        # scaled_dt raised TypeError, and adjoint_dt returned the string
+        mu, c = scaled_dt(UniformDisk(1), "1/2", 2)
+        assert mu == scaled_dt(UniformDisk(1), F(1, 2), 2)[0]
+        assert c == 1 and type(c) is F
+        mu, c = adjoint_dt(UniformDisk(1), "1/2")
+        assert mu == UniformDisk(1)
+        assert c == F(1, 2) and type(c) is F
+
 
 def test_memo_is_safe_under_concurrent_use():
     # deterministic results independent of evaluation order and thread count
