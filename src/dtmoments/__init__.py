@@ -38,6 +38,7 @@ from .moments import (
     ZWord,
     adjoint_dt,
     dt_word_moment,
+    elliptic_dt,
     parse_word,
     scaled_dt,
     t_word_moment,

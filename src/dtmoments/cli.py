@@ -10,14 +10,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CapExceededError, WordParseError
 from .exact import MomentValue, format_rational, order, parse_rational
-from .measures import _SHAPES, Atomic, MeasureModel, UniformEllipse, measure_from_json
+from .measures import _SHAPES, Atomic, MeasureModel, measure_from_json
 from .moments import (
     DEFAULT_Z_LEN_CAP,
     DTWord,
@@ -25,6 +24,7 @@ from .moments import (
     Z_LETTERS,
     ZWord,
     dt_word_moment,
+    elliptic_dt,
     parse_word,
     z_word_moment,
 )
@@ -204,20 +204,13 @@ def cmd_mc(args, out) -> None:
             if value is not None:
                 raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
         eps = ZWord.from_letters(letters).eps
-        if not 0.0 < args.theta < math.pi / 2:
-            raise ValueError("theta must lie in (0, pi/2)")
-        a, b = math.cos(args.theta), math.sin(args.theta)
-        target = z_word_moment(
-            ZWord(eps, 2 * a * b / math.hypot(a, b)), UniformEllipse(a, b)
-        ).as_complex()
+        ellipse, c = elliptic_dt(args.theta)
+        target = z_word_moment(ZWord(eps, c), ellipse).as_complex()
         est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
     else:
         mu, c = _word_inputs(args, letters)
         target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
-        reads_mu = any(t not in T_LETTERS for t in letters)
-        est = estimate_word_moment(
-            letters, args.n, args.trials, args.seed, mu=mu if reads_mu else None, c=float(c)
-        )
+        est = estimate_word_moment(letters, args.n, args.trials, args.seed, mu=mu, c=c)
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
 

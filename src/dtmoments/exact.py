@@ -4,10 +4,10 @@ All closed-form moment computations in this package run over Gaussian
 rationals (pairs of :class:`fractions.Fraction` for the real and imaginary
 parts); :func:`parse_rational` reads every exact input, :func:`positive`
 every scale or radius and :func:`order` every count, order, exponent, size
-or seed, with its least value.  Mixing a :class:`ComplexRational` with a
-float or complex operand degrades to ``complex``, mirroring how ``Fraction``
-interacts with ``float``; a :class:`MomentValue` is exact exactly when it
-holds a ``ComplexRational``, so exactness is never silently claimed.
+or seed, with its least value and its cap.  Mixing a :class:`ComplexRational`
+with a float or complex operand degrades to ``complex``, mirroring how
+``Fraction`` interacts with ``float``; a :class:`MomentValue` is exact exactly
+when it holds a ``ComplexRational``, so exactness is never silently claimed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+from .errors import CapExceededError
 
 
 def parse_rational(s) -> Fraction:
@@ -48,9 +50,10 @@ def positive(x, what: str) -> Fraction | float:
     return x
 
 
-def order(x, what: str = "order", least: int | None = None) -> int:
+def order(x, what: str = "order", least: int | None = None, most: int | None = None) -> int:
     """A count, order, exponent, size or seed, read exactly: 2, 2.0 and "2"
-    read as 2; a boolean, a non-integer or a value below ``least`` raises."""
+    read as 2; a boolean, a non-integer or a value below ``least`` raises, and
+    a value above the cap ``most`` raises ``CapExceededError``."""
     if type(x) is not int:
         q = parse_rational(x)
         if q.denominator != 1:
@@ -58,6 +61,8 @@ def order(x, what: str = "order", least: int | None = None) -> int:
         x = int(q)
     if least is not None and x < least:
         raise ValueError(f"{what} must be >= {least}")
+    if most is not None and x > most:
+        raise CapExceededError(f"{what} {x} exceeds the cap of {most}")
     return x
 
 

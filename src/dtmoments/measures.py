@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
-from .errors import CapExceededError, WordParseError
+from .errors import WordParseError
 from .exact import CQ_ONE, CQ_ZERO, ComplexRational, MomentValue, order, parse_rational, positive
 
 
@@ -170,10 +170,7 @@ class MomentTable:
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
 
     def moment(self, r: int, s: int) -> ComplexRational:
-        if r + s > self.max_degree:
-            raise CapExceededError(
-                f"moment degree {r + s} exceeds the table's max degree {self.max_degree}"
-            )
+        order(r + s, "moment degree", most=self.max_degree)
         if (r, s) == (0, 0):
             return CQ_ONE
         table = dict(self.entries)

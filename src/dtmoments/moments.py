@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, cos, factorial, hypot, pi, sin
 
-from .errors import CapExceededError, WordParseError
-from .exact import ComplexRational, MomentValue, order, positive, rational_sqrt
-from .measures import MeasureModel, conjugate, scale
+from .errors import WordParseError
+from .exact import ComplexRational, MomentValue, order, parse_rational, positive, rational_sqrt
+from .measures import MeasureModel, UniformEllipse, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
 # a cold (Z*Z)^12 on the unit disk takes about 0.4 s, and two more letters
@@ -255,11 +255,7 @@ def z_word_moment(
     Each letter offers its diagonal part and its triangular part to one
     interval DP, which sums over both choices at every position at once.
     """
-    k = len(zw.eps)
-    if k > max_len:
-        raise CapExceededError(
-            f"Z-word length {k} exceeds the cap of {max_len}; raise max_len to override"
-        )
+    order(len(zw.eps), "Z-word length", most=order(max_len, "max_len", 0))
     parts = [((1, 0) if sym == ONE else (0, 1), sym) for sym in zw.eps.symbols]
     return MomentValue.wrap(_word_sum(parts, _moments_of(mu), zw.c * zw.c))
 
@@ -280,3 +276,13 @@ def adjoint_dt(mu: MeasureModel, c) -> tuple[MeasureModel, Fraction | float]:
     """Parameters of Z*: the conjugated measure with the same scale, read as
     ``ZWord`` reads it."""
     return conjugate(mu), positive(c, "the scale c")
+
+
+def elliptic_dt(theta) -> tuple[UniformEllipse, float]:
+    """Parameters of cos(theta) H1 + i sin(theta) H2: the ellipse of a = cos(theta),
+    b = sin(theta), and c = 2ab / hypot(a, b); a non-float theta is read by ``parse_rational``."""
+    theta = theta if isinstance(theta, float) else float(parse_rational(theta))
+    if not 0.0 < theta < pi / 2:
+        raise ValueError("theta must lie in (0, pi/2)")
+    a, b = cos(theta), sin(theta)
+    return UniformEllipse(a, b), 2 * a * b / hypot(a, b)

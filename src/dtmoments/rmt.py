@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, WordParseError
+from .errors import WordParseError
 from .exact import order, positive
 from .measures import (
     Atomic,
@@ -43,7 +43,7 @@ from .measures import (
     UniformDisk,
     UniformEllipse,
 )
-from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters
+from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, elliptic_dt
 from .ncpair import ONE, StarWord
 
 DEFAULT_SIZE_CAP = 2048
@@ -167,13 +167,12 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
 
 
 def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
-    n, trials, seed = order(n, "matrix size"), order(trials, "trials"), order(seed, "seed")
+    n = order(n, "matrix size", most=DEFAULT_SIZE_CAP)
+    trials, seed = order(trials, "trials"), order(seed, "seed")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if n < 1:
         raise ValueError(f"matrix size {n} is below 1")
-    if n > DEFAULT_SIZE_CAP:
-        raise CapExceededError(f"matrix size {n} exceeds the cap of {DEFAULT_SIZE_CAP}")
     return n, trials, seed
 
 
@@ -295,10 +294,11 @@ def estimate_word_moment(
 ) -> Estimate:
     """Monte Carlo normalized trace of a word in {D, D*, T, T*} or {Z, Z*}.
 
-    The diagonal is i.i.d. from ``mu`` (required for D or Z words, refused
-    for others) and the triangular factor is strictly upper triangular with
-    i.i.d. complex N(0, 1/n) entries, drawn independently per trial; a Z
-    letter stands for D + c*T, with c > 0.  A c other than 1 needs Z letters.
+    The diagonal is i.i.d. from ``mu`` (required for D or Z words; others take
+    only the point mass at 0 and draw no diagonal) and the triangular factor
+    is strictly upper triangular with i.i.d. complex N(0, 1/n) entries, drawn
+    independently per trial; a Z letter stands for D + c*T, with c > 0.  A c
+    other than 1 needs Z letters.
     """
     n, trials, seed = _check_size(n, trials, seed)
     letters = _check_letters(letters)
@@ -306,15 +306,15 @@ def estimate_word_moment(
     uses_d = any(t in D_LETTERS for t in letters)
     if (uses_d or uses_z) and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
-    if not (uses_d or uses_z) and mu is not None:
+    if not (uses_d or uses_z) and mu not in (None, Atomic.delta(0)):
         raise WordParseError("a measure is the law of D; it needs a word with D or Z letters")
+    c = float(positive(c, "the scale c"))
     if not uses_z and c != 1:
         raise WordParseError("c scales T inside Z; it needs a word with Z letters")
-    c = float(positive(c, "the scale c"))
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):
-        t, d = _triangular(rngs, size, upper, mu)
+        t, d = _triangular(rngs, size, upper, mu if uses_d or uses_z else None)
         mats = {"T": t}
         if uses_z:
             mats["Z"] = _with_diagonal(c * t, d)  # onto T's zero diagonal
@@ -335,11 +335,10 @@ def estimate_elliptic_moment(
     """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2.
 
     H1 and H2 are independent self-adjoint Gaussian matrices with entry
-    variance 1/n; theta must lie in (0, pi/2).
+    variance 1/n; theta is read by ``elliptic_dt``.
     """
     n, trials, seed = _check_size(n, trials, seed)
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2)")
+    ellipse = elliptic_dt(theta)[0]
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):
@@ -347,7 +346,7 @@ def estimate_elliptic_moment(
         for pair, rng in zip(h, rngs):
             for m in pair:
                 _sample_sgrm(rng, upper, 1.0 / n, m)
-        return {"Z": math.cos(theta) * h[:, 0] + 1j * math.sin(theta) * h[:, 1]}
+        return {"Z": ellipse.a * h[:, 0] + 1j * ellipse.b * h[:, 1]}
 
     return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
 

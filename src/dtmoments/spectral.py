@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import CapExceededError
 from .exact import order
 
 SUPPORT_UPPER = math.e  # the spectral law of T*T lives on [0, e]
@@ -124,9 +123,7 @@ def density_moment(p: int) -> float:
     p^p/(p+1)! for every p up to the cap of 300; its error passes 1e-13 at
     p = 332, as rho(v)^p crowds the integrand toward v = 0.  p is an integer.
     """
-    p = order(p, "p", 0)
-    if p > DEFAULT_MOMENT_CAP:
-        raise CapExceededError(f"moment order {p} exceeds the cap of {DEFAULT_MOMENT_CAP}")
+    p = order(p, "p", 0, DEFAULT_MOMENT_CAP)
     from numpy.polynomial.legendre import leggauss  # numpy only once a moment is asked for
 
     nodes, weights = leggauss(_QUADRATURE_NODES)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtmoments.errors import CapExceededError
 from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, order, parse_rational
 from dtmoments.exact import ComplexRational as CQ
 from dtmoments.linext import TreePoset
 from dtmoments.measures import MomentTable, UniformAnnulus, UniformDisk, mixed_moment
-from dtmoments.moments import DTWord, ZWord, dt_word_moment
+from dtmoments.moments import DTWord, ZWord, dt_word_moment, z_word_moment
 from dtmoments.ncpair import ONE, STAR, StarWord
 from dtmoments.quasinil import (
     canonicalize,
@@ -311,3 +312,19 @@ class TestReaders:
     def test_a_value_below_its_least_is_named(self, call, text):
         with pytest.raises(ValueError, match=f"^{text}$"):
             call()
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: order("25", "k", 0, 24), "k 25 exceeds the cap of 24"),
+        (lambda: z_word_moment(ZWord(StarWord((ONE,) * 25)), UniformDisk(1)),
+         "Z-word length 25 exceeds the cap of 24"),
+        (lambda: density_moment(301), "p 301 exceeds the cap of 300"),
+        (lambda: MomentTable(2, ()).moment(2, 1), "moment degree 3 exceeds the cap of 2"),
+        (lambda: estimate_word_moment(TT, 2049, 2, 0), "matrix size 2049 exceeds the cap of 2048"),
+    ], ids=["order", "z-word", "density", "table", "matrix"])
+    def test_a_value_above_its_cap_is_named(self, call, text):
+        with pytest.raises(CapExceededError, match=f"^{text}$"):
+            call()
+
+    def test_a_value_at_its_cap_is_read(self):
+        assert order(24.0, "k", 0, 24) == 24
+        assert MomentTable(2, ()).moment(1, 1) == CQ_ZERO

@@ -141,3 +141,34 @@ def test_only_exact_bounds_a_value_by_inf():
     # elsewhere is a second copy of it
     bounded = [p.relative_to(PACKAGE).as_posix() for p in MODULES if inf_comparisons(p.read_text())]
     assert bounded == ["exact.py"]
+
+
+def cap_raisers(sources: dict[str, str]) -> list[str]:
+    """The modules of ``sources``, a map of module name to source, that raise
+    ``CapExceededError``, called or bare, plain or through a module."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError":
+                found.append(module)
+                break
+    return sorted(found)
+
+
+def test_the_check_finds_cap_raisers():
+    sources = {
+        "a": "def f(k):\n    if k > 3:\n        raise CapExceededError(f'{k}')\n",
+        "b": "from . import errors\ndef f():\n    raise errors.CapExceededError('k')\n",
+        "c": "def f():\n    raise CapExceededError\n",
+        "d": "def f(e):\n    raise ValueError('cap') from e\n    raise\n",
+        "e": "from .exact import order\ndef f(k):\n    return order(k, 'k', most=3)\n",
+    }
+    assert cap_raisers(sources) == ["a", "b", "c"]
+
+
+def test_only_exact_and_the_cli_raise_a_cap():
+    # exact.order holds every cap; the CLI maps a too-deep recursion to one
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert cap_raisers(sources) == ["cli.py", "exact.py"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import math
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -19,6 +20,7 @@ from dtmoments.measures import (
     UniformDisk,
     UniformEllipse,
     conjugate,
+    mixed_moment,
 )
 from dtmoments.moments import (
     DEFAULT_Z_LEN_CAP,
@@ -28,6 +30,7 @@ from dtmoments.moments import (
     _mul,
     adjoint_dt,
     dt_word_moment,
+    elliptic_dt,
     parse_word,
     scaled_dt,
     t_word_moment,
@@ -300,6 +303,21 @@ class TestZWordMoment:
         with pytest.raises(CapExceededError):
             z_word_moment(zw, DELTA0)
         assert z_word_moment(zw, DELTA0, max_len=k).value == 0
+
+    @pytest.mark.parametrize("max_len, error, match", [
+        (True, TypeError, "boolean"),  # capped the word at 1
+        (1.5, TypeError, "not exact"),  # was taken as a cap
+        (-1, ValueError, "max_len must be >= 0"),  # said "the cap of -1"
+    ], ids=repr)
+    def test_max_len_is_read_as_an_order(self, max_len, error, match):
+        with pytest.raises(error, match=match):
+            z_word_moment(ZWord(StarWord((STAR, ONE))), UniformDisk(1), max_len=max_len)
+
+    @pytest.mark.parametrize("max_len", ["30", 2.0], ids=repr)
+    def test_max_len_spelled_as_an_integer_is_its_integer(self, max_len):
+        # "30" raised TypeError from the comparison
+        got = z_word_moment(ZWord(StarWord((STAR, ONE))), UniformDisk(1), max_len=max_len)
+        assert got.as_fraction() == 1
 
     def test_empty_word(self):
         assert z_word_moment(ZWord(StarWord(())), DELTA0).as_fraction() == 1
@@ -632,6 +650,30 @@ class TestScaledAdjoint:
         mu, c = adjoint_dt(UniformDisk(1), "1/2")
         assert mu == UniformDisk(1)
         assert c == F(1, 2) and type(c) is F
+
+
+class TestEllipticDT:
+    def test_the_formula_at_a_third_turn(self):
+        a, b = math.cos(math.pi / 3), math.sin(math.pi / 3)
+        assert elliptic_dt(math.pi / 3) == (UniformEllipse(a, b), 2 * a * b / math.hypot(a, b))
+
+    def test_the_quarter_turn_is_the_circular_operator(self):
+        ellipse, c = elliptic_dt(math.pi / 4)
+        assert c == 1.0
+        for r in range(5):
+            for s in range(5 - r):
+                got = mixed_moment(ellipse, r, s).as_complex()
+                assert abs(got - mixed_moment(UniformDisk(1), r, s).as_complex()) <= 1e-15, (r, s)
+
+    def test_an_exact_angle_reads_as_its_float(self):
+        assert elliptic_dt("1/2") == elliptic_dt(F(1, 2)) == elliptic_dt(0.5)
+
+    @pytest.mark.parametrize("theta, error", [
+        (True, TypeError), (0.0, ValueError), (math.pi / 2, ValueError), (math.nan, ValueError),
+    ], ids=repr)
+    def test_an_angle_outside_the_quarter_turn_is_refused(self, theta, error):
+        with pytest.raises(error, match="boolean|theta must lie in"):
+            elliptic_dt(theta)
 
 
 def test_memo_is_safe_under_concurrent_use():

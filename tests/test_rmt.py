@@ -283,6 +283,13 @@ class TestScaleAndLength:
         with pytest.raises(WordParseError, match="D or Z letters"):
             estimate_word_moment(["T*", "T"], 8, 400, 0, mu=UniformDisk(2))
 
+    @pytest.mark.parametrize("kw", [dict(c="1"), dict(mu=Atomic.delta(0)),
+                                    dict(mu=Atomic.delta("0"), c=F(1))], ids=repr)
+    def test_a_t_word_reads_c_and_mu_as_dtmoment_does(self, kw):
+        # c = "1" and the point mass at 0 were refused, which dtmoment mc accepts
+        want = estimate_word_moment(["T", "T*"], 8, 50, 3)
+        assert estimate_word_moment(["T", "T*"], 8, 50, 3, **kw) == want
+
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, "-1/2"])
     def test_scale_must_be_positive(self, c):
         # ZWord refuses these; both estimators sampled them (inf gave a nan
@@ -349,6 +356,13 @@ class TestElliptic:
             math.pi / 4, StarWord((ONE, ONE)), n=128, trials=80, seed=22
         )
         assert abs(est.mean) < 3 * est.stderr + 10 / 128
+
+    def test_theta_is_read_by_elliptic_dt(self):
+        # True sampled theta = 1 rad, and "1/2" raised TypeError from the comparison
+        with pytest.raises(TypeError, match="boolean"):
+            estimate_elliptic_moment(True, StarWord((ONE,)), 4, 3, 0)
+        assert estimate_elliptic_moment("1/2", StarWord((STAR, ONE)), 4, 3, 0) == \
+            estimate_elliptic_moment(0.5, StarWord((STAR, ONE)), 4, 3, 0)
 
     def test_third_turn_against_engine_target(self):
         theta = math.pi / 3
