@@ -42,6 +42,7 @@ from .moments import (
     parse_word,
     scaled_dt,
     t_word_moment,
+    word_moment,
     z_word_moment,
 )
 from .ncpair import (

@@ -17,17 +17,7 @@ from fractions import Fraction
 from .errors import CapExceededError, WordParseError
 from .exact import MomentValue, format_rational, order, parse_rational
 from .measures import _SHAPES, Atomic, MeasureModel, measure_from_json
-from .moments import (
-    DEFAULT_Z_LEN_CAP,
-    DTWord,
-    T_LETTERS,
-    Z_LETTERS,
-    ZWord,
-    dt_word_moment,
-    elliptic_dt,
-    parse_word,
-    z_word_moment,
-)
+from .moments import DEFAULT_Z_LEN_CAP, T_LETTERS, Z_LETTERS, ZWord, elliptic_dt, parse_word, word_moment
 from .quasinil import DEFAULT_NK_CAP, conjecture_value, m_recursive, tstt_moment
 from .rmt import estimate_elliptic_moment, estimate_word_moment
 from .spectral import density_grid, density_moment
@@ -134,7 +124,7 @@ def cmd_moment(args, out) -> None:
         payload = _moment_payload(args.exponents, value)
     else:
         cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
-        value = _word_value(letters, mu, c, cap)
+        value = word_moment(letters, mu, c, cap)
         payload = _moment_payload(args.word, value)
     _emit(payload, args.format, out)
 
@@ -205,21 +195,14 @@ def cmd_mc(args, out) -> None:
                 raise WordParseError(f"--theta samples the elliptic operator; {flag} is not allowed")
         eps = ZWord.from_letters(letters).eps
         ellipse, c = elliptic_dt(args.theta)
-        target = z_word_moment(ZWord(eps, c), ellipse).as_complex()
+        target = word_moment(letters, ellipse, c).as_complex()
         est = estimate_elliptic_moment(args.theta, eps, args.n, args.trials, args.seed)
     else:
         mu, c = _word_inputs(args, letters)
-        target = _word_value(letters, mu, c, DEFAULT_Z_LEN_CAP).as_complex()
+        target = word_moment(letters, mu, c).as_complex()
         est = estimate_word_moment(letters, args.n, args.trials, args.seed, mu=mu, c=c)
     record = est.to_record(args.word, target)
     _emit(record, args.format, out)
-
-
-def _word_value(letters, mu: MeasureModel, c, max_len: int) -> MomentValue:
-    """Exact moment of a Z or D/T word, T-only included; ``c`` enters Z words only."""
-    if any(t in Z_LETTERS for t in letters):
-        return z_word_moment(ZWord.from_letters(letters, c), mu, max_len=max_len)
-    return dt_word_moment(DTWord.from_letters(letters), mu)
 
 
 def add_output(parser: argparse.ArgumentParser, fmt: str) -> None:

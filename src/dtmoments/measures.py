@@ -55,6 +55,8 @@ class Atomic:
         return cls(((location, Fraction(1)),))
 
     def moment(self, r: int, s: int) -> ComplexRational:
+        if (r, s) == (0, 0):
+            return CQ_ONE  # the weights sum to exactly 1
         total = CQ_ZERO
         for loc, w in self.atoms:
             total = total + w * (loc**r * loc.conjugate() ** s)

@@ -1,32 +1,33 @@
 """Exact limit *-moments of words in the diagonal and triangular generators.
 
-The trace of a word D(a_1,b_1) T^{e(1)} ... D(a_k,b_k) T^{e(k)} in the limit
-is a sum over the non-crossing pairings compatible with the star-word: each
-pairing folds the k-gon of corners into a tree and contributes the product,
+The limit trace of a word in D, D*, T and T* is a sum over the non-crossing
+pairings of its T letters that join each T to a T*: each pairing folds the
+k-gon of corners between T letters into a tree and contributes the product,
 over the tree's vertices (merge classes of corners), of the base measure's
-mixed moments at the class exponent totals, times the tree's
-linear-extension count, all divided by (k/2 + 1)!.
+mixed moments at the totals of the D and D* letters at the class's corners,
+times the tree's linear-extension count, all divided by (k/2 + 1)!.
 
 The pairings are never enumerated: :func:`_word_sum` sums over all of them
 at once by an interval DP over letter positions, with one rank vector per
 root exponent pair (r, s): a polynomial in the root's position x, which an
 arc integrates once, when it closes, and a join multiplies.  That is O(k^5)
 integer operations for a T-word of k letters, not Catalan(k/2) tree counts.
-A letter of the combined generator Z = D + c*T offers both its diagonal and
-its triangular part, so one DP sums over all 2^k choices of parts; a D/T
-word gives each nonempty block one diagonal position ahead of its T-slot.
+Every letter is one position: D a diagonal part, T a triangular part, and a
+letter of the combined generator Z = D + c*T both, so one DP sums over the
+2^k choices of parts of a Z-word of k letters.  :func:`word_moment` is the
+one entry point; the word types' functions spell their words as letters.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, cos, factorial, hypot, pi, sin
 
 from .errors import WordParseError
 from .exact import ComplexRational, MomentValue, order, parse_rational, positive, rational_sqrt
-from .measures import MeasureModel, UniformEllipse, conjugate, scale
+from .measures import Atomic, MeasureModel, UniformEllipse, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
 # a cold (Z*Z)^12 on the unit disk takes about 0.4 s, and two more letters
@@ -208,56 +209,64 @@ def _add(f: list, g: list) -> list:
     return [x + y for x, y in zip(f, g)]
 
 
+def _narrow(x):
+    """An exact real as ``Fraction``, cheaper to multiply than ``ComplexRational``,
+    and an exact integer as ``int``, cheaper still; any other value as it is."""
+    if isinstance(x, ComplexRational) and x.is_real():
+        x = x.re
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
 def _moments_of(mu: MeasureModel):
-    """``mu.moment``, cached by (r, s) for one word; real exact moments come
-    back as ``Fraction``, which is cheaper to multiply than
-    ``ComplexRational``."""
-    table: dict = {}
+    """``mu.moment``, narrowed and cached by (r, s) for one word."""
+    return cache(lambda r, s: _narrow(mu.moment(r, s)))
 
-    def moment(r: int, s: int):
-        value = table.get((r, s))
-        if value is None:
-            value = mu.moment(r, s)
-            if isinstance(value, ComplexRational) and value.is_real():
-                value = value.re
-            table[r, s] = value
-        return value
 
-    return moment
+# each letter's diagonal exponents (r, s), or None, and triangular symbol, or None
+_PARTS = {"T": (None, ONE), "T*": (None, STAR), "D": ((1, 0), None), "D*": ((0, 1), None),
+          "Z": ((1, 0), ONE), "Z*": ((0, 1), STAR)}
+
+
+def _spell(eps: StarWord, letter: str) -> tuple[str, ...]:
+    """The star-word as letters: ``letter`` at each plain symbol, its adjoint at each star."""
+    return tuple(letter if sym == ONE else letter + "*" for sym in eps.symbols)
+
+
+def word_moment(letters, mu: MeasureModel = Atomic.delta(0), c=1,
+                max_len: int = DEFAULT_Z_LEN_CAP) -> MomentValue:
+    """Limit trace of a word in T, T*, D, D* or in Z = D + c*T, Z*, over ``mu``.
+
+    Each letter is one position of the interval DP, and a Z letter offers it
+    both parts.  ``max_len`` caps words with Z letters, and a ``c`` other than
+    1 needs Z letters.  Over a float measure or with a float scale every word
+    comes back tagged float, whatever its value."""
+    letters = _check_letters(letters)
+    c = positive(c, "the scale c")
+    max_len = order(max_len, "max_len", 0)
+    if any(t in Z_LETTERS for t in letters):
+        order(len(letters), "Z-word length", most=max_len)
+    elif letters and c != 1:
+        raise WordParseError("c scales T inside Z; it needs a word with Z letters")
+    parts = [_PARTS[t] for t in letters]
+    return MomentValue.wrap(_word_sum(parts, _moments_of(mu), _narrow(c * c)))
 
 
 def t_word_moment(eps: StarWord) -> MomentValue:
     """Limit trace of T^{e(1)} ... T^{e(k)}; exact, and 0 with no pairings."""
-    return MomentValue.wrap(_word_sum([(None, s) for s in eps.symbols], lambda r, s: 1))
+    return word_moment(_spell(eps, "T"))
 
 
 def dt_word_moment(w: DTWord, mu: MeasureModel) -> MomentValue:
-    """Limit trace of a canonical D/T word under the base measure ``mu``.
-
-    Each nonempty block is a diagonal position ahead of its slot.  Over a
-    float-parameter measure every word comes back tagged float, whatever its
-    value.
-    """
-    parts = []
-    for block, sym in itertools.zip_longest(w.blocks, w.eps.symbols):
-        if block != (0, 0):
-            parts.append((block, None))
-        if sym is not None:
-            parts.append((None, sym))
-    return MomentValue.wrap(_word_sum(parts, _moments_of(mu)))
+    """Limit trace of a canonical D/T word under the base measure ``mu``: each
+    block spelled as its D letters ahead of its T-slot."""
+    ts = _spell(w.eps, "T")
+    blocks = [("D",) * a + ("D*",) * b + ts[j : j + 1] for j, (a, b) in enumerate(w.blocks)]
+    return word_moment(sum(blocks, ()), mu)
 
 
-def z_word_moment(
-    zw: ZWord, mu: MeasureModel, max_len: int = DEFAULT_Z_LEN_CAP
-) -> MomentValue:
-    """Limit trace of Z^{e(1)} ... Z^{e(k)} for Z = D + c*T over ``mu``.
-
-    Each letter offers its diagonal part and its triangular part to one
-    interval DP, which sums over both choices at every position at once.
-    """
-    order(len(zw.eps), "Z-word length", most=order(max_len, "max_len", 0))
-    parts = [((1, 0) if sym == ONE else (0, 1), sym) for sym in zw.eps.symbols]
-    return MomentValue.wrap(_word_sum(parts, _moments_of(mu), zw.c * zw.c))
+def z_word_moment(zw: ZWord, mu: MeasureModel, max_len: int = DEFAULT_Z_LEN_CAP) -> MomentValue:
+    """Limit trace of Z^{e(1)} ... Z^{e(k)} for Z = D + c*T over ``mu``."""
+    return word_moment(_spell(zw.eps, "Z"), mu, zw.c, max_len)
 
 
 def scaled_dt(

@@ -43,8 +43,8 @@ from .measures import (
     UniformDisk,
     UniformEllipse,
 )
-from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, elliptic_dt
-from .ncpair import ONE, StarWord
+from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, _spell, elliptic_dt
+from .ncpair import StarWord
 
 DEFAULT_SIZE_CAP = 2048
 _MASK64 = (1 << 64) - 1
@@ -325,10 +325,6 @@ def estimate_word_moment(
     return _run_trials(draw, [letters], n, trials, seed)[0]
 
 
-def _z_letters(eps: StarWord) -> tuple[str, ...]:
-    return tuple("Z" if sym == ONE else "Z*" for sym in eps.symbols)
-
-
 def estimate_elliptic_moment(
     theta: float, eps: StarWord, n: int, trials: int, seed: int
 ) -> Estimate:
@@ -348,7 +344,7 @@ def estimate_elliptic_moment(
                 _sample_sgrm(rng, upper, 1.0 / n, m)
         return {"Z": ellipse.a * h[:, 0] + 1j * ellipse.b * h[:, 1]}
 
-    return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
+    return _run_trials(draw, [_spell(eps, "Z")], n, trials, seed)[0]
 
 
 def deterministic_diagonal_run(
@@ -374,7 +370,7 @@ def deterministic_diagonal_run(
     def draw(rngs, size):
         return {"Z": _with_diagonal(c * _triangular(rngs, size, upper)[0], entries)}
 
-    return _run_trials(draw, [_z_letters(eps)], n, trials, seed)[0]
+    return _run_trials(draw, [_spell(eps, "Z")], n, trials, seed)[0]
 
 
 def pure_t_word_sweep(

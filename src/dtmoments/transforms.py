@@ -41,9 +41,10 @@ class Series:
         return len(self.coeffs)
 
     def __getitem__(self, i: int):
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def truncate(self, order: int) -> "Series":
+        order = read_order(order, "order", 0)
         if order <= len(self.coeffs):
             return Series(self.coeffs[:order])
         return Series(self.coeffs + (Fraction(0),) * (order - len(self.coeffs)))
@@ -71,6 +72,7 @@ class Series:
 
     def shift(self, by: int) -> "Series":
         """Multiply by z^by (by >= 0) or divide by z^{-by} (requires zero lows)."""
+        by = read_order(by, "shift")
         if by >= 0:
             return Series((Fraction(0),) * by + self.coeffs)
         if any(c != 0 for c in self.coeffs[:-by]):

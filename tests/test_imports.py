@@ -2,6 +2,7 @@
 leaves an import behind shows up here rather than as dead weight."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -172,3 +173,15 @@ def test_only_exact_and_the_cli_raise_a_cap():
     # exact.order holds every cap; the CLI maps a too-deep recursion to one
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert cap_raisers(sources) == ["cli.py", "exact.py"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's span recorder looks each name up with a bare getattr, so
+    # a renamed or removed function would crash a traced run and no other test
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for entry in tracing.SPANS + tracing.COUNTS:
+        owner, attr = entry[1], entry[2]
+        assert callable(getattr(owner, attr, None)), f"{entry[0]}: {owner.__name__}.{attr}"

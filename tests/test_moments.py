@@ -27,6 +27,7 @@ from dtmoments.moments import (
     DTWord,
     ZWord,
     _integral,
+    _moments_of,
     _mul,
     adjoint_dt,
     dt_word_moment,
@@ -34,6 +35,7 @@ from dtmoments.moments import (
     parse_word,
     scaled_dt,
     t_word_moment,
+    word_moment,
     z_word_moment,
 )
 from dtmoments.ncpair import ONE, STAR, StarWord
@@ -185,26 +187,29 @@ def is_float_measure(mu) -> bool:
 
 
 @st.composite
-def dt_words(draw, max_letters=18):
-    """A D/T word with a balanced triangular part, its D letters placed freely."""
+def dt_letters(draw, max_letters=18):
+    """The letters of a D/T word with a balanced triangular part, its D
+    letters placed freely."""
     m = draw(st.integers(0, max_letters // 2))
     letters = list(draw(st.permutations(["T"] * m + ["T*"] * m)))
     for d in draw(st.lists(st.sampled_from(["D", "D*"]), max_size=max_letters - 2 * m)):
         letters.insert(draw(st.integers(0, len(letters))), d)
-    return DTWord.from_letters(letters)
+    return letters
 
 
-@given(w=dt_words(), mu=st.sampled_from(MEASURE_KINDS))
+@given(letters=dt_letters(), mu=st.sampled_from(MEASURE_KINDS))
 @settings(max_examples=150, deadline=None)
-def test_dt_words_equal_the_pairing_sum(w, mu):
-    got = dt_word_moment(w, mu)
+def test_dt_words_equal_the_pairing_sum(letters, mu):
+    # through the canonical word's blocks and straight from the letters
+    w = DTWord.from_letters(letters)
     expected = MomentValue.wrap(pairing_sum(w, mu))
-    if w.eps.symbols:
-        assert got.exact == (not is_float_measure(mu))
-    if got.exact:
-        assert got.value == expected.value
-    else:
-        assert abs(got.as_complex() - expected.as_complex()) < 1e-12
+    for got in (dt_word_moment(w, mu), word_moment(letters, mu)):
+        if w.eps.symbols:
+            assert got.exact == (not is_float_measure(mu))
+        if got.exact:
+            assert got.value == expected.value
+        else:
+            assert abs(got.as_complex() - expected.as_complex()) < 1e-12
 
 
 class TestZWordMoment:
@@ -323,6 +328,43 @@ class TestZWordMoment:
         assert z_word_moment(ZWord(StarWord(())), DELTA0).as_fraction() == 1
 
 
+class TestWordMoment:
+    @pytest.mark.parametrize("letters", [["T*", "T"], ["D", "T*", "T"]], ids=" ".join)
+    def test_a_scale_needs_z_letters(self, letters):
+        with pytest.raises(WordParseError, match="needs a word with Z letters"):
+            word_moment(letters, UniformDisk(1), 2)
+
+    def test_the_empty_word_is_one_at_any_scale(self):
+        got = word_moment([], UniformDisk(1), F(2, 3))
+        assert got.exact and got.value == 1
+
+    def test_the_length_cap_bounds_z_words(self):
+        with pytest.raises(CapExceededError, match="Z-word length 26"):
+            word_moment(["Z*", "Z"] * 13, UniformDisk(1))
+
+    def test_max_len_is_read_as_an_order(self):
+        # read on every call, a word without Z letters too
+        for letters in (["Z*", "Z"], ["T*", "T"]):
+            with pytest.raises(TypeError, match="boolean"):
+                word_moment(letters, max_len=True)
+
+    def test_a_float_scale_tags_the_word_float(self):
+        got = word_moment(["Z*", "Z"], DELTA0, 1.0)
+        assert got.backend == "float" and got.value == 0.5
+
+    def test_a_measure_on_a_t_word_is_not_read(self):
+        assert word_moment(["T*", "T"], UniformDisk(3)).as_fraction() == F(1, 2)
+
+
+def test_integer_moments_stay_integers():
+    # a T-word reads the point mass's M(0, 0); as Fraction(1) it made the
+    # rank vectors of (T*T)^20 Fractions, about 20 times slower
+    assert type(_moments_of(DELTA0)(0, 0)) is int
+    disk = _moments_of(UniformDisk(1))
+    assert type(disk(0, 0)) is int
+    assert disk(1, 1) == F(1, 2) and type(disk(1, 1)) is F
+
+
 def power_coefficients(v: list) -> list:
     """The coefficients c_k of sum_k c_k x^k, the polynomial the rank vector v
     of length m stands for: sum_i v[i] x^i (1-x)^(m-1-i) / (i! (m-1-i)!)."""
@@ -389,13 +431,14 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
                     ]
                     total = pairing_sum(DTWord.from_letters(letters), mu) * c ** mask.bit_count() + total
                 expanded[cls] = MomentValue.wrap(total)
-            got = z_word_moment(ZWord(StarWord(symbols), c), mu)
             want = expanded[cls]
-            assert got.exact == (not is_float_measure(mu)), symbols
-            if got.exact:
-                assert got.value == want.value, symbols
-            else:
-                assert abs(got.as_complex() - want.as_complex()) <= 1e-12 * max(1, abs(want.as_complex())), symbols
+            letters = ["Z" if s == ONE else "Z*" for s in symbols]
+            for got in (z_word_moment(ZWord(StarWord(symbols), c), mu), word_moment(letters, mu, c)):
+                assert got.exact == (not is_float_measure(mu)), symbols
+                if got.exact:
+                    assert got.value == want.value, symbols
+                else:
+                    assert abs(got.as_complex() - want.as_complex()) <= 1e-12 * max(1, abs(want.as_complex())), symbols
 
 
 @given(

@@ -44,6 +44,34 @@ class TestSeriesAlgebra:
         b = Series((F(1), F(-1), F(0)))
         assert (a * b).coeffs == (F(1), F(1), F(1))
 
+    def test_a_negative_index_is_a_zero_coefficient(self):
+        # [-1] read the last coefficient, 3, as the coefficient of z^-1
+        s = Series((F(1), F(2), F(3)))
+        assert s[-1] == 0 and s[-3] == 0 and s[3] == 0
+        assert s[2] == 3
+
+    @pytest.mark.parametrize("order, error, match", [
+        (-1, ValueError, "order must be >= 0"),  # dropped the last coefficient
+        (True, TypeError, "boolean"),  # truncated to order 1
+        (1.5, TypeError, "not exact"),
+    ], ids=repr)
+    def test_truncate_reads_its_order(self, order, error, match):
+        with pytest.raises(error, match=match):
+            Series((F(1), F(2), F(3))).truncate(order)
+
+    def test_truncate_to_an_order_spelled_as_an_integer(self):
+        s = Series((F(1), F(2), F(3)))
+        assert s.truncate(0).coeffs == ()
+        assert s.truncate("2").coeffs == s.truncate(2.0).coeffs == (F(1), F(2))
+        assert s.truncate(4).coeffs == (F(1), F(2), F(3), F(0))
+
+    def test_shift_reads_its_argument(self):
+        s = Series((F(0), F(2), F(3)))
+        with pytest.raises(TypeError, match="boolean"):  # shifted by 1
+            s.shift(True)
+        assert s.shift(1).coeffs == (F(0), F(0), F(2), F(3))
+        assert s.shift("-1").coeffs == (F(2), F(3))
+
     def test_reciprocal(self):
         geo = Series((F(1), F(-1), F(0), F(0)))
         assert geo.reciprocal().coeffs == (F(1), F(1), F(1), F(1))
