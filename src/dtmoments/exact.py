@@ -107,6 +107,8 @@ class ComplexRational:
         o = self._coerce(other)
         if o is None:
             return self.to_complex() * other
+        if not (self.im or o.im):  # two reals: one Fraction product
+            return ComplexRational(self.re * o.re)
         return ComplexRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )

@@ -7,7 +7,10 @@ building a new one.  A triangular draw takes numpy's ziggurat
 ``standard_normal`` for the n(n-1)/2 real parts and then the n(n-1)/2
 imaginary parts of the entries above the diagonal, row by row, each of
 variance sigma^2/2.  Earlier versions drew a full n x n matrix and zeroed
-its lower half, so their estimates are not reproduced bit for bit.
+its lower half, so their estimates are not reproduced bit for bit.  A trial
+makes one ``random`` call for its diagonal, if any, and one ``standard_normal``
+call; each block is then scaled, placed and transformed at once, with
+estimates bit-identical to one draw per trial.
 
 All estimators share one trial runner.  It stacks max(1, 4096 // n^2) trials
 into a block, as numpy's per-call cost, not arithmetic, prices a trial at
@@ -74,19 +77,24 @@ def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]
         yield rng
 
 
+def _fill_upper(normals: np.ndarray, upper: np.ndarray, sigma_sq: float, out: np.ndarray) -> None:
+    """Scale the (B, 2, n(n-1)/2) normals in place by sqrt(sigma_sq / 2) and put
+    each matrix's rows 0 and 1 as the real and imaginary parts above the diagonal
+    of the (B, n, n) zero stack ``out``, row by row, where the mask ``upper`` is set."""
+    normals *= math.sqrt(sigma_sq / 2.0)
+    mask = np.broadcast_to(upper, out.shape)  # one full-shape mask: out.real[:, upper] is slower
+    out.real[mask] = normals[:, 0].ravel()
+    out.imag[mask] = normals[:, 1].ravel()
+
+
 def _sample_utgrm(
     rng: np.random.Generator, upper: np.ndarray, sigma_sq: float, out: np.ndarray
 ) -> None:
-    """Fill the zero matrix ``out`` above the diagonal, where the mask ``upper``
-    (``~np.tri(n, dtype=bool)``, made once per run) is set, with i.i.d. complex
-    N(0, sigma_sq): the n(n-1)/2 real parts first, then as many imaginary
-    parts, each row by row."""
+    """Fill the zero matrix ``out`` above the diagonal with i.i.d. complex
+    N(0, sigma_sq) from one ``standard_normal`` call: the n(n-1)/2 real parts
+    first, then as many imaginary parts, each row by row."""
     n = len(upper)
-    scale = math.sqrt(sigma_sq / 2.0)
-    for part in (out.real, out.imag):
-        normals = rng.standard_normal(n * (n - 1) // 2)
-        normals *= scale  # in place: one n(n-1)/2 temporary at a time
-        part[upper] = normals
+    _fill_upper(rng.standard_normal((1, 2, n * (n - 1) // 2)), upper, sigma_sq, out[None])
 
 
 def _sample_sgrm(
@@ -99,37 +107,44 @@ def _sample_sgrm(
     np.fill_diagonal(out, math.sqrt(sigma_sq) * rng.standard_normal(len(out)))
 
 
+def _uniform_rows(mu: MeasureModel) -> int:
+    """Uniforms per entry of a draw from ``mu``: an atom's, or a radius's and an angle's."""
+    return _uniform_rows(mu.base) if isinstance(mu, ScaledMeasure) else 1 if isinstance(mu, Atomic) else 2
+
+
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. complex draws from a measure model.
+    """n i.i.d. complex draws from a measure model, from one ``rng.random`` call."""
+    return _from_uniforms(mu, rng.random((_uniform_rows(mu), n)))
+
+
+def _from_uniforms(mu: MeasureModel, u: np.ndarray) -> np.ndarray:
+    """Draws from ``mu`` made from uniforms of shape (..., ``_uniform_rows(mu)``, n).
 
     Atomic uses inverse-CDF on the weights; disk and annulus use the exact
-    radial inverse CDF with a uniform angle; the ellipse maps a unit-disk draw
-    z to alpha*z + beta*conj(z), as its model does.  Moment tables are not
-    sampleable.
-    """
+    radial inverse CDF of row 0 and the angle 2 pi times row 1; the ellipse
+    maps a unit-disk draw z to alpha*z + beta*conj(z), as its model does.
+    Moment tables are not sampleable."""
     if isinstance(mu, Atomic):
         cum = np.cumsum([float(w) for _, w in mu.atoms])
         locs = np.array([loc.to_complex() for loc, _ in mu.atoms])
-        idx = np.searchsorted(cum, rng.random(n), side="right")
+        idx = np.searchsorted(cum, u[..., 0, :], side="right")
         return locs[np.minimum(idx, len(locs) - 1)]
-    if isinstance(mu, UniformDisk):
-        radius = np.sqrt(float(mu.radius) ** 2 * rng.random(n))
-        angle = 2.0 * math.pi * rng.random(n)
-        return radius * np.exp(1j * angle)
-    if isinstance(mu, UniformAnnulus):
-        radius = np.sqrt(float(mu.c) - 1.0 + rng.random(n))
-        angle = 2.0 * math.pi * rng.random(n)
-        return radius * np.exp(1j * angle)
     if isinstance(mu, UniformEllipse):
         a2, b2 = float(mu.a) ** 2, float(mu.b) ** 2
         alpha = math.sqrt(a2 + b2)
-        disk = sample_measure(UniformDisk(1), n, rng)
+        disk = _from_uniforms(UniformDisk(1), u)
         return alpha * disk + (a2 - b2) / alpha * disk.conj()
     if isinstance(mu, ScaledMeasure):
-        return mu.lam.to_complex() * sample_measure(mu.base, n, rng)
-    if isinstance(mu, MomentTable):
+        return mu.lam.to_complex() * _from_uniforms(mu.base, u)
+    if isinstance(mu, UniformDisk):
+        radius = np.sqrt(float(mu.radius) ** 2 * u[..., 0, :])
+    elif isinstance(mu, UniformAnnulus):
+        radius = np.sqrt(float(mu.c) - 1.0 + u[..., 0, :])
+    elif isinstance(mu, MomentTable):
         raise ValueError("moment tables expose no sampler")
-    raise TypeError(f"cannot sample measure model {mu!r}")
+    else:
+        raise TypeError(f"cannot sample measure model {mu!r}")
+    return radius * np.exp(1j * (2.0 * math.pi * u[..., 1, :]))
 
 
 # -- estimators ---------------------------------------------------------------
@@ -224,20 +239,22 @@ def _run_trials(
     once per block as held[p[:-1]] @ held[p[-1:]], so every product's right
     factor is a letter.  The plan is made before the trials, and frees each
     product and letter after its last use.  Stacked products and traces equal
-    each trial's bit for bit.  From n = 64 on, a product's arithmetic
-    outweighs numpy's per-call cost, so a block is one trial and holds no
-    more than one.
+    each trial's bit for bit, and go straight into the class's row of trial
+    values; the traced rows are divided by n once, at the end.  From n = 64
+    on, a product's arithmetic outweighs numpy's per-call cost, so a block is
+    one trial and holds no more than one.
     """
     reps, members = _classes(words)
+    traced = [i for i, rep in enumerate(reps) if rep]
     steps, last = [], {}  # last: each key planned so far, to the step that uses it last
-    for i in sorted((i for i, rep in enumerate(reps) if rep), key=reps.__getitem__):
+    for i in sorted(traced, key=reps.__getitem__):
         rep = reps[i]
         mid = (len(rep) + 1) // 2
         a, b = rep[:mid], min(rep[mid:], _adjoint(rep[mid:]))
         prefixes = dict.fromkeys(h[:k] for h in (a, b) for k in range(2, len(h) + 1))
         forms = [p for p in prefixes if p not in last]
         flip = b != rep[mid:]  # b held as adj(rep[mid:]): vdot(b, a) is tr(a b^H)
-        trace = partial(map, np.vdot) if flip else _TRACE_OF_PRODUCT if b else _TRACE
+        trace = (lambda x, y: [*map(np.vdot, x, y)]) if flip else _TRACE_OF_PRODUCT if b else _TRACE
         keys = (b, a) if flip else (a, b) if b else (a,)
         steps.append((i, forms, trace, keys, []))
         last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p in forms)), steps[-1]))
@@ -256,9 +273,11 @@ def _run_trials(
         for i, forms, trace, keys, frees in steps:
             for key in forms:
                 held[key] = held[key[:-1]] @ held[key[-1:]]
-            values[i, block] = [complex(v) / n for v in trace(*[held[key] for key in keys])]
+            values[i, block] = trace(*[held[key] for key in keys])
             for key in frees:
                 del held[key]
+    values.real[traced] /= n  # part by part, as Python divides a complex by n
+    values.imag[traced] /= n
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 
 
@@ -267,16 +286,20 @@ def _triangular(
     size: int,
     upper: np.ndarray,
     mu: MeasureModel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """A (size, n, n) stack of ``_sample_utgrm`` draws of variance 1/n, one per
-    generator, and the (size, n) diagonals each draws from ``mu`` first, if given."""
+    generator, and the (size, n) diagonals each draws from ``mu`` first, if given:
+    one ``random`` and one ``standard_normal`` call per trial, then one scaling,
+    placement and transform of uniforms into diagonals per block."""
     n = len(upper)
-    t, d = np.zeros((size, n, n), dtype=complex), np.empty((size, n), dtype=complex)
+    t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
+    u = None if mu is None else np.empty((size, _uniform_rows(mu), n))
     for k, rng in enumerate(rngs):
-        if mu is not None:
-            d[k] = sample_measure(mu, n, rng)
-        _sample_utgrm(rng, upper, 1.0 / n, t[k])
-    return t, d
+        if u is not None:
+            rng.random(out=u[k])
+        rng.standard_normal(out=normals[k])
+    _fill_upper(normals, upper, 1.0 / n, t)
+    return t, None if u is None else _from_uniforms(mu, u)
 
 
 def _with_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:

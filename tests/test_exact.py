@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtmoments.errors import CapExceededError
@@ -37,6 +37,7 @@ from dtmoments.transforms import (
 
 PART = st.fractions(min_value=-3, max_value=3, max_denominator=15)
 GAUSSIAN = st.builds(CQ, PART, PART)
+REAL = st.builds(CQ, PART)
 # an integer in every exact spelling: int, integer float, "p/1", Fraction, NumPy int
 SPELLINGS = (int, float, lambda k: f"{k}/1", F, np.int64)
 EPS = StarWord((ONE, STAR))
@@ -106,6 +107,22 @@ class TestComplexRationalOperators:
         assert a - q == CQ(a.re - q, a.im)
         assert q - a == CQ(q - a.re, -a.im)
         assert 2 - a == CQ(2 - a.re, -a.im)
+
+    @given(a=st.one_of(GAUSSIAN, REAL), b=st.one_of(GAUSSIAN, REAL), q=PART)
+    @example(a=CQ(F(2, 3)), b=CQ(F(-3, 4)), q=F(5))
+    @example(a=CQ(F(1, 2)), b=CQ(1, F(2, 5)), q=F(0))
+    @example(a=CQ(F(0)), b=CQ(0, F(-1, 3)), q=F(-1, 2))
+    @example(a=CQ(1, 1), b=CQ(F(1, 3), -2), q=F(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_multiplication(self, a, b, q):
+        # two real operands take one Fraction product; every value is the
+        # four-product one, with Fraction parts
+        product = CQ(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        for got in (a * b, b * a, a * q, q * a, a * 2, 2 * a):
+            assert type(got) is CQ and type(got.re) is type(got.im) is F
+        assert a * b == b * a == product
+        assert a * q == q * a == CQ(a.re * q, a.im * q)
+        assert a * 2 == 2 * a == CQ(2 * a.re, 2 * a.im)
 
     @given(a=GAUSSIAN, b=GAUSSIAN, q=PART)
     @settings(max_examples=60, deadline=None)

@@ -159,6 +159,32 @@ class TestSamplers:
                 estimate_elliptic_moment(theta, StarWord((ONE,)), n=8, trials=2, seed=0)
 
 
+SAMPLED = {
+    "disk": UniformDisk(F(3, 2)),
+    "annulus": UniformAnnulus(F(3, 2)),
+    "ellipse": UniformEllipse(F(1), F(1, 2)),
+    "atomic": Atomic(((CQ(F(1)), F(1, 4)), (CQ(F(1, 3), F(2)), F(3, 4)))),
+    "scaled-ellipse": scale(UniformEllipse(F(1), F(1, 3)), CQ(F(1, 2), F(-1))),
+    "no-measure": None,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("kind", list(SAMPLED))
+def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
+    # a block calls random and standard_normal once per trial, then scales,
+    # places and transforms the whole block; trial t must still equal, bit for
+    # bit, sample_measure and then _sample_utgrm on a fresh _rng(seed, t)
+    mu, seed, size = SAMPLED[kind], 61, 7
+    t, d = rmt._triangular(_streams(seed, range(size)), size, ~np.tri(n, dtype=bool), mu)
+    assert t.shape == (size, n, n)
+    for k in range(size):
+        rng = _rng(seed, k)
+        if mu is not None:
+            assert d[k].tobytes() == sample_measure(mu, n, rng).tobytes()
+        assert t[k].tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
+
+
 def same_stream(a, b):
     """Equal draws of every kind the samplers use, odd lengths included."""
     assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
@@ -237,6 +263,12 @@ class TestEstimators:
         # that the exact engine refuses
         with pytest.raises(WordParseError):
             estimate_word_moment(letters, n=8, trials=2, seed=0, mu=UniformDisk(1))
+
+    def test_the_empty_word_is_exactly_one(self):
+        # dividing every row of trial values by n gave 1/n = 0.125 here
+        est = estimate_word_moment([], 8, 4, 0)
+        assert (est.mean, est.stderr) == (1 + 0j, 0.0)
+        assert est.mean.imag.hex() == est.stderr.hex() == "0x0.0p+0"
 
     def test_mean_of_point_mass_word(self):
         w = CQ(F(1, 3), F(2, 3))
@@ -798,6 +830,19 @@ FROZEN_CALLS = {
 }
 
 
+# (mean re, mean im, stderr) as float.hex at n = 3, recorded from the runner
+# that divided each trial's trace by n as a Python complex; a one-step numpy
+# complex division by n changes the last bit of each, so they must match exactly
+FROZEN_N3 = {
+    "dt": ("0x1.8d9989942b776p-3", "0x1.ed222d91df8a7p-65", "0x1.15ec9c32f89b8p-5"),
+    "z": ("0x1.2cb1cb40359cfp-3", "0x1.55e7b2a8f7c3dp-6", "0x1.8eada5eb4cc99p-3"),
+}
+FROZEN_N3_CALLS = {
+    "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),
+    "z": lambda: estimate_word_moment(["Z", "Z*", "Z"], n=3, trials=20, seed=1, mu=UniformAnnulus(F(3, 2))),
+}
+
+
 def assert_frozen(est, frozen):
     re, im, se = (float.fromhex(x) for x in frozen)
     tol = 1e-12 * max(abs(complex(re, im)), se)
@@ -809,6 +854,11 @@ class TestFrozenEstimates:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_estimator_matches_frozen_value(self, name):
         assert_frozen(FROZEN_CALLS[name](), FROZEN[name])
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_N3))
+    def test_n3_estimate_is_bit_identical(self, name):
+        est = FROZEN_N3_CALLS[name]()
+        assert (est.mean.real.hex(), est.mean.imag.hex(), est.stderr.hex()) == FROZEN_N3[name]
 
     def test_sweep_matches_frozen_values(self):
         sweep = pure_t_word_sweep(4, n=12, trials=16, seed=9)
