@@ -276,7 +276,7 @@ def _run_trials(
             values[i, block] = trace(*[held[key] for key in keys])
             for key in frees:
                 del held[key]
-    values.real[traced] /= n  # part by part, as Python divides a complex by n
+    values.real[traced] /= n  # part by part: Python's complex(v) / n, up to a zero part's sign
     values.imag[traced] /= n
     return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
 

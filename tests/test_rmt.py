@@ -836,10 +836,14 @@ FROZEN_CALLS = {
 FROZEN_N3 = {
     "dt": ("0x1.8d9989942b776p-3", "0x1.ed222d91df8a7p-65", "0x1.15ec9c32f89b8p-5"),
     "z": ("0x1.2cb1cb40359cfp-3", "0x1.55e7b2a8f7c3dp-6", "0x1.8eada5eb4cc99p-3"),
+    "atomic": ("-0x1.7020d4780054ap-4", "0x1.f81655cbe48fap+0", "0x1.d9ef929c5618ep-3"),
+    "scaled-ellipse": ("-0x1.082e0c8282cb5p-6", "0x1.5800d103bdc78p-4", "0x1.26d7d69d64221p-2"),
 }
 FROZEN_N3_CALLS = {
     "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),
     "z": lambda: estimate_word_moment(["Z", "Z*", "Z"], n=3, trials=20, seed=1, mu=UniformAnnulus(F(3, 2))),
+    "atomic": lambda: estimate_word_moment(["D", "T", "D*", "T*", "D"], n=3, trials=20, seed=2, mu=SAMPLED["atomic"]),
+    "scaled-ellipse": lambda: estimate_word_moment(["Z*", "Z", "Z"], n=3, trials=20, seed=3, mu=SAMPLED["scaled-ellipse"]),
 }
 
 
