@@ -6,10 +6,11 @@ bit-reproducible; the runner re-keys one generator per trial rather than
 building a new one.  A triangular draw takes numpy's ziggurat
 ``standard_normal`` for the n(n-1)/2 real parts and then the n(n-1)/2
 imaginary parts of the entries above the diagonal, row by row, each of
-variance sigma^2/2.  Earlier versions drew a full n x n matrix and zeroed
-its lower half, so their estimates are not reproduced bit for bit.  A trial
-makes one ``random`` call for its diagonal, if any, and one ``standard_normal``
-call; each block is then scaled, placed and transformed at once, with
+variance 1/(2n); a self-adjoint draw adds n diagonal entries of variance 1/n.
+Earlier versions drew a full n x n matrix and zeroed its lower half, so
+their estimates are not reproduced bit for bit.  Every trial makes one
+``standard_normal`` call, after one ``random`` call for its diagonal, if
+any; each block is then scaled, placed and transformed at once, with
 estimates bit-identical to one draw per trial.
 
 All estimators share one trial runner.  It stacks max(1, 4096 // n^2) trials
@@ -77,34 +78,14 @@ def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]
         yield rng
 
 
-def _fill_upper(normals: np.ndarray, upper: np.ndarray, sigma_sq: float, out: np.ndarray) -> None:
-    """Scale the (B, 2, n(n-1)/2) normals in place by sqrt(sigma_sq / 2) and put
-    each matrix's rows 0 and 1 as the real and imaginary parts above the diagonal
-    of the (B, n, n) zero stack ``out``, row by row, where the mask ``upper`` is set."""
-    normals *= math.sqrt(sigma_sq / 2.0)
-    mask = np.broadcast_to(upper, out.shape)  # one full-shape mask: out.real[:, upper] is slower
+def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
+    """Scale the (B, 2, n(n-1)/2) normals in place by sqrt(1/(2n)) and put each
+    matrix's rows 0 and 1 as the real and imaginary parts above the diagonal of
+    the (B, n, n) zero stack ``out``, row by row, where the mask ``upper`` is set."""
+    normals *= math.sqrt(1.0 / len(upper) / 2.0)
+    mask = upper[None].repeat(len(out), 0)  # out.real[:, upper] and a stride-0 mask are slower
     out.real[mask] = normals[:, 0].ravel()
     out.imag[mask] = normals[:, 1].ravel()
-
-
-def _sample_utgrm(
-    rng: np.random.Generator, upper: np.ndarray, sigma_sq: float, out: np.ndarray
-) -> None:
-    """Fill the zero matrix ``out`` above the diagonal with i.i.d. complex
-    N(0, sigma_sq) from one ``standard_normal`` call: the n(n-1)/2 real parts
-    first, then as many imaginary parts, each row by row."""
-    n = len(upper)
-    _fill_upper(rng.standard_normal((1, 2, n * (n - 1) // 2)), upper, sigma_sq, out[None])
-
-
-def _sample_sgrm(
-    rng: np.random.Generator, upper: np.ndarray, sigma_sq: float, out: np.ndarray
-) -> None:
-    """Fill the zero matrix ``out`` self-adjoint: complex N(0, sigma_sq) above
-    the diagonal, real on it."""
-    _sample_utgrm(rng, upper, sigma_sq, out)
-    out += out.conj().T
-    np.fill_diagonal(out, math.sqrt(sigma_sq) * rng.standard_normal(len(out)))
 
 
 def _uniform_rows(mu: MeasureModel) -> int:
@@ -287,10 +268,10 @@ def _triangular(
     upper: np.ndarray,
     mu: MeasureModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """A (size, n, n) stack of ``_sample_utgrm`` draws of variance 1/n, one per
-    generator, and the (size, n) diagonals each draws from ``mu`` first, if given:
-    one ``random`` and one ``standard_normal`` call per trial, then one scaling,
-    placement and transform of uniforms into diagonals per block."""
+    """A (size, n, n) stack of strictly upper triangular draws of variance 1/n,
+    one per generator, and the (size, n) diagonals each draws from ``mu`` first,
+    if given: one ``random`` and one ``standard_normal`` call per trial, then one
+    scaling, placement and transform of uniforms into diagonals per block."""
     n = len(upper)
     t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
     u = None if mu is None else np.empty((size, _uniform_rows(mu), n))
@@ -298,7 +279,7 @@ def _triangular(
         if u is not None:
             rng.random(out=u[k])
         rng.standard_normal(out=normals[k])
-    _fill_upper(normals, upper, 1.0 / n, t)
+    _fill_upper(normals, upper, t)
     return t, None if u is None else _from_uniforms(mu, u)
 
 
@@ -354,17 +335,21 @@ def estimate_elliptic_moment(
     """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2.
 
     H1 and H2 are independent self-adjoint Gaussian matrices with entry
-    variance 1/n; theta is read by ``elliptic_dt``.
+    variance 1/n; theta is read by ``elliptic_dt``.  A trial's one
+    ``standard_normal`` call draws H1's upper parts and diagonal, then H2's.
     """
     n, trials, seed = _check_size(n, trials, seed)
     ellipse = elliptic_dt(theta)[0]
-    upper = ~np.tri(n, dtype=bool)
+    upper, m = ~np.tri(n, dtype=bool), n * (n - 1) // 2
 
     def draw(rngs, size):
-        h = np.zeros((size, 2, n, n), dtype=complex)
-        for pair, rng in zip(h, rngs):
-            for m in pair:
-                _sample_sgrm(rng, upper, 1.0 / n, m)
+        h, normals = np.zeros((size, 2, n, n), dtype=complex), np.empty((size, 2, 2 * m + n))
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=normals[k])
+        for hj, nj in zip(h.swapaxes(0, 1), normals.swapaxes(0, 1)):  # H1, then H2
+            _fill_upper(nj[:, : 2 * m].reshape(size, 2, m), upper, hj)
+            hj += hj.conj().swapaxes(1, 2)
+            _with_diagonal(hj, math.sqrt(1.0 / n) * nj[:, 2 * m :])  # its reshape views the strided hj
         return {"Z": ellipse.a * h[:, 0] + 1j * ellipse.b * h[:, 1]}
 
     return _run_trials(draw, [_spell(eps, "Z")], n, trials, seed)[0]
@@ -388,6 +373,8 @@ def deterministic_diagonal_run(
     entries = np.asarray(list(entries_generator(n)), dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")
+    if not np.isfinite(entries).all():
+        raise ValueError("diagonal entries must be finite")
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rngs, size):

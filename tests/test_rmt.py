@@ -30,8 +30,6 @@ from dtmoments.ncpair import ONE, STAR, StarWord
 from dtmoments.rmt import (
     DEFAULT_SIZE_CAP,
     _rng,
-    _sample_sgrm,
-    _sample_utgrm,
     _streams,
     deterministic_diagonal_run,
     estimate_elliptic_moment,
@@ -42,64 +40,113 @@ from dtmoments.rmt import (
 
 
 def utgrm(rng, n, sigma_sq):
-    """One triangular draw, as a matrix of its own."""
+    """One strictly upper triangular draw of entry variance sigma_sq: the
+    n(n-1)/2 real parts, then as many imaginary parts, each row by row."""
+    parts = math.sqrt(sigma_sq / 2) * rng.standard_normal(n * (n - 1))
+    rows, cols = np.triu_indices(n, k=1)
     m = np.zeros((n, n), dtype=complex)
-    _sample_utgrm(rng, ~np.tri(n, dtype=bool), sigma_sq, m)
+    m.real[rows, cols], m.imag[rows, cols] = np.split(parts, 2)
     return m
 
 
 def sgrm(rng, n, sigma_sq):
-    """One self-adjoint draw, as a matrix of its own."""
-    m = np.zeros((n, n), dtype=complex)
-    _sample_sgrm(rng, ~np.tri(n, dtype=bool), sigma_sq, m)
+    """One self-adjoint draw: ``utgrm`` plus its adjoint, then sqrt(sigma_sq)
+    times the next n normals on the diagonal."""
+    m = utgrm(rng, n, sigma_sq)
+    m += m.conj().T
+    m[np.diag_indices(n)] = math.sqrt(sigma_sq) * rng.standard_normal(n)
     return m
 
 
+def triangular(seed, n, size=1):
+    """Trials 0 to size - 1 of ``seed`` as the triangular block draw makes them."""
+    return rmt._triangular(_streams(seed, range(size)), size, ~np.tri(n, dtype=bool))[0]
+
+
+@pytest.fixture
+def elliptic_block(monkeypatch):
+    """``block(theta, n, size, seed)`` gives the Z, H1 and H2 stacks of trials 0
+    to size - 1 of ``seed`` as the elliptic estimator's draw makes them.  The
+    draw is taken from the estimator's call to ``_run_trials``, and H1 and H2
+    from its two calls to ``_with_diagonal``."""
+    draws, filled = [], []
+    run, with_diagonal = rmt._run_trials, rmt._with_diagonal
+
+    def capture(draw, *args):
+        draws.append(draw)
+        return run(draw, *args)
+
+    def recording(m, d):
+        filled.append(with_diagonal(m, d))
+        return filled[-1]
+
+    monkeypatch.setattr(rmt, "_run_trials", capture)
+    monkeypatch.setattr(rmt, "_with_diagonal", recording)
+
+    def block(theta, n, size, seed):
+        estimate_elliptic_moment(theta, StarWord((ONE,)), n, 2, seed)
+        filled.clear()
+        z = draws[-1](_streams(seed, range(size)), size)["Z"]
+        assert len(filled) == 2
+        return z, *filled
+
+    return block
+
+
 class TestSamplers:
-    def test_utgrm_shape(self):
-        m = utgrm(_rng(1, 0), 6, 0.5)
-        assert np.array_equal(np.tril(m), np.zeros((6, 6)))
-        assert np.all(m[np.triu_indices(6, k=1)] != 0)
+    def test_triangular_shape(self):
+        for m in triangular(1, 6, size=3):
+            assert np.array_equal(np.tril(m), np.zeros((6, 6)))
+            assert np.all(m[np.triu_indices(6, k=1)] != 0)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
-    def test_utgrm_fills_the_upper_triangle_row_by_row(self, n):
+    def test_triangular_fills_the_upper_triangle_row_by_row(self, n):
         # n(n-1)/2 real parts, then as many imaginary parts, each scaled by
-        # sqrt(sigma^2 / 2), placed row by row above the diagonal
-        sigma_sq, count = 0.3, n * (n - 1) // 2
-        rng = _rng(29, n)
-        re, im = rng.standard_normal(count), rng.standard_normal(count)
-        scale = math.sqrt(sigma_sq / 2)
-        want = np.zeros((n, n), dtype=complex)
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                want[i, j] = complex(scale * re[k], scale * im[k])
-                k += 1
-        assert np.array_equal(utgrm(_rng(29, n), n, sigma_sq), want)
+        # sqrt(1 / 2n), placed row by row above the diagonal, trial by trial
+        count, size = n * (n - 1) // 2, 3
+        block = triangular(29, n, size)
+        for t in range(size):
+            rng = _rng(29, t)
+            re, im = rng.standard_normal(count), rng.standard_normal(count)
+            scale = math.sqrt(1.0 / n / 2)
+            want = np.zeros((n, n), dtype=complex)
+            k = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    want[i, j] = complex(scale * re[k], scale * im[k])
+                    k += 1
+            assert np.array_equal(block[t], want)
 
-    def test_sgrm_hermitian_real_diagonal(self):
-        m = sgrm(_rng(1, 0), 6, 0.5)
-        assert np.array_equal(m, m.conj().T)
-        assert np.array_equal(np.diag(m).imag, np.zeros(6))
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_elliptic_pair_is_hermitian_with_a_real_diagonal(self, elliptic_block, n):
+        # a block of 7 trials, so H1 and H2 are strided views of one buffer
+        _, h1, h2 = elliptic_block(math.pi / 3, n, 7, 1)
+        for h in (h1, h2):
+            assert h.shape == (7, n, n)
+            assert np.array_equal(h, h.conj().swapaxes(1, 2))
+            assert not np.diagonal(h, axis1=1, axis2=2).imag.any()
 
-    def test_sgrm_diagonal_is_the_next_normals(self):
-        n, sigma_sq = 7, 0.5
-        m = sgrm(_rng(31, 2), n, sigma_sq)
-        rng = _rng(31, 2)
-        assert np.array_equal(np.triu(m, k=1), utgrm(rng, n, sigma_sq))
-        assert np.array_equal(np.diag(m), math.sqrt(sigma_sq) * rng.standard_normal(n))
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_elliptic_diagonals_are_the_next_normals(self, elliptic_block, n):
+        # H1's upper parts, then its n diagonal normals, then H2's, from one stream
+        size = 7
+        _, h1, h2 = elliptic_block(math.pi / 3, n, size, 31)
+        for t in range(size):
+            rng = _rng(31, t)
+            for h in (h1, h2):
+                assert np.triu(h[t], k=1).tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
+                want = math.sqrt(1.0 / n) * rng.standard_normal(n)
+                assert np.diagonal(h[t]).tobytes() == want.astype(complex).tobytes()
 
     def test_reproducible_across_calls(self):
-        a = utgrm(_rng(42, 3), 8, 1.0)
-        b = utgrm(_rng(42, 3), 8, 1.0)
-        assert np.array_equal(a, b)
-        c = utgrm(_rng(42, 4), 8, 1.0)
-        assert not np.array_equal(a, c)
+        a = triangular(42, 8, size=5)
+        assert np.array_equal(a, triangular(42, 8, size=5))
+        assert not np.array_equal(a[3], a[4])
 
     def test_entry_second_moment(self):
         # one large draw gives ~10^5 independent entries of variance 1/n
         n = 450
-        m = utgrm(_rng(9, 0), n, 1.0 / n)
+        m = triangular(9, n)[0]
         entries = m[np.triu_indices(n, k=1)]
         values = np.abs(entries) ** 2
         stderr = values.std(ddof=1) / math.sqrt(values.size)
@@ -174,7 +221,7 @@ SAMPLED = {
 def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
     # a block calls random and standard_normal once per trial, then scales,
     # places and transforms the whole block; trial t must still equal, bit for
-    # bit, sample_measure and then _sample_utgrm on a fresh _rng(seed, t)
+    # bit, sample_measure and then utgrm on a fresh _rng(seed, t)
     mu, seed, size = SAMPLED[kind], 61, 7
     t, d = rmt._triangular(_streams(seed, range(size)), size, ~np.tri(n, dtype=bool), mu)
     assert t.shape == (size, n, n)
@@ -183,6 +230,21 @@ def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
         if mu is not None:
             assert d[k].tobytes() == sample_measure(mu, n, rng).tobytes()
         assert t[k].tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 3, 0.3], ids=["pi/4", "pi/3", "0.3"])
+def test_an_elliptic_block_equals_its_trials_drawn_one_by_one(elliptic_block, theta, n):
+    # an elliptic trial makes one standard_normal call and each block fills H1
+    # and H2 at once; trial t must still equal, bit for bit, cos(theta) sgrm +
+    # i sin(theta) sgrm on a fresh _rng(seed, t)
+    seed, size = 67, 7
+    z, _, _ = elliptic_block(theta, n, size, seed)
+    assert z.shape == (size, n, n)
+    for t in range(size):
+        rng = _rng(seed, t)
+        h1, h2 = sgrm(rng, n, 1.0 / n), sgrm(rng, n, 1.0 / n)
+        assert z[t].tobytes() == (math.cos(theta) * h1 + 1j * math.sin(theta) * h2).tobytes()
 
 
 def same_stream(a, b):
@@ -440,6 +502,14 @@ class TestDeterministicDiagonal:
         with pytest.raises(ValueError, match=f"16 diagonal entries, got {length}"):
             deterministic_diagonal_run(
                 lambda n: [0.5] * length, 1.0, StarWord((STAR, ONE)), n=16, trials=2, seed=0
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    def test_a_non_finite_diagonal_is_refused(self, bad):
+        # a nan or inf entry gave the mean nan+nanj and the stderr nan
+        with pytest.raises(ValueError, match="finite"):
+            deterministic_diagonal_run(
+                lambda n: [0.5] * (n - 1) + [bad], 1.0, StarWord((ONE, STAR)), 4, 3, 0
             )
 
 
@@ -838,12 +908,14 @@ FROZEN_N3 = {
     "z": ("0x1.2cb1cb40359cfp-3", "0x1.55e7b2a8f7c3dp-6", "0x1.8eada5eb4cc99p-3"),
     "atomic": ("-0x1.7020d4780054ap-4", "0x1.f81655cbe48fap+0", "0x1.d9ef929c5618ep-3"),
     "scaled-ellipse": ("-0x1.082e0c8282cb5p-6", "0x1.5800d103bdc78p-4", "0x1.26d7d69d64221p-2"),
+    "elliptic": ("0x1.6567ed3f47264p-7", "0x1.8a6b540dcbce3p-4", "0x1.6309ca2aef1f1p-3"),
 }
 FROZEN_N3_CALLS = {
     "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),
     "z": lambda: estimate_word_moment(["Z", "Z*", "Z"], n=3, trials=20, seed=1, mu=UniformAnnulus(F(3, 2))),
     "atomic": lambda: estimate_word_moment(["D", "T", "D*", "T*", "D"], n=3, trials=20, seed=2, mu=SAMPLED["atomic"]),
     "scaled-ellipse": lambda: estimate_word_moment(["Z*", "Z", "Z"], n=3, trials=20, seed=3, mu=SAMPLED["scaled-ellipse"]),
+    "elliptic": lambda: estimate_elliptic_moment(math.pi / 3, StarWord((ONE, STAR, ONE)), n=3, trials=20, seed=4),
 }
 
 
