@@ -18,7 +18,7 @@ from dtmoments import (
 )
 
 SEED = 7
-N = 256
+N = 128
 
 print(f"n = {N}, seed = {SEED}")
 

@@ -2,12 +2,13 @@
 
 All closed-form moment computations in this package run over Gaussian
 rationals (pairs of :class:`fractions.Fraction` for the real and imaginary
-parts); :func:`parse_rational` reads every exact input, :func:`positive`
-every scale or radius and :func:`order` every count, order, exponent, size
-or seed, with its least value and its cap.  Mixing a :class:`ComplexRational`
-with a float or complex operand degrades to ``complex``, mirroring how
-``Fraction`` interacts with ``float``; a :class:`MomentValue` is exact exactly
-when it holds a ``ComplexRational``, so exactness is never silently claimed.
+parts).  :func:`parse_rational` reads every exact input, :func:`as_cq` every
+location, value or factor, :func:`positive` every scale or radius and
+:func:`order` every count, order, exponent, size or seed, with its least value
+and its cap.  Mixing a :class:`ComplexRational` with a float or complex operand
+degrades to ``complex``, as ``Fraction`` does with ``float``.  :func:`tagged` is
+the one tag rule, of ``MomentValue.wrap`` and the shape models: a rational is
+exact and anything else complex, so exactness is never silently claimed.
 """
 
 from __future__ import annotations
@@ -179,6 +180,18 @@ class ComplexRational:
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
+def as_cq(x) -> ComplexRational:
+    """A location, value or factor: a ``ComplexRational``, or else its real part."""
+    return x if isinstance(x, ComplexRational) else ComplexRational(x)
+
+
+def tagged(v) -> ComplexRational | complex:
+    """A raw scalar as a moment: a rational exact (``ComplexRational``), any other number complex."""
+    if isinstance(v, Rational):
+        return ComplexRational(Fraction(v))
+    return v if isinstance(v, ComplexRational) else complex(v)
+
+
 CQ_ZERO = ComplexRational()
 CQ_ONE = ComplexRational(Fraction(1))
 
@@ -210,10 +223,8 @@ class MomentValue:
 
     @classmethod
     def wrap(cls, v) -> "MomentValue":
-        """Tag a raw scalar: rationals become exact, other numbers float."""
-        if isinstance(v, Rational):
-            v = ComplexRational(Fraction(v))
-        return cls(v if isinstance(v, ComplexRational) else complex(v))
+        """Tag a raw scalar by :func:`tagged`: rationals become exact, other numbers float."""
+        return cls(tagged(v))
 
     @property
     def exact(self) -> bool:

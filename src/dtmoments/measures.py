@@ -24,17 +24,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import WordParseError
-from .exact import CQ_ONE, CQ_ZERO, ComplexRational, MomentValue, order, parse_rational, positive
-
-
-def _cq(value) -> ComplexRational:
-    """A location, value or factor, read by ``ComplexRational`` unless it is one."""
-    return value if isinstance(value, ComplexRational) else ComplexRational(value)
-
-
-def _tagged(value: Fraction | float):
-    """A model's moment in its own arithmetic: exact for rational parameters."""
-    return ComplexRational(value) if isinstance(value, Fraction) else complex(value)
+from .exact import (CQ_ONE, CQ_ZERO, ComplexRational, MomentValue, as_cq, order, parse_rational,
+                    positive, tagged)
 
 
 @dataclass(frozen=True)
@@ -44,7 +35,7 @@ class Atomic:
     atoms: tuple[tuple[ComplexRational, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple((_cq(loc), parse_rational(w)) for loc, w in self.atoms))
+        object.__setattr__(self, "atoms", tuple((as_cq(loc), parse_rational(w)) for loc, w in self.atoms))
         if sum((w for _, w in self.atoms), Fraction(0)) != 1:
             raise ValueError("atomic weights must sum to exactly 1")
         if any(w <= 0 for _, w in self.atoms):
@@ -76,7 +67,7 @@ class UniformDisk:
         object.__setattr__(self, "radius", positive(self.radius, "disk radius"))
 
     def moment(self, r: int, s: int):
-        return _tagged(self.radius ** (2 * r) / (r + 1) if r == s else 0 * self.radius)
+        return tagged(self.radius ** (2 * r) / (r + 1) if r == s else 0 * self.radius)
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,7 @@ class UniformAnnulus:
 
     def moment(self, r: int, s: int):
         c = self.c
-        return _tagged((c ** (r + 1) - (c - 1) ** (r + 1)) / (r + 1) if r == s else 0 * c)
+        return tagged((c ** (r + 1) - (c - 1) ** (r + 1)) / (r + 1) if r == s else 0 * c)
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ class UniformEllipse:
         alpha_sq, beta_sq, alpha_beta = self._alpha_beta_products()
         total = 0 * alpha_sq
         if (r - s) % 2 == 1:
-            return _tagged(total)
+            return tagged(total)
         for i in range(r + 1):
             j = i - (r - s) // 2
             if not 0 <= j <= s:
@@ -140,7 +131,7 @@ class UniformEllipse:
             else:
                 coeff = alpha_beta * alpha_sq ** ((u - 1) // 2) * beta_sq ** ((v - 1) // 2)
             total += comb(r, i) * comb(s, j) * coeff / (p + 1)
-        return _tagged(total)
+        return tagged(total)
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,7 @@ class MomentTable:
     def __post_init__(self):
         d = order(self.max_degree, "max_degree", 0)
         what = f"order of a max_degree {d} table"
-        table = {(order(r, what, 0), order(s, what, 0)): _cq(v) for (r, s), v in self.entries}
+        table = {(order(r, what, 0), order(s, what, 0)): as_cq(v) for (r, s), v in self.entries}
         object.__setattr__(self, "max_degree", d)
         if table.get((0, 0), CQ_ONE) != CQ_ONE:
             raise ValueError("M(0, 0) must be 1")
@@ -172,6 +163,7 @@ class MomentTable:
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
 
     def moment(self, r: int, s: int) -> ComplexRational:
+        r, s = order(r, least=0), order(s, least=0)
         order(r + s, "moment degree", most=self.max_degree)
         if (r, s) == (0, 0):
             return CQ_ONE
@@ -191,7 +183,7 @@ class ScaledMeasure:
     lam: ComplexRational
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _cq(self.lam))
+        object.__setattr__(self, "lam", as_cq(self.lam))
         if self.lam == CQ_ZERO:
             raise ValueError("scaling by zero is rejected")
 

@@ -26,7 +26,7 @@ from functools import cache
 from math import comb, cos, factorial, hypot, pi, sin
 
 from .errors import WordParseError
-from .exact import ComplexRational, MomentValue, order, parse_rational, positive, rational_sqrt
+from .exact import ComplexRational, MomentValue, as_cq, order, parse_rational, positive, rational_sqrt
 from .measures import Atomic, MeasureModel, UniformEllipse, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
@@ -275,8 +275,7 @@ def scaled_dt(
     """Parameters of lam*Z when Z has parameters (mu, c): push forward mu by
     lam and multiply the scale, read as ``ZWord`` reads it, by |lam|."""
     c = positive(c, "the scale c")
-    if not isinstance(lam, ComplexRational):
-        lam = ComplexRational(lam)
+    lam = as_cq(lam)
     pushed = scale(mu, lam)  # rejects lam = 0
     return pushed, rational_sqrt(lam.abs_squared()) * c
 

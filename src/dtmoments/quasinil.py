@@ -80,12 +80,11 @@ def m_recursive(seq) -> Fraction:
     stays attached.  It runs on the integers W = (m+1)! times the trace; a
     dict local to the call looks up sub-sequences as formed, before
     canonicalizing, and ``_MEMO`` keeps W by canonical form across calls.
-    The exponents are read once, by the public ``canonicalize``.
+    The exponents are read once, by ``order``, and canonicalized once, by ``_scaled``.
     """
-    canon = canonicalize(seq)
-    if canon is ZERO:
-        return Fraction(0)
-    return Fraction(_scaled(canon, {}), factorial(sum(canon[0::2]) + 1))
+    seq = tuple(order(x, "exponent") for x in seq)
+    scaled = _scaled(seq, {})
+    return Fraction(scaled, factorial(sum(seq[0::2]) + 1)) if scaled else Fraction(0)
 
 
 def _scaled(seq: tuple, formed: dict) -> int:

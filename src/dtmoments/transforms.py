@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import order as read_order
+from .exact import order as read_order, parse_rational
 from .quasinil import stn_moment, tstt_moment, ttn_moment
 
 
@@ -25,11 +25,8 @@ class Series:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs),
-        )
+        coeffs = tuple(parse_rational(c) if isinstance(c, int) else c for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_one_indexed(cls, values) -> "Series":

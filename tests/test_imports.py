@@ -185,3 +185,29 @@ def test_every_traced_name_resolves():
     for entry in tracing.SPANS + tracing.COUNTS:
         owner, attr = entry[1], entry[2]
         assert callable(getattr(owner, attr, None)), f"{entry[0]}: {owner.__name__}.{attr}"
+
+
+def complex_builders(sources: dict[str, str]) -> list[str]:
+    """The modules of ``sources``, a map of module name to source, that call
+    the builtin ``complex``."""
+    return sorted(
+        module for module, source in sources.items()
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex"
+               for node in ast.walk(ast.parse(source))))
+
+
+def test_the_check_finds_complex_builders():
+    sources = {
+        "a": "def f(v):\n    return complex(v)\n",
+        "b": "def f(v):\n    return [complex(x).real for x in v]\n",
+        "c": "def f(v) -> complex:\n    return v.to_complex() + 1j\n",
+        "d": "def f(v):\n    return isinstance(v, complex)\n",
+    }
+    assert complex_builders(sources) == ["a", "b"]
+
+
+def test_only_exact_and_rmt_build_complex_numbers():
+    # exact.tagged holds the tag rule: a moment is a float complex only where
+    # that rule says so; the Monte Carlo estimates in rmt are floats throughout
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert complex_builders(sources) == ["exact.py", "rmt.py"]

@@ -310,6 +310,14 @@ class TestMomentTable:
         assert table == MomentTable(2, (((1, 1), CQ(F(1, 2))),))
         assert table.moment(1, 1) == CQ(F(1, 2))
 
+    @pytest.mark.parametrize("r, s, error", [(2, -1, ValueError), (-1, 2, ValueError),
+                                             (1.5, 0.5, TypeError)],
+                             ids=["negative-s", "negative-r", "non-integer"])
+    def test_moment_reads_its_orders(self, r, s, error):
+        # only r + s was read, so each of these came back as 0
+        with pytest.raises(error):
+            MomentTable(2, (((1, 1), "1/2"),)).moment(r, s)
+
     def test_degree_cap(self):
         table = MomentTable(3, (((1, 1), CQ(F(1, 2))),))
         assert table.moment(1, 1) == F(1, 2)

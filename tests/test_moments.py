@@ -39,7 +39,7 @@ from dtmoments.moments import (
     z_word_moment,
 )
 from dtmoments.ncpair import ONE, STAR, StarWord
-from dtmoments.transforms import Series, free_cumulants_to_moments
+from dtmoments.transforms import Series, free_cumulants_to_moments, moments_to_free_cumulants
 
 DELTA0 = Atomic.delta(0)
 
@@ -439,6 +439,33 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
                     assert got.value == want.value, symbols
                 else:
                     assert abs(got.as_complex() - want.as_complex()) <= 1e-12 * max(1, abs(want.as_complex())), symbols
+
+
+@pytest.mark.parametrize(
+    "mu, c",
+    [
+        (UniformDisk(1), F(1)),
+        (Atomic(((CQ(1, 1), F(1, 3)), (CQ(F(-1, 2), 2), F(2, 3)))), F(2, 3)),
+        (UniformEllipse(1, F(1, 2)), F(3, 2)),
+        (DELTA0, F(1)),
+    ],
+    ids=["disk:1", "two-atoms", "ellipse:1,1/2", "delta0"],
+)
+def test_real_part_is_the_free_sum_with_a_semicircle(mu, c):
+    # Z + Z* = (D + D*) + c (T + T*): its k-th moment, the sum over all 2^k
+    # words in Z and Z*, is the k-th moment of the law of lam + conj(lam)
+    # (lam ~ mu) freely convolved with the semicircle of variance c^2, whose
+    # free cumulants are those of lam + conj(lam) with c^2 added to the second
+    top = 7
+    real_part = Series.from_one_indexed(
+        sum((comb(n, j) * mixed_moment(mu, j, n - j).value for j in range(n + 1)), CQ()).re
+        for n in range(1, top + 1))
+    kappa = moments_to_free_cumulants(real_part)
+    want = free_cumulants_to_moments(Series((*kappa.coeffs[:2], kappa[2] + c * c, *kappa.coeffs[3:])))
+    for k in range(1, top + 1):
+        words = itertools.product(("Z", "Z*"), repeat=k)
+        got = sum((word_moment(letters, mu, c).value for letters in words), CQ())
+        assert got == want[k], k
 
 
 @given(

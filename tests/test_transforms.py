@@ -44,6 +44,12 @@ class TestSeriesAlgebra:
         b = Series((F(1), F(-1), F(0)))
         assert (a * b).coeffs == (F(1), F(1), F(1))
 
+    def test_a_boolean_coefficient_is_refused(self):
+        # Series((True, 2)) read True as the coefficient 1
+        with pytest.raises(TypeError, match="boolean"):
+            Series((True, 2))
+        assert Series((1, 2)).coeffs == (F(1), F(2))
+
     def test_a_negative_index_is_a_zero_coefficient(self):
         # [-1] read the last coefficient, 3, as the coefficient of z^-1
         s = Series((F(1), F(2), F(3)))
