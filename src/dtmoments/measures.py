@@ -138,7 +138,7 @@ class UniformEllipse:
 class MomentTable:
     """Explicit mixed moments up to a declared maximal total degree.
 
-    Entries are stored for (r, s); a missing entry falls back to the conjugate
+    Entries are stored for (r, s); a missing entry is read as the conjugate
     of (s, r), so only one triangle need be given.  As for any measure, M(s, r)
     must be the conjugate of M(r, s), and M(r, r) = E|z|^(2r) real and >= 0.
     """
@@ -161,18 +161,13 @@ class MomentTable:
             if (s, r) in table and table[s, r] != v.conjugate():
                 raise ValueError(f"M({r}, {s}) and M({s}, {r}) must be conjugates")
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
+        conjugates = {(s, r): v.conjugate() for (r, s), v in table.items()}
+        object.__setattr__(self, "_lookup", {(0, 0): CQ_ONE, **conjugates, **table})  # not a field
 
     def moment(self, r: int, s: int) -> ComplexRational:
         r, s = order(r, least=0), order(s, least=0)
         order(r + s, "moment degree", most=self.max_degree)
-        if (r, s) == (0, 0):
-            return CQ_ONE
-        table = dict(self.entries)
-        if (r, s) in table:
-            return table[(r, s)]
-        if (s, r) in table:
-            return table[(s, r)].conjugate()
-        return CQ_ZERO
+        return self._lookup.get((r, s), CQ_ZERO)
 
 
 @dataclass(frozen=True)

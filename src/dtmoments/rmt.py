@@ -13,7 +13,8 @@ their estimates are not reproduced bit for bit.  Every trial makes one
 any; each block is then scaled, placed and transformed at once, with
 estimates bit-identical to one draw per trial.
 
-All estimators share one trial runner.  It stacks max(1, 4096 // n^2) trials
+All estimators share one trial runner, and all but the elliptic one share
+one draw of T and D's diagonal.  The runner stacks max(1, 4096 // n^2) trials
 into a block, as numpy's per-call cost, not arithmetic, prices a trial at
 n = 8-32; from n = 64 a block is one trial.  Each trial draws one matrix per
 unstarred letter and traces one word per class: the rotations of a word and
@@ -32,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Number
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -288,6 +290,26 @@ def _with_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     return m
 
 
+def _dt_estimates(words: Sequence[Sequence[str]], n: int, trials: int, seed: int,
+                  diagonal: MeasureModel | np.ndarray | None = None, c: float = 1.0) -> list[Estimate]:
+    """One estimate per word, from trials of T, and of Z = D + c*T or D where
+    the words use them; D's diagonal is drawn per trial from the measure
+    ``diagonal``, or is the array ``diagonal`` in every trial."""
+    drawn = {x[0] for word in words for x in word}  # the unstarred letters
+    mu = diagonal if drawn - {"T"} and not isinstance(diagonal, np.ndarray) else None
+    upper = ~np.tri(n, dtype=bool)
+
+    def draw(rngs, size):
+        t, d = _triangular(rngs, size, upper, mu)
+        d = diagonal if d is None else d
+        mats = {"T": t}
+        for x in drawn - {"T"}:  # Z = c*T + diag(d) and D = diag(d), d onto a zero diagonal
+            mats[x] = _with_diagonal(c * t if x == "Z" else np.zeros_like(t), d)
+        return mats
+
+    return _run_trials(draw, words, n, trials, seed)
+
+
 def estimate_word_moment(
     letters: Sequence[str],
     n: int,
@@ -306,27 +328,15 @@ def estimate_word_moment(
     """
     n, trials, seed = _check_size(n, trials, seed)
     letters = _check_letters(letters)
-    uses_z = any(t in Z_LETTERS for t in letters)
-    uses_d = any(t in D_LETTERS for t in letters)
-    if (uses_d or uses_z) and mu is None:
+    needs_mu = any(t not in T_LETTERS for t in letters)
+    if needs_mu and mu is None:
         raise WordParseError("words with D or Z letters need a measure")
-    if not (uses_d or uses_z) and mu not in (None, Atomic.delta(0)):
+    if not needs_mu and mu not in (None, Atomic.delta(0)):
         raise WordParseError("a measure is the law of D; it needs a word with D or Z letters")
     c = float(positive(c, "the scale c"))
-    if not uses_z and c != 1:
+    if c != 1 and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("c scales T inside Z; it needs a word with Z letters")
-    upper = ~np.tri(n, dtype=bool)
-
-    def draw(rngs, size):
-        t, d = _triangular(rngs, size, upper, mu if uses_d or uses_z else None)
-        mats = {"T": t}
-        if uses_z:
-            mats["Z"] = _with_diagonal(c * t, d)  # onto T's zero diagonal
-        if uses_d:
-            mats["D"] = _with_diagonal(np.zeros_like(t), d)
-        return mats
-
-    return _run_trials(draw, [letters], n, trials, seed)[0]
+    return _dt_estimates([letters], n, trials, seed, mu, c)[0]
 
 
 def estimate_elliptic_moment(
@@ -370,17 +380,15 @@ def deterministic_diagonal_run(
     """
     n, trials, seed = _check_size(n, trials, seed)
     c = float(positive(c, "the scale c"))
-    entries = np.asarray(list(entries_generator(n)), dtype=complex)
+    entries = list(entries_generator(n))
+    if any(isinstance(x, bool) or not isinstance(x, Number) for x in entries):
+        raise TypeError("diagonal entries must be numbers, not booleans, strings or other objects")
+    entries = np.asarray(entries, dtype=complex)
     if entries.shape != (n,):
         raise ValueError(f"need {n} diagonal entries, got {entries.size}")
     if not np.isfinite(entries).all():
         raise ValueError("diagonal entries must be finite")
-    upper = ~np.tri(n, dtype=bool)
-
-    def draw(rngs, size):
-        return {"Z": _with_diagonal(c * _triangular(rngs, size, upper)[0], entries)}
-
-    return _run_trials(draw, [_spell(eps, "Z")], n, trials, seed)[0]
+    return _dt_estimates([_spell(eps, "Z")], n, trials, seed, entries, c)[0]
 
 
 def pure_t_word_sweep(
@@ -399,9 +407,4 @@ def pure_t_word_sweep(
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )
-    upper = ~np.tri(n, dtype=bool)
-
-    def draw(rngs, size):
-        return {"T": _triangular(rngs, size, upper)[0]}
-
-    return dict(zip(words, _run_trials(draw, words, n, trials, seed)))
+    return dict(zip(words, _dt_estimates(words, n, trials, seed)))

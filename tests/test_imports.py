@@ -175,6 +175,34 @@ def test_only_exact_and_the_cli_raise_a_cap():
     assert cap_raisers(sources) == ["cli.py", "exact.py"]
 
 
+def runner_callers(source: str) -> list[str]:
+    """The module-level functions of ``source`` whose bodies, nested
+    functions included, call ``_run_trials``, plain or through a module."""
+    return sorted(
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_run_trials"
+            for call in ast.walk(node)))
+
+
+def test_the_check_finds_runner_callers():
+    source = (
+        "def a(words):\n    return _run_trials(draw, words, 4, 3, 0)\n"
+        "def b(words):\n    def draw(rngs, size):\n        return {}\n"
+        "    return rmt._run_trials(draw, words, 4, 3, 0)[0]\n"
+        "def c(words):\n    return a(words)\n"
+        "def _run_trials(draw, words, n, trials, seed):\n    return []\n"
+        "run = _run_trials\n"
+    )
+    assert runner_callers(source) == ["a", "b"]
+
+
+def test_two_draws_feed_the_runner():
+    # the DT draw of T and D's diagonal is one function; the elliptic
+    # estimator's is another ensemble, with its stream pinned on its own
+    assert runner_callers((PACKAGE / "rmt.py").read_text()) == ["_dt_estimates", "estimate_elliptic_moment"]
+
+
 def test_every_traced_name_resolves():
     # the benchmark's span recorder looks each name up with a bare getattr, so
     # a renamed or removed function would crash a traced run and no other test

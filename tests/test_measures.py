@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -327,6 +328,16 @@ class TestMomentTable:
     def test_conjugate_fallback(self):
         table = MomentTable(4, (((2, 1), CQ(F(1, 3), F(1, 5))),))
         assert table.moment(1, 2) == CQ(F(1, 3), F(-1, 5))
+
+    def test_equality_hash_and_repr_read_the_two_fields(self):
+        # the lookup that moment reads is built with the table and is no
+        # field, so tables of the same entries in any order are one value
+        entries = (((1, 1), CQ(F(1, 2))), ((2, 1), CQ(F(1, 3), F(1, 5))))
+        table = MomentTable(4, entries)
+        assert [f.name for f in fields(table)] == ["max_degree", "entries"]
+        assert table == MomentTable(4, entries[::-1]) and hash(table) == hash(MomentTable(4, entries[::-1]))
+        assert repr(table) == f"MomentTable(max_degree=4, entries={entries!r})"
+        assert [table.moment(r, s) for r, s in ((0, 0), (1, 2), (3, 0))] == [1, CQ(F(1, 3), F(-1, 5)), 0]
 
     def test_conjugate_pair_given_twice_must_agree(self):
         pair = (((2, 1), CQ(F(1, 3), F(1, 5))), ((1, 2), CQ(F(1, 3), F(-1, 5))))

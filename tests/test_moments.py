@@ -448,14 +448,16 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
         (Atomic(((CQ(1, 1), F(1, 3)), (CQ(F(-1, 2), 2), F(2, 3)))), F(2, 3)),
         (UniformEllipse(1, F(1, 2)), F(3, 2)),
         (DELTA0, F(1)),
+        scaled_dt(UniformEllipse(1, F(1, 2)), F(3, 2), CQ(F(3, 5), F(4, 5))),
     ],
-    ids=["disk:1", "two-atoms", "ellipse:1,1/2", "delta0"],
+    ids=["disk:1", "two-atoms", "ellipse:1,1/2", "delta0", "rotated-ellipse"],
 )
 def test_real_part_is_the_free_sum_with_a_semicircle(mu, c):
     # Z + Z* = (D + D*) + c (T + T*): its k-th moment, the sum over all 2^k
     # words in Z and Z*, is the k-th moment of the law of lam + conj(lam)
     # (lam ~ mu) freely convolved with the semicircle of variance c^2, whose
-    # free cumulants are those of lam + conj(lam) with c^2 added to the second
+    # free cumulants are those of lam + conj(lam) with c^2 added to the second;
+    # the rotated case, a ScaledMeasure, is e^(i theta) Z + e^(-i theta) Z*
     top = 7
     real_part = Series.from_one_indexed(
         sum((comb(n, j) * mixed_moment(mu, j, n - j).value for j in range(n + 1)), CQ()).re

@@ -504,6 +504,17 @@ class TestDeterministicDiagonal:
                 lambda n: [0.5] * length, 1.0, StarWord((STAR, ONE)), n=16, trials=2, seed=0
             )
 
+    @pytest.mark.parametrize(
+        "entries",
+        [lambda n: [True] * n, lambda n: ["1"] * n, lambda n: [0.5] * (n - 1) + [np.bool_(True)],
+         lambda n: [True] * (n + 1)],
+        ids=["bool", "string", "numpy-bool", "before-the-length"],
+    )
+    def test_a_diagonal_of_non_numbers_is_refused(self, entries):
+        # np.asarray(..., dtype=complex) read each of True and "1" as 1, and sampled
+        with pytest.raises(TypeError, match="diagonal entries must be numbers"):
+            deterministic_diagonal_run(entries, 1, StarWord((STAR, ONE)), 4, 10, 0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
     def test_a_non_finite_diagonal_is_refused(self, bad):
         # a nan or inf entry gave the mean nan+nanj and the stderr nan
