@@ -127,9 +127,9 @@ def tstt_moment(p: int) -> Fraction:
 
 
 def _block_moment(N: int, p: int, sign: int) -> Fraction:
-    # (p + sign/N)(p + 2 sign/N)...(p + p sign/N) / (p+1)!
+    # (p + sign/N)(p + 2 sign/N)...(p + p sign/N) / (p+1)!, over the common denominator N^p
     N, p = order(N, "N", 1), order(p, "p", 0)
-    return Fraction(prod(p + Fraction(sign * i, N) for i in range(1, p + 1)), factorial(p + 1))
+    return Fraction(prod(p * N + sign * i for i in range(1, p + 1)), N**p * factorial(p + 1))
 
 
 def stn_moment(N: int, p: int) -> Fraction:

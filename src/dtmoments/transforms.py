@@ -5,16 +5,19 @@ inverses and to the free-cumulant picture.
 A :class:`Series` holds coefficients by power, Fraction-valued by default.
 Binary operations truncate to the shorter operand, so every identity below is
 an exact coefficientwise statement up to the working order.  One solve of
-w = z*Phi(w) converts moments to free cumulants and back, and reverts series.
+w = z*Phi(w) converts moments to free cumulants and back, and reverts series;
+on rational coefficients it rescales z -> dz so that every coefficient is an
+integer, and divides each result by d^n once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
+from numbers import Number
 
-from .exact import order as read_order, parse_rational
+from .exact import ComplexRational, order as read_order, parse_rational
 from .quasinil import stn_moment, tstt_moment, ttn_moment
 
 
@@ -25,7 +28,9 @@ class Series:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(parse_rational(c) if isinstance(c, int) else c for c in self.coeffs)
+        # ints and "p/q" strings are read exactly; other numbers stay, non-numbers raise
+        coeffs = tuple(c if isinstance(c, (Number, ComplexRational)) and not isinstance(c, int)
+                       else parse_rational(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -123,19 +128,29 @@ def _moment_cumulant_solve(known: Series, known_are_moments: bool) -> Series:
     Coefficientwise, m_n = sum_{s=1..n} kappa_s [z^n](zM)^s: the R-transform
     equation M(z) = 1 + R(zM(z)).  Row n of the table [z^n](zM)^s = [z^(n-s)] M^s
     needs only m_1..m_(n-1), and its diagonal entry [z^n](zM)^n = 1 isolates
-    the unknown at index n.
+    the unknown at index n.  The relation is weighted-homogeneous (z -> dz scales
+    coefficient n by d^n on both sides), so on rational coefficients d is grown by
+    the part of each denominator q_n that d^n leaves uncovered, never by an lcm,
+    the table runs on the integers known[n] d^n, and each result is divided by
+    d^n once.  Any other coefficient keeps d = 1 and its values as they are.
     """
-    m, kappa = [Fraction(1)], [Fraction(0)]
-    mpow = [[Fraction(1)] + [Fraction(0)] * known.order]  # mpow[s][k] = [z^k] M^s
+    exact = all(isinstance(c, Fraction) for c in known.coeffs)
+    d = 1
+    for n, c in enumerate(known.coeffs if exact else ()):
+        d *= c.denominator // gcd(c.denominator, d**n)
+    scaled = [c.numerator * d**n // c.denominator if exact else c for n, c in enumerate(known.coeffs)]
+    m, kappa = [1], [0]
+    mpow = [[1] + [0] * known.order]  # mpow[s][k] = [z^k] M^s
     for n in range(1, known.order):
         mpow.append([])
         for s in range(1, n + 1):
             k = n - s
-            mpow[s].append(sum((m[j] * mpow[s - 1][k - j] for j in range(k + 1)), Fraction(0)))
-        rest = sum((kappa[s] * mpow[s][n - s] for s in range(1, n)), Fraction(0))
-        kappa.append(known[n] - rest if known_are_moments else known[n])
+            mpow[s].append(sum(m[j] * mpow[s - 1][k - j] for j in range(k + 1)))
+        rest = sum(kappa[s] * mpow[s][n - s] for s in range(1, n))
+        kappa.append(scaled[n] - rest if known_are_moments else scaled[n])
         m.append(rest + kappa[n])
-    return Series(tuple(kappa) if known_are_moments else (Fraction(0), *m[1:]))
+    solved = (kappa if known_are_moments else [0, *m[1:]])[: known.order]
+    return Series(tuple(Fraction(x, d**n) if exact else x for n, x in enumerate(solved)))
 
 
 def moments_to_free_cumulants(m: Series) -> Series:

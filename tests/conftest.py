@@ -8,7 +8,9 @@ bivariate series arithmetic by dict-of-exponents convolution, and measure
 JSON specs written field by field.  The one exception is the pairing sum,
 the oracle of the interval DP in ``dtmoments.moments``: it enumerates the
 compatible pairings one by one with the package's ``ncpair`` and counts each
-folded tree with ``linext.nto``.
+folded tree with ``linext.nto``.  The moment-cumulant solve on ``Fraction``s,
+as it ran before it moved to integers, is the oracle of the integer solve in
+``dtmoments.transforms``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational, format_rational
 from dtmoments.linext import nto
 from dtmoments.measures import Atomic, MomentTable, UniformAnnulus, UniformDisk, UniformEllipse
 from dtmoments.ncpair import enumerate_compatible_ncp, quotient_graph
+from dtmoments.transforms import Series
 
 
 def all_perfect_matchings(k: int):
@@ -102,6 +105,23 @@ def moments_from_cumulants_by_partitions(kappa, n: int) -> Fraction:
             prod *= kappa[len(block)]
         total += prod
     return total
+
+
+def moment_cumulant_solve_on_fractions(known: Series, known_are_moments: bool) -> Series:
+    """``transforms._moment_cumulant_solve`` as it was before it ran on
+    integers, kept verbatim: every table entry is a ``Fraction``.  It returns
+    one coefficient for an empty series, as it did then."""
+    m, kappa = [Fraction(1)], [Fraction(0)]
+    mpow = [[Fraction(1)] + [Fraction(0)] * known.order]  # mpow[s][k] = [z^k] M^s
+    for n in range(1, known.order):
+        mpow.append([])
+        for s in range(1, n + 1):
+            k = n - s
+            mpow[s].append(sum((m[j] * mpow[s - 1][k - j] for j in range(k + 1)), Fraction(0)))
+        rest = sum((kappa[s] * mpow[s][n - s] for s in range(1, n)), Fraction(0))
+        kappa.append(known[n] - rest if known_are_moments else known[n])
+        m.append(rest + kappa[n])
+    return Series(tuple(kappa) if known_are_moments else (Fraction(0), *m[1:]))
 
 
 def quadrature_mixed_moment(lo, hi, r: int, s: int) -> complex:

@@ -239,3 +239,46 @@ def test_only_exact_and_rmt_build_complex_numbers():
     # that rule says so; the Monte Carlo estimates in rmt are floats throughout
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert complex_builders(sources) == ["exact.py", "rmt.py"]
+
+
+def solve_fraction_work(source: str) -> list[int]:
+    """The lines of ``_moment_cumulant_solve``'s body in ``source``, its
+    return statements left out, that call ``Fraction`` (plain or through a
+    module) or seed a ``sum`` with an expression that names it."""
+    def names_fraction(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "Fraction" for n in ast.walk(node))
+
+    found = set()
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_moment_cumulant_solve":
+            returned = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Return) for n in ast.walk(r)}
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call) or id(call) in returned:
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                seeds = call.args[1:] + [kw.value for kw in call.keywords if kw.arg == "start"]
+                if name == "Fraction" or name == "sum" and any(names_fraction(seed) for seed in seeds):
+                    found.add(call.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_fraction_work_in_the_solve():
+    source = (
+        "ZERO = Fraction(0)\n"
+        "def _moment_cumulant_solve(known, flag):\n"
+        "    m = [Fraction(1)]\n"
+        "    b = sum((x for x in m), fractions.Fraction(0))\n"
+        "    c = sum(m, start=Fraction.from_float(0.0))\n"
+        "    d = sum(x * y for x, y in zip(m, m))\n"
+        "    ok = isinstance(known[0], Fraction)\n"
+        "    return Series(tuple(Fraction(v, 2) for v in m))\n"
+        "def other():\n"
+        "    return sum((1, 2), Fraction(0))\n"
+    )
+    assert solve_fraction_work(source) == [3, 4, 5]
+
+
+def test_the_solve_runs_on_integers():
+    # exact series are rescaled so the table holds integers; only the return
+    # divides, once per coefficient
+    assert solve_fraction_work((PACKAGE / "transforms.py").read_text()) == []

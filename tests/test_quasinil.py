@@ -319,6 +319,14 @@ class TestClosedForms:
             rel = abs(float(ttn_moment(big, p)) / float(tstt_moment(p)) - 1)
             assert rel < 1e-4
 
+    def test_block_moments_equal_the_product_of_their_factors(self):
+        # one Fraction of two integer products, against p factors p -+ i/N
+        for big_n in range(1, 10):
+            for p in range(21):
+                for sign, moment in ((-1, stn_moment), (1, ttn_moment)):
+                    factors = functools.reduce(lambda a, i: a * (p + F(sign * i, big_n)), range(1, p + 1), F(1))
+                    assert moment(big_n, p) == factors / factorial(p + 1)
+
     def test_block_recursion_relation(self):
         for big_n in range(2, 11):
             for p in range(1, 9):

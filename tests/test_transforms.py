@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction as F
 from functools import partial
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
-from conftest import moments_from_cumulants_by_partitions
-from hypothesis import given, settings
+from conftest import moment_cumulant_solve_on_fractions, moments_from_cumulants_by_partitions
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtmoments import transforms
+from dtmoments.exact import ComplexRational
 from dtmoments.quasinil import tstt_moment, ttn_moment
 from dtmoments.transforms import (
     Series,
@@ -24,6 +25,17 @@ from dtmoments.transforms import (
 rationals = st.fractions(
     min_value=F(-4), max_value=F(4), max_denominator=12
 )
+
+
+# the integer solve's domain: numerators in +-10^6, zeros, and denominators
+# that are random, smooth (products of small primes) or factorials
+denominators = st.one_of(
+    st.integers(1, 10**6),
+    st.lists(st.sampled_from((2, 3, 5, 7)), max_size=8).map(prod),
+    st.integers(0, 16).map(factorial),
+)
+solve_coefficients = st.one_of(st.just(F(0)), st.builds(F, st.integers(-(10**6), 10**6), denominators))
+solve_inputs = st.lists(solve_coefficients, max_size=24).map(lambda c: Series((F(0), *c[1:])[: len(c)]))
 
 
 def lagrange_revert(f: Series) -> Series:
@@ -49,6 +61,24 @@ class TestSeriesAlgebra:
         with pytest.raises(TypeError, match="boolean"):
             Series((True, 2))
         assert Series((1, 2)).coeffs == (F(1), F(2))
+
+    def test_a_string_coefficient_is_read_exactly(self):
+        # "1/2" stayed a str: the series differed from its Fraction twin,
+        # and the solve raised on str - Fraction
+        assert Series(("1/2", F(1))) == Series((F(1, 2), F(1)))
+        assert [type(c) for c in Series((" 1/2", "3")).coeffs] == [F, F]
+        got = moments_to_free_cumulants(Series((0, "1/2", "1/3")))
+        assert got == moments_to_free_cumulants(Series((0, F(1, 2), F(1, 3))))
+
+    @pytest.mark.parametrize("c", [None, object(), [1], b"1"], ids=["none", "object", "list", "bytes"])
+    def test_a_non_number_coefficient_is_refused(self, c):
+        with pytest.raises(TypeError):
+            Series((F(0), c))
+
+    def test_inexact_coefficients_stay_as_they_are(self):
+        coeffs = (0.5, 1j, ComplexRational(1, 2), F(1, 3))
+        assert Series(coeffs).coeffs == coeffs
+        assert [type(c) for c in Series(coeffs).coeffs] == [float, complex, ComplexRational, F]
 
     def test_a_negative_index_is_a_zero_coefficient(self):
         # [-1] read the last coefficient, 3, as the coefficient of z^-1
@@ -141,6 +171,39 @@ class TestMomentCumulant:
         assert kappa[2] == F(5, 12)
         assert kappa[2] == moments[1] - moments[0] ** 2
 
+    @pytest.mark.parametrize("order", range(6))
+    def test_the_solve_keeps_the_order(self, order):
+        # an empty series came back as (0,) in both directions
+        s = Series((F(0), F(1, 2), F(2, 3), F(-3, 4), F(5))[:order])
+        assert moments_to_free_cumulants(s).order == order
+        assert free_cumulants_to_moments(s).order == order
+
+    @given(solve_inputs)
+    @example(Series((F(0), *(F((-1) ** n * (10**6 - 17 * n), 10**6 - n) for n in range(1, 24)))))
+    @example(Series((F(0), *(F(n**3 - 7 * n, factorial(n % 17)) for n in range(1, 24)))))
+    @settings(max_examples=150, deadline=None)
+    def test_the_integer_solve_matches_the_fraction_solve(self, s):
+        # the oracle returns one coefficient for an empty series; the solve returns none
+        for known_are_moments, convert in ((True, moments_to_free_cumulants), (False, free_cumulants_to_moments)):
+            got = convert(s)
+            assert got == moment_cumulant_solve_on_fractions(s, known_are_moments).truncate(s.order)
+            assert all(type(c) is F for c in got.coeffs)
+        assert free_cumulants_to_moments(moments_to_free_cumulants(s)) == s
+        assert moments_to_free_cumulants(free_cumulants_to_moments(s)) == s
+
+    @pytest.mark.parametrize("s", [
+        Series((0.0, 0.1, -1 / 3, 2.5, 1e-3, 7.0, -0.2)),
+        Series((F(0), F(1, 2), 0.3, F(-2, 7), 1.25)),
+        Series((ComplexRational(0), ComplexRational("1/2", -1), ComplexRational(2, "1/3"),
+                F(-1, 5), ComplexRational(0, 3))),
+        Series((F(0), 0.5j, F(1, 3), 2 - 1j)),
+    ], ids=["float", "fraction-and-float", "complex-rational", "complex"])
+    def test_inexact_series_keep_the_fraction_solves_values_and_types(self, s):
+        for known_are_moments, convert in ((True, moments_to_free_cumulants), (False, free_cumulants_to_moments)):
+            got, want = convert(s), moment_cumulant_solve_on_fractions(s, known_are_moments)
+            assert got.coeffs == want.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
     def test_zero_sequence(self):
         zero = Series.from_one_indexed([F(0)] * 6)
         assert moments_to_free_cumulants(zero).coeffs == (F(0),) * 7
@@ -230,6 +293,15 @@ class TestInversionChecks:
     def test_r_relation(self):
         for n in (1, 2, 3, 5):
             assert finite_n_r_relation_check(n, 8)
+
+    @pytest.mark.parametrize("big_n", [1, 2, 3, 5, 9])
+    def test_finite_n_inversions_past_order_16(self, big_n):
+        assert kn_inverse_check(big_n, 40)
+        assert ln_inverse_check(big_n, 40)
+
+    def test_limit_and_r_relation_past_order_16(self):
+        assert l_limit_inverse_check(60)
+        assert finite_n_r_relation_check(7, 40)
 
     @pytest.mark.parametrize("check", [
         *(partial(kn_inverse_check, n) for n in (1, 2, 5)),
