@@ -1,7 +1,7 @@
 """Command-line front end: exact word moments, the conjecture table, the
 spectral density grid, and seeded Monte Carlo records.
 
-Exit codes: 0 success, 2 parse error, 3 cap exceeded, 4 numeric failure.
+Exit codes: 0 success, 2 parse error, 3 cap or recursion limit exceeded, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -116,11 +116,7 @@ def cmd_moment(args, out) -> None:
     if args.max_degree is not None and not any(t in Z_LETTERS for t in letters):
         raise WordParseError("--max-degree caps Z-words only")
     if args.exponents:
-        seq = parse_exponents(args.exponents)
-        try:
-            value = MomentValue.wrap(m_recursive(seq))
-        except RecursionError:  # the subset recursion nests once per unit of degree
-            raise CapExceededError(f"{args.exponents} nests past Python's recursion limit") from None
+        value = MomentValue.wrap(m_recursive(parse_exponents(args.exponents)))
         payload = _moment_payload(args.exponents, value)
     else:
         cap = DEFAULT_Z_LEN_CAP if args.max_degree is None else args.max_degree
@@ -275,9 +271,9 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w", newline="") as f:
                 f.write(out.getvalue())
-    except (ValueError, ArithmeticError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, CapExceededError):
+        if isinstance(e, (CapExceededError, RecursionError)):
             return EXIT_CAP
         return EXIT_PARSE if isinstance(e, (WordParseError, OSError)) else EXIT_NUMERIC
     return EXIT_OK

@@ -29,21 +29,19 @@ ZERO = None  # the canonical form of a sequence whose trace is identically zero
 def canonicalize(seq) -> tuple | None:
     """Canonical representative of an alternating exponent sequence.
 
-    Exponents are read by ``order`` and zeros merged away (cyclically); an
-    unbalanced sequence maps to ZERO; otherwise the lexicographically least
-    tuple over all rotations and the reversal is returned.  The empty tuple
-    stands for the trace of 1.  A negative exponent raises ValueError,
-    balanced or not.
+    Exponents are read by ``order``, least 0, so a negative one raises
+    ValueError, balanced or not; zeros merge away (cyclically); an unbalanced
+    sequence maps to ZERO; otherwise the lexicographically least tuple over
+    all rotations and the reversal is returned.  The empty tuple stands for
+    the trace of 1.
     """
-    return _canonical(tuple(order(x, "exponent") for x in seq))
+    return _canonical(tuple(order(x, "exponent", 0) for x in seq))
 
 
 def _canonical(seq: tuple) -> tuple | None:
-    """``canonicalize`` of a tuple of ints, which it does not read again."""
+    """``canonicalize`` of a tuple of nonnegative ints, which it does not read again."""
     if len(seq) % 2 != 0:
         raise ValueError("alternating exponent sequences have even length")
-    if min(seq, default=0) < 0:
-        raise ValueError("exponents must be nonnegative")
     if sum(seq[0::2]) != sum(seq[1::2]):
         return ZERO
     # one pass: drop zeros, and add a count onto the previous run of the same letter
@@ -80,9 +78,10 @@ def m_recursive(seq) -> Fraction:
     stays attached.  It runs on the integers W = (m+1)! times the trace; a
     dict local to the call looks up sub-sequences as formed, before
     canonicalizing, and ``_MEMO`` keeps W by canonical form across calls.
-    The exponents are read once, by ``order``, and canonicalized once, by ``_scaled``.
+    The exponents are read once, by ``order`` with least 0, and canonicalized
+    once, by ``_scaled``; degree m nests about m calls deep (``RecursionError``).
     """
-    seq = tuple(order(x, "exponent") for x in seq)
+    seq = tuple(order(x, "exponent", 0) for x in seq)
     scaled = _scaled(seq, {})
     return Fraction(scaled, factorial(sum(seq[0::2]) + 1)) if scaled else Fraction(0)
 

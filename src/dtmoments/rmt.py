@@ -91,7 +91,12 @@ def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None
 
 
 def _uniform_rows(mu: MeasureModel) -> int:
-    """Uniforms per entry of a draw from ``mu``: an atom's, or a radius's and an angle's."""
+    """Uniforms per entry of a draw from ``mu``: an atom's, or a radius's and an
+    angle's.  Every sampler asks first, so what it cannot draw is refused undrawn."""
+    if isinstance(mu, MomentTable):
+        raise ValueError("moment tables expose no sampler")
+    if not isinstance(mu, (Atomic, UniformDisk, UniformAnnulus, UniformEllipse, ScaledMeasure)):
+        raise TypeError(f"cannot sample measure model {mu!r}")
     return _uniform_rows(mu.base) if isinstance(mu, ScaledMeasure) else 1 if isinstance(mu, Atomic) else 2
 
 
@@ -105,8 +110,7 @@ def _from_uniforms(mu: MeasureModel, u: np.ndarray) -> np.ndarray:
 
     Atomic uses inverse-CDF on the weights; disk and annulus use the exact
     radial inverse CDF of row 0 and the angle 2 pi times row 1; the ellipse
-    maps a unit-disk draw z to alpha*z + beta*conj(z), as its model does.
-    Moment tables are not sampleable."""
+    maps a unit-disk draw z to alpha*z + beta*conj(z), as its model does."""
     if isinstance(mu, Atomic):
         cum = np.cumsum([float(w) for _, w in mu.atoms])
         locs = np.array([loc.to_complex() for loc, _ in mu.atoms])
@@ -121,12 +125,8 @@ def _from_uniforms(mu: MeasureModel, u: np.ndarray) -> np.ndarray:
         return mu.lam.to_complex() * _from_uniforms(mu.base, u)
     if isinstance(mu, UniformDisk):
         radius = np.sqrt(float(mu.radius) ** 2 * u[..., 0, :])
-    elif isinstance(mu, UniformAnnulus):
+    else:  # UniformAnnulus, the last model _uniform_rows lets through
         radius = np.sqrt(float(mu.c) - 1.0 + u[..., 0, :])
-    elif isinstance(mu, MomentTable):
-        raise ValueError("moment tables expose no sampler")
-    else:
-        raise TypeError(f"cannot sample measure model {mu!r}")
     return radius * np.exp(1j * (2.0 * math.pi * u[..., 1, :]))
 
 
@@ -165,13 +165,8 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
 
 
 def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
-    n = order(n, "matrix size", most=DEFAULT_SIZE_CAP)
-    trials, seed = order(trials, "trials"), order(seed, "seed")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    if n < 1:
-        raise ValueError(f"matrix size {n} is below 1")
-    return n, trials, seed
+    # two trials are the fewest with a standard error
+    return order(n, "matrix size", 1, DEFAULT_SIZE_CAP), order(trials, "trials", 2), order(seed, "seed")
 
 
 def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:
@@ -275,8 +270,8 @@ def _triangular(
     if given: one ``random`` and one ``standard_normal`` call per trial, then one
     scaling, placement and transform of uniforms into diagonals per block."""
     n = len(upper)
+    u = None if mu is None else np.empty((size, _uniform_rows(mu), n))  # refuses an unsampleable mu
     t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
-    u = None if mu is None else np.empty((size, _uniform_rows(mu), n))
     for k, rng in enumerate(rngs):
         if u is not None:
             rng.random(out=u[k])

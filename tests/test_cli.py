@@ -18,6 +18,7 @@ from dtmoments.cli import build_parser, main, parse_measure_arg
 from dtmoments.errors import WordParseError
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk
 from dtmoments.moments import DEFAULT_Z_LEN_CAP
+from dtmoments.quasinil import canonicalize, m_recursive
 from dtmoments.rmt import DEFAULT_SIZE_CAP
 from dtmoments.spectral import DEFAULT_MOMENT_CAP
 
@@ -65,6 +66,18 @@ class TestMoment:
         assert code == 2
         assert out == ""
         assert token in err
+
+    @pytest.mark.parametrize("seq", [(2, -1, 0, 1), (-1, 0), (-3, -3), (1, 0, 0, -1)])
+    def test_one_exponent_rule_for_every_caller(self, capsys, seq):
+        # canonicalize and m_recursive said "exponents must be nonnegative",
+        # the CLI "exponent must be >= 0": now all three read through order
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            canonicalize(seq)
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            m_recursive(seq)
+        code, out, err = run(capsys, "moment", f"--exponents={','.join(map(str, seq))}")
+        assert (code, out) == (2, "")
+        assert "exponent must be >= 0" in err
 
     @pytest.mark.parametrize("measure", ["delta0", "delta:0", "delta:0,0", "delta:0/1,-0",
                                          '{"type": "atomic", "atoms": [{"re": 0, "w": 1}]}'])

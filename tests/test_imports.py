@@ -169,10 +169,62 @@ def test_the_check_finds_cap_raisers():
     assert cap_raisers(sources) == ["a", "b", "c"]
 
 
-def test_only_exact_and_the_cli_raise_a_cap():
-    # exact.order holds every cap; the CLI maps a too-deep recursion to one
+def test_only_exact_raises_a_cap():
+    # exact.order holds every cap; cli.main maps a too-deep recursion to exit 3
+    # beside it, so the CLI raises no cap of its own
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
-    assert cap_raisers(sources) == ["cli.py", "exact.py"]
+    assert cap_raisers(sources) == ["exact.py"]
+
+
+def bound_checks(source: str) -> list[int]:
+    """The lines of ``source`` of every ``if`` whose test compares a bare name
+    with an int literal (``<``, ``<=``, ``>``, ``>=``) and whose body raises."""
+    def bounds(test):
+        operands = [test.left, *test.comparators]
+        return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                   and {type(a), type(b)} == {ast.Name, ast.Constant}
+                   and type((a if isinstance(a, ast.Constant) else b).value) is int
+                   for op, a, b in zip(test.ops, operands, operands[1:]))
+
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and bounds(node.test)
+        and any(isinstance(stmt, ast.Raise) for stmt in node.body))
+
+
+def test_the_check_finds_bound_checks():
+    source = (
+        "def f(n, trials, k, xs):\n"
+        "    if trials < 2:\n"
+        "        raise ValueError('trials')\n"
+        "    elif 1 > n:\n"
+        "        raise ValueError('n')\n"
+        "    if 0 <= k <= 2048:\n"
+        "        k += 1\n"
+        "        raise CapExceededError(k)\n"
+        "    if k < 0:\n"
+        "        k = 0\n"
+        "    if n == 0:\n"
+        "        raise ValueError\n"
+        "    if n < k:\n"
+        "        raise ValueError\n"
+        "    if len(xs) < 2:\n"
+        "        raise ValueError\n"
+        "    if n < 2.5:\n"
+        "        raise ValueError\n"
+        "    if n > True:\n"
+        "        raise ValueError\n"
+        "    return 0 < n < 3\n"
+    )
+    assert bound_checks(source) == [2, 4, 6]
+
+
+def test_only_exact_bounds_an_integer_by_hand():
+    # exact.order holds every least value and cap: rmt._check_size bounded
+    # the matrix size and the trial count by hand; exact's one hit is
+    # rational_sqrt's q < 0
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert [module for module, source in sources.items() if bound_checks(source)] == ["exact.py"]
 
 
 def runner_callers(source: str) -> list[str]:

@@ -139,9 +139,9 @@ class TestRecursion:
     @pytest.mark.parametrize("seq", [(2, -1, 0, 1), (-1, 0), (-1, -1), (1, 0, 0, -1)])
     def test_negative_exponent_rejected(self, seq):
         # unbalanced inputs used to pass the balance test first and return 0
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
             canonicalize(seq)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
             m_recursive(seq)
 
 
