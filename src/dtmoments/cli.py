@@ -38,7 +38,7 @@ EXIT_NUMERIC = 4
 
 # the least value of each bounded integer flag, by dest; main checks these
 # before any other input is read
-_LEAST = dict(max_degree=1, n_max=1, k_max=1, p_max=0, grid=1, order=1, n=1, trials=2)
+_LEAST = dict(max_degree=1, n_max=1, k_max=1, p_max=0, grid=1, order=1, n=1, trials=2, seed=0)
 
 
 def parse_measure_arg(text: str) -> MeasureModel:

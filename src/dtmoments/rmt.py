@@ -1,17 +1,18 @@
 """Seeded random-matrix sampling and trace estimators.
 
-Every sampler draws from a counter-based Philox stream keyed by
-(seed, trial_index), so trials are independent, order-insensitive, and
-bit-reproducible; the runner re-keys one generator per trial rather than
-building a new one.  A triangular draw takes numpy's ziggurat
-``standard_normal`` for the n(n-1)/2 real parts and then the n(n-1)/2
-imaginary parts of the entries above the diagonal, row by row, each of
-variance 1/(2n); a self-adjoint draw adds n diagonal entries of variance 1/n.
-Earlier versions drew a full n x n matrix and zeroed its lower half, so
-their estimates are not reproduced bit for bit.  Every trial makes one
+Every run draws from one counter-based Philox stream keyed by its seed, a
+whole number from 0 to 2^64 - 1, and its trials take their draws from it in
+order: trial 0 draws what a stream keyed by (seed, 0) did in earlier
+versions, and later trials differ from theirs.  A triangular draw takes
+numpy's ziggurat ``standard_normal`` for the n(n-1)/2 real parts and then the
+n(n-1)/2 imaginary parts of the entries above the diagonal, row by row, each
+of variance 1/(2n); a self-adjoint draw adds n diagonal entries of variance
+1/n.  Earlier versions drew a full n x n matrix and zeroed its lower half, so
+their estimates are not reproduced bit for bit.  A triangular trial makes one
 ``standard_normal`` call, after one ``random`` call for its diagonal, if
-any; each block is then scaled, placed and transformed at once, with
-estimates bit-identical to one draw per trial.
+any, and an elliptic block one call for all its trials; each block is then
+scaled, placed and transformed at once, with estimates bit-identical to one
+draw per trial.
 
 All estimators share one trial runner, and all but the elliptic one share
 one draw of T and D's diagonal.  The runner stacks max(1, 4096 // n^2) trials
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from numbers import Number
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,31 +54,13 @@ from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, _spell, el
 from .ncpair import StarWord
 
 DEFAULT_SIZE_CAP = 2048
-_MASK64 = (1 << 64) - 1
+DEFAULT_SWEEP_LEN_CAP = 12  # 8,190 words; each further letter doubles the plan's words
 _PAIRS = (T_LETTERS, D_LETTERS, Z_LETTERS)  # as strings, each letter sorts before its adjoint
 _ADJOINT = {a: b for x, y in _PAIRS for a, b in ((x, y), (y, x))}
 
 
-def _rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & _MASK64, trial_index & _MASK64], dtype=np.uint64))
-    )
-
-
-def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """The stream of a fresh ``_rng(seed, t)`` for each t, from one generator.
-
-    Before each t the generator is re-keyed to (seed, t) with its counter at
-    0, its buffer empty and no half-used word, which costs a tenth of
-    building a new generator.
-    """
-    rng = _rng(seed, 0)
-    state = rng.bit_generator.state  # counter 0, buffer empty, has_uint32 0
-    stream = state["state"]["key"]
-    for t in indices:
-        stream[1] = t & _MASK64
-        rng.bit_generator.state = state
-        yield rng
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
@@ -165,8 +148,9 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
 
 
 def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
-    # two trials are the fewest with a standard error
-    return order(n, "matrix size", 1, DEFAULT_SIZE_CAP), order(trials, "trials", 2), order(seed, "seed")
+    # two trials are the fewest with a standard error; a seed is a 64-bit Philox key
+    return (order(n, "matrix size", 1, DEFAULT_SIZE_CAP), order(trials, "trials", 2),
+            order(seed, "seed", 0, 2**64 - 1))
 
 
 def _adjoint(word: tuple[str, ...]) -> tuple[str, ...]:
@@ -198,7 +182,7 @@ _TRACE_OF_PRODUCT = partial(np.einsum, "bij,bji->b")  # tr(x y), trial by trial
 
 
 def _run_trials(
-    draw: Callable[[Iterator[np.random.Generator], int], dict[str, np.ndarray]],
+    draw: Callable[[np.random.Generator, int], dict[str, np.ndarray]],
     words: Sequence[Sequence[str]],
     n: int,
     trials: int,
@@ -206,21 +190,21 @@ def _run_trials(
 ) -> list[Estimate]:
     """One estimate per word, from trials run in blocks of B = max(1, 4096 // n^2).
 
-    ``draw(rngs, size)`` returns a (size, n, n) stack of each unstarred letter,
-    drawing the block's trial t from the stream of ``_rng(seed, t)`` that
-    ``rngs`` yields (see ``_streams``); a starred letter is copied as its
-    conjugate transpose only if a product uses it.  One word per class is
-    traced (the empty word's trace is 1), as the O(n^2) trace of the product of
-    its halves a = w[:ceil(|w|/2)] and b, the lesser of the rest and its
-    adjoint; where b is the adjoint, the trace reads it through ``np.vdot``,
-    trial by trial.  Each prefix p of a half, from two letters up, is held
-    once per block as held[p[:-1]] @ held[p[-1:]], so every product's right
-    factor is a letter.  The plan is made before the trials, and frees each
-    product and letter after its last use.  Stacked products and traces equal
-    each trial's bit for bit, and go straight into the class's row of trial
-    values; the traced rows are divided by n once, at the end.  From n = 64
-    on, a product's arithmetic outweighs numpy's per-call cost, so a block is
-    one trial and holds no more than one.
+    ``draw(rng, size)`` returns a (size, n, n) stack of each unstarred letter,
+    its trials drawn in order from ``rng``, the run's one ``_rng(seed)``, so
+    each trial draws on from where the one before it stopped; a starred letter
+    is copied as its conjugate transpose only if a product uses it.  One word
+    per class is traced (the empty word's trace is 1), as the O(n^2) trace of
+    the product of its halves a = w[:ceil(|w|/2)] and b, the lesser of the rest
+    and its adjoint; where b is the adjoint, the trace reads it through
+    ``np.vdot``, trial by trial.  Each prefix p of a half, from two letters up,
+    is held once per block as held[p[:-1]] @ held[p[-1:]], so every product's
+    right factor is a letter.  The plan is made before the trials, and frees
+    each product and letter after its last use.  Stacked products and traces
+    equal each trial's bit for bit, and go straight into the class's row of
+    trial values; the traced rows are divided by n once, at the end.  From
+    n = 64 on, a product's arithmetic outweighs numpy's per-call cost, so a
+    block is one trial and holds no more than one.
     """
     reps, members = _classes(words)
     traced = [i for i, rep in enumerate(reps) if rep]
@@ -240,11 +224,11 @@ def _run_trials(
         step[-1].append(key)
     letters = [key[0] for key in last if len(key) == 1]
     size = max(1, _BLOCK_ENTRIES // (n * n))
-    streams = _streams(seed, range(trials))
+    rng = _rng(seed)
     values = np.ones((len(reps), trials), dtype=complex)
     for start in range(0, trials, size):
         block = slice(start, min(start + size, trials))
-        mats = draw(itertools.islice(streams, size), block.stop - start)
+        mats = draw(rng, block.stop - start)
         held = {(x,): mats[x] if x in mats else mats[_ADJOINT[x]].conj().swapaxes(1, 2)
                 for x in letters}
         del mats  # drops the letters no word uses
@@ -260,19 +244,20 @@ def _run_trials(
 
 
 def _triangular(
-    rngs: Iterator[np.random.Generator],
+    rng: np.random.Generator,
     size: int,
     upper: np.ndarray,
     mu: MeasureModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """A (size, n, n) stack of strictly upper triangular draws of variance 1/n,
-    one per generator, and the (size, n) diagonals each draws from ``mu`` first,
-    if given: one ``random`` and one ``standard_normal`` call per trial, then one
-    scaling, placement and transform of uniforms into diagonals per block."""
+    one per trial in order from ``rng``, and the (size, n) diagonals each trial
+    draws from ``mu`` first, if given: one ``random`` and one ``standard_normal``
+    call per trial, then one scaling, placement and transform of uniforms into
+    diagonals per block."""
     n = len(upper)
     u = None if mu is None else np.empty((size, _uniform_rows(mu), n))  # refuses an unsampleable mu
     t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
-    for k, rng in enumerate(rngs):
+    for k in range(size):
         if u is not None:
             rng.random(out=u[k])
         rng.standard_normal(out=normals[k])
@@ -294,8 +279,8 @@ def _dt_estimates(words: Sequence[Sequence[str]], n: int, trials: int, seed: int
     mu = diagonal if drawn - {"T"} and not isinstance(diagonal, np.ndarray) else None
     upper = ~np.tri(n, dtype=bool)
 
-    def draw(rngs, size):
-        t, d = _triangular(rngs, size, upper, mu)
+    def draw(rng, size):
+        t, d = _triangular(rng, size, upper, mu)
         d = diagonal if d is None else d
         mats = {"T": t}
         for x in drawn - {"T"}:  # Z = c*T + diag(d) and D = diag(d), d onto a zero diagonal
@@ -340,17 +325,16 @@ def estimate_elliptic_moment(
     """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2.
 
     H1 and H2 are independent self-adjoint Gaussian matrices with entry
-    variance 1/n; theta is read by ``elliptic_dt``.  A trial's one
-    ``standard_normal`` call draws H1's upper parts and diagonal, then H2's.
+    variance 1/n; theta is read by ``elliptic_dt``.  A block's one
+    ``standard_normal`` call draws, trial by trial, H1's upper parts and
+    diagonal, then H2's.
     """
     n, trials, seed = _check_size(n, trials, seed)
     ellipse = elliptic_dt(theta)[0]
     upper, m = ~np.tri(n, dtype=bool), n * (n - 1) // 2
 
-    def draw(rngs, size):
-        h, normals = np.zeros((size, 2, n, n), dtype=complex), np.empty((size, 2, 2 * m + n))
-        for k, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[k])
+    def draw(rng, size):
+        h, normals = np.zeros((size, 2, n, n), dtype=complex), rng.standard_normal((size, 2, 2 * m + n))
         for hj, nj in zip(h.swapaxes(0, 1), normals.swapaxes(0, 1)):  # H1, then H2
             _fill_upper(nj[:, : 2 * m].reshape(size, 2, m), upper, hj)
             hj += hj.conj().swapaxes(1, 2)
@@ -395,10 +379,11 @@ def pure_t_word_sweep(
     word per rotation-and-adjoint class through the products of its two
     halves and their prefixes, each formed once per trial:
     at ``max_len`` 6 the 126 words fall into 22 classes, and a trial forms 5
-    matrix products where the prefixes of all the words would take 60.
+    matrix products where the prefixes of all the words would take 60.  The
+    plan is made before the first trial, so ``max_len`` is capped at 12.
     """
     n, trials, seed = _check_size(n, trials, seed)
-    max_len = order(max_len, "max_len", 1)
+    max_len = order(max_len, "max_len", 1, DEFAULT_SWEEP_LEN_CAP)
     words = sorted(
         w for k in range(1, max_len + 1) for w in itertools.product(T_LETTERS, repeat=k)
     )

@@ -14,6 +14,7 @@ import pytest
 from conftest import measure_spec
 
 import dtmoments
+from dtmoments import quasinil
 from dtmoments.cli import build_parser, main, parse_measure_arg
 from dtmoments.errors import WordParseError
 from dtmoments.measures import Atomic, UniformAnnulus, UniformDisk
@@ -98,9 +99,11 @@ class TestMoment:
         assert code == 2
         assert "unknown word letter" in err
 
-    def test_exponents_past_the_recursion_limit_exit_3(self, capsys):
+    def test_exponents_past_the_recursion_limit_exit_3(self, capsys, monkeypatch):
         # the subset recursion nests once per unit of degree; 1000,1000 used
-        # to end in a RecursionError traceback and exit 1
+        # to end in a RecursionError traceback and exit 1.  A fresh memo, as a
+        # warm one holding (800, 800) shortens the recursion so that it returns
+        monkeypatch.setattr(quasinil, "_MEMO", {(): 1})
         code, out, err = run(capsys, "moment", "--exponents", "1000,1000")
         assert code == 3
         assert out == ""
@@ -356,6 +359,8 @@ BELOW_LEAST = [
     pytest.param(["mc", "--word", "T* T", "--trials", "4"], "--n", "0", id="n"),
     pytest.param(["mc", "--word", "T* T", "--trials", "4"], "--n", "-2", id="n-negative"),
     pytest.param(["mc", "--word", "T* T", "--n", "8"], "--trials", "1", id="trials"),
+    pytest.param(["mc", "--word", "T* T", "--n", "8", "--trials", "4"], "--seed", "-1",
+                 id="seed"),  # keyed the generator as 2**64 - 1
 ]
 
 
@@ -368,7 +373,6 @@ def test_a_flag_below_its_least_value_exits_2(capsys, argv, flag, value):
 
 # the integer flags with no least value, and why none is needed
 UNBOUNDED_FLAGS = {
-    "--seed": "masked to 64 bits, so every int keys a generator",
     "--cap": "a negative cap only marks every row skipped",
 }
 
@@ -454,6 +458,18 @@ class TestMC:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("mode", [["--measure", "disk:1"], ["--theta", "0.5"]],
+                             ids=["dt", "elliptic"])
+    def test_a_seed_past_64_bits_exits_3(self, capsys, mode):
+        # keyed the generator as seed 0 and printed "seed": 18446744073709551616
+        argv = ["mc", "--word", "Z* Z", "--n", "8", "--trials", "4", *mode, "--seed"]
+        code, out, err = run(capsys, *argv, str(2**64))
+        assert (code, out) == (3, "")
+        assert err == "error: seed 18446744073709551616 exceeds the cap of 18446744073709551615\n"
+        code, out, _ = run(capsys, *argv, str(2**64 - 1))
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
 
     def test_record_fields_and_target(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,11 @@
 """Each module of the package uses every name it imports, so a deletion that
-leaves an import behind shows up here rather than as dead weight."""
+leaves an import behind shows up here rather than as dead weight.  The last
+test checks that an import the test tooling makes cannot abort a test run."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,3 +337,34 @@ def test_the_solve_runs_on_integers():
     # exact series are rescaled so the table holds integers; only the return
     # divides, once per coefficient
     assert solve_fraction_work((PACKAGE / "transforms.py").read_text()) == []
+
+
+FAILING_PAIR = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_always_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
+    # hypothesis's failure report imports libcst, which imports
+    # mypy_extensions.TypedDict; under the repository's filterwarnings =
+    # ["error"] its DeprecationWarning was an INTERNALERROR: pytest exited 3,
+    # printed no falsifying example and never ran the next test
+    (tmp_path / "test_pair.py").write_text(FAILING_PAIR)
+    ini = PACKAGE.parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-rA", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example: test_always_fails(" in done.stdout
+    assert "PASSED test_pair.py::test_passes" in done.stdout

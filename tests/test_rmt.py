@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dtmoments import rmt
 from dtmoments.exact import ComplexRational as CQ
-from dtmoments.errors import WordParseError
+from dtmoments.errors import CapExceededError, WordParseError
 from dtmoments.measures import (
     Atomic,
     MomentTable,
@@ -29,8 +29,8 @@ from dtmoments.moments import ZWord, t_word_moment, z_word_moment
 from dtmoments.ncpair import ONE, STAR, StarWord
 from dtmoments.rmt import (
     DEFAULT_SIZE_CAP,
+    DEFAULT_SWEEP_LEN_CAP,
     _rng,
-    _streams,
     deterministic_diagonal_run,
     estimate_elliptic_moment,
     estimate_word_moment,
@@ -60,7 +60,7 @@ def sgrm(rng, n, sigma_sq):
 
 def triangular(seed, n, size=1):
     """Trials 0 to size - 1 of ``seed`` as the triangular block draw makes them."""
-    return rmt._triangular(_streams(seed, range(size)), size, ~np.tri(n, dtype=bool))[0]
+    return rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool))[0]
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ def elliptic_block(monkeypatch):
     def block(theta, n, size, seed):
         estimate_elliptic_moment(theta, StarWord((ONE,)), n, 2, seed)
         filled.clear()
-        z = draws[-1](_streams(seed, range(size)), size)["Z"]
+        z = draws[-1](_rng(seed), size)["Z"]
         assert len(filled) == 2
         return z, *filled
 
@@ -104,9 +104,8 @@ class TestSamplers:
         # n(n-1)/2 real parts, then as many imaginary parts, each scaled by
         # sqrt(1 / 2n), placed row by row above the diagonal, trial by trial
         count, size = n * (n - 1) // 2, 3
-        block = triangular(29, n, size)
+        block, rng = triangular(29, n, size), _rng(29)
         for t in range(size):
-            rng = _rng(29, t)
             re, im = rng.standard_normal(count), rng.standard_normal(count)
             scale = math.sqrt(1.0 / n / 2)
             want = np.zeros((n, n), dtype=complex)
@@ -131,8 +130,8 @@ class TestSamplers:
         # H1's upper parts, then its n diagonal normals, then H2's, from one stream
         size = 7
         _, h1, h2 = elliptic_block(math.pi / 3, n, size, 31)
+        rng = _rng(31)
         for t in range(size):
-            rng = _rng(31, t)
             for h in (h1, h2):
                 assert np.triu(h[t], k=1).tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
                 want = math.sqrt(1.0 / n) * rng.standard_normal(n)
@@ -154,13 +153,13 @@ class TestSamplers:
 
     def test_point_mass_diagonal_is_constant(self):
         w = CQ(F(1, 2), F(-1, 3))
-        d = sample_measure(Atomic.delta(w), 5, _rng(0, 0))
+        d = sample_measure(Atomic.delta(w), 5, _rng(0))
         assert np.allclose(d, complex(w.to_complex()))
 
     def test_disk_and_annulus_supports(self):
-        d = sample_measure(UniformDisk(F(3, 2)), 4000, _rng(5, 0))
+        d = sample_measure(UniformDisk(F(3, 2)), 4000, _rng(5))
         assert np.all(np.abs(d) <= 1.5 + 1e-12)
-        ann = sample_measure(UniformAnnulus(F(2)), 4000, _rng(5, 0))
+        ann = sample_measure(UniformAnnulus(F(2)), 4000, _rng(5))
         assert np.all(np.abs(ann) >= 1.0 - 1e-12)
         assert np.all(np.abs(ann) <= math.sqrt(2) + 1e-12)
 
@@ -192,8 +191,8 @@ class TestSamplers:
 
     def test_a_scaled_measure_with_an_int_factor_samples(self):
         # the factor stayed an int, and sampling raised AttributeError
-        got = sample_measure(ScaledMeasure(UniformDisk(1), 2), 16, _rng(0, 0))
-        np.testing.assert_array_equal(got, 2 * sample_measure(UniformDisk(1), 16, _rng(0, 0)))
+        got = sample_measure(ScaledMeasure(UniformDisk(1), 2), 16, _rng(0))
+        np.testing.assert_array_equal(got, 2 * sample_measure(UniformDisk(1), 16, _rng(0)))
 
     def test_moment_table_not_sampleable(self):
         table = MomentTable(2, (((1, 1), CQ(F(1, 2))),))
@@ -240,12 +239,12 @@ SAMPLED = {
 def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
     # a block calls random and standard_normal once per trial, then scales,
     # places and transforms the whole block; trial t must still equal, bit for
-    # bit, sample_measure and then utgrm on a fresh _rng(seed, t)
+    # bit, sample_measure and then utgrm, trial by trial on one _rng(seed)
     mu, seed, size = SAMPLED[kind], 61, 7
-    t, d = rmt._triangular(_streams(seed, range(size)), size, ~np.tri(n, dtype=bool), mu)
+    t, d = rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool), mu)
     assert t.shape == (size, n, n)
+    rng = _rng(seed)
     for k in range(size):
-        rng = _rng(seed, k)
         if mu is not None:
             assert d[k].tobytes() == sample_measure(mu, n, rng).tobytes()
         assert t[k].tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
@@ -254,16 +253,32 @@ def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 3, 0.3], ids=["pi/4", "pi/3", "0.3"])
 def test_an_elliptic_block_equals_its_trials_drawn_one_by_one(elliptic_block, theta, n):
-    # an elliptic trial makes one standard_normal call and each block fills H1
-    # and H2 at once; trial t must still equal, bit for bit, cos(theta) sgrm +
-    # i sin(theta) sgrm on a fresh _rng(seed, t)
+    # an elliptic block makes one standard_normal call and fills H1 and H2 at
+    # once; trial t must still equal, bit for bit, cos(theta) sgrm + i
+    # sin(theta) sgrm, trial by trial on one _rng(seed)
     seed, size = 67, 7
     z, _, _ = elliptic_block(theta, n, size, seed)
     assert z.shape == (size, n, n)
+    rng = _rng(seed)
     for t in range(size):
-        rng = _rng(seed, t)
         h1, h2 = sgrm(rng, n, 1.0 / n), sgrm(rng, n, 1.0 / n)
         assert z[t].tobytes() == (math.cos(theta) * h1 + 1j * math.sin(theta) * h2).tobytes()
+
+
+# one-letter words and two trials: an unchecked path allocates a few
+# matrices of the oversize n and returns, so the tests fail fast
+EVERY_ESTIMATOR = pytest.mark.parametrize(
+    "run",
+    [
+        lambda n, seed=0: estimate_word_moment(["T"], n, 2, seed),
+        lambda n, seed=0: estimate_elliptic_moment(math.pi / 4, StarWord((ONE,)), n, 2, seed),
+        lambda n, seed=0: deterministic_diagonal_run(
+            lambda m: [0.0] * m, 1.0, StarWord((ONE,)), n, 2, seed
+        ),
+        lambda n, seed=0: pure_t_word_sweep(1, n, 2, seed),
+    ],
+    ids=["word", "elliptic", "fixed", "sweep"],
+)
 
 
 def same_stream(a, b):
@@ -275,46 +290,49 @@ def same_stream(a, b):
     assert np.array_equal(a.standard_normal((4, 5)), b.standard_normal((4, 5)))
 
 
-def leave_half_used(rng):
-    # a lone 32-bit draw keeps the other half of its word (has_uint32), and a
-    # double after an exhausted buffer leaves Philox's four-word buffer part used
-    if not rng.bit_generator.state["has_uint32"]:
-        rng.integers(0, 2**32, dtype=np.uint32)
-    if rng.bit_generator.state["buffer_pos"] == 4:
-        rng.random()
-    state = rng.bit_generator.state
-    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+class TestStream:
+    def test_trial_t_takes_the_t_th_draws_of_one_generator(self):
+        # n = 16 stacks 16 trials a block, so 20 trials take a full and a partial block;
+        # each trial's odd-length draws leave the stream part used for the next
+        seed, seen, sizes = 2**64 - 11, [], []
+        replay = _rng(seed)
 
-
-class TestRekey:
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 2**64 + 7, 2**70 + 3])
-    def test_rekeyed_stream_equals_a_fresh_generator(self, seed):
-        indices = [0, 1, 2**64 - 1, 5, 2**64, 2**64 + 1]
-        for t, rng in zip(indices, _streams(seed, indices)):
-            same_stream(rng, _rng(seed, t))
-            leave_half_used(rng)
-
-    def test_a_seed_past_64_bits_is_masked(self):
-        for t, rng in zip([0, 3], _streams(2**64 + 9, [0, 3])):
-            same_stream(rng, _rng(9, t))
-
-    def test_runner_trial_t_sees_the_stream_of_a_fresh_generator(self):
-        # n = 16 stacks 16 trials a block, so 20 trials take a full and a partial block
-        seen, sizes = [], []
-
-        def draw(rngs, size):
-            for rng in rngs:
-                t = len(seen)
-                fresh = _rng(2**64 + 11, t)
-                same_stream(rng, fresh)
-                leave_half_used(rng)
-                seen.append(t)
+        def draw(rng, size):
+            for _ in range(size):
+                same_stream(rng, replay)
+                seen.append(len(seen))
             sizes.append(size)
             return {"T": np.zeros((size, 16, 16))}
 
-        rmt._run_trials(draw, [("T", "T*")], 16, 20, 2**64 + 11)
+        rmt._run_trials(draw, [("T", "T*")], 16, 20, seed)
         assert seen == list(range(20))
         assert sizes == [16, 4]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_a_run_goes_on_from_what_the_seed_and_trial_0_key_drew(self, seed):
+        # earlier versions keyed trial t by (seed, t): trial 0 draws as it did
+        # then, and trial 1 takes the next draws of the same stream
+        old = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        trials = [utgrm(old, 5, 1 / 5) for _ in range(2)]
+        values = np.array([np.trace(m.conj().T @ m) / 5 for m in trials])
+        assert_agrees(estimate_word_moment(["T*", "T"], 5, 2, seed), values, "T* T")
+
+    @EVERY_ESTIMATOR
+    @pytest.mark.parametrize("seed, error, match", [
+        (-1, ValueError, "seed must be >= 0"),
+        (-(2**64), ValueError, "seed must be >= 0"),
+        (2**64, CapExceededError, "seed 18446744073709551616 exceeds the cap of 18446744073709551615"),
+    ], ids=["minus-one", "minus-2**64", "2**64"])
+    def test_every_estimator_refuses_a_seed_outside_64_bits(self, run, seed, error, match):
+        # seed s and s + 2**64 gave one estimate under two reported seeds
+        with pytest.raises(error, match=match):
+            run(8, seed)
+
+    @EVERY_ESTIMATOR
+    def test_every_estimator_takes_the_largest_seed(self, run):
+        est = run(8, 2**64 - 1)
+        for e in est.values() if isinstance(est, dict) else [est]:
+            assert e.seed == 2**64 - 1
 
 
 class TestEstimators:
@@ -378,9 +396,12 @@ class TestEstimators:
         schema = json.loads(
             resources.files("dtmoments").joinpath("schemas/mc_record.schema.json").read_text()
         )
-        est = estimate_word_moment(["T", "T*"], n=8, trials=10, seed=0)
+        est = estimate_word_moment(["T", "T*"], n=8, trials=10, seed=2**64 - 1)
         jsonschema.validate(est.to_record("T T*", target=0.5), schema)
         jsonschema.validate(est.to_record("T T*"), schema)
+        for seed in (-1, 2**64):  # no estimator draws with these
+            with pytest.raises(jsonschema.ValidationError, match="seed"):
+                jsonschema.validate(rmt.Estimate(0j, 0.0, 8, 10, seed).to_record("T T*"), schema)
 
 
 class TestScaleAndLength:
@@ -436,6 +457,15 @@ class TestScaleAndLength:
         # returned {} where no word was asked for
         with pytest.raises(ValueError, match="max_len"):
             pure_t_word_sweep(max_len, n=8, trials=2, seed=0)
+
+    def test_sweep_length_is_capped_before_the_plan(self, monkeypatch):
+        # 14 letters made 32,766 words and 1,371 classes before the first trial
+        def plan(words):
+            raise AssertionError("the sweep was planned")
+
+        monkeypatch.setattr(rmt, "_classes", plan)
+        with pytest.raises(CapExceededError, match="max_len 13 exceeds the cap of 12"):
+            pure_t_word_sweep(DEFAULT_SWEEP_LEN_CAP + 1, n=8, trials=2, seed=0)
 
     @pytest.mark.parametrize(
         "run",
@@ -554,11 +584,12 @@ def test_pure_t_sweep_against_limits():
 
 def direct_values(draw, words, n, trials, seed):
     """Per-trial normalized traces of each word, each by its own multi_dot of
-    the letters ``draw(_rng(seed, t))`` returns and their adjoints: no halves,
-    no classes and no plan."""
+    the letters ``draw(rng)`` returns and their adjoints, trial by trial on one
+    ``rng = _rng(seed)``: no halves, no classes and no plan."""
     values = {w: np.empty(trials, dtype=complex) for w in words}
+    rng = _rng(seed)
     for t in range(trials):
-        mats = draw(_rng(seed, t))
+        mats = draw(rng)
         mats.update({x + "*": m.conj().T for x, m in list(mats.items())})
         for w in words:
             prod = np.linalg.multi_dot([mats[tok] for tok in w]) if len(w) > 1 else mats[w[0]]
@@ -871,45 +902,46 @@ def test_runner_is_exactly_invariant(eps):
         assert adj.stderr == est.stderr
 
 
-# (mean re, mean im, stderr) as float.hex, recorded from the runner when the
-# triangular draw became n(n-1)/2 real then n(n-1)/2 imaginary normals; the
-# runner must reproduce them to 1e-12 of max(|mean|, stderr).
+# (mean re, mean im, stderr) as float.hex, recorded from the runner when each
+# run became one Philox stream keyed by its seed, with n(n-1)/2 real then
+# n(n-1)/2 imaginary normals per triangular draw; the runner must reproduce
+# them to 1e-12 of max(|mean|, stderr).
 FROZEN = {
-    "dt": ("0x1.9149064cf09c3p-7", "-0x1.d26eeddaf606dp-7", "0x1.def6276f864f9p-8"),
-    "z": ("0x1.ac381336d9d86p-1", "0x0.0p+0", "0x1.4620708401393p-5"),
-    "elliptic": ("0x1.0111e35cd7707p-6", "-0x1.34a8aaff4cceap-3", "0x1.8c5f6075fae46p-3"),
-    "fixed": ("0x1.3604355dfa67fp+0", "0x0.0p+0", "0x1.1ab67ad5c5cefp-7"),
+    "dt": ("-0x1.f7c4ecca01116p-9", "0x1.2085c83ba30a4p-11", "0x1.04ce6593b0f49p-7"),
+    "z": ("0x1.eb34c3c658452p-1", "0x0.0p+0", "0x1.0d3cbaca5ece8p-4"),
+    "elliptic": ("0x1.19945286ccf08p-7", "0x1.bd97f7a836428p-6", "0x1.0981518200cb7p-2"),
+    "fixed": ("0x1.363eab65c3100p+0", "0x0.0p+0", "0x1.ba1a3376217ebp-8"),
 }
 FROZEN_SWEEP = {
     "T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T T T T*": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
-    "T T T*": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T T T* T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
-    "T T T* T*": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
-    "T T*": ("0x1.d1441d6c2a2a8p-2", "0x0.0p+0", "0x1.6d85fab98d3edp-6"),
-    "T T* T": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T T* T T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
-    "T T* T T*": ("0x1.377e18be0e433p-1", "0x0.0p+0", "0x1.35394f93128cap-4"),
-    "T T* T*": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T T* T* T": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
-    "T T* T* T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T T T T*": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T T T*": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T T T* T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T T T* T*": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
+    "T T*": ("0x1.decea0953b13fp-2", "0x0.0p+0", "0x1.d58033e038553p-7"),
+    "T T* T": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T T* T T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T T* T T*": ("0x1.4848ef14a538ap-1", "0x0.0p+0", "0x1.8558beb9d17ffp-5"),
+    "T T* T*": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T T* T* T": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
+    "T T* T* T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
     "T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T": ("0x1.d1441d6c2a2a8p-2", "0x0.0p+0", "0x1.6d85fab98d3edp-6"),
-    "T* T T": ("0x1.359a147ab5172p-7", "0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T* T T T": ("0x1.37b246a41acfap-9", "0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
-    "T* T T T*": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
-    "T* T T*": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T* T T* T": ("0x1.377e18be0e433p-1", "0x0.0p+0", "0x1.35394f93128cap-4"),
-    "T* T T* T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T* T": ("0x1.decea0953b13fp-2", "0x0.0p+0", "0x1.d58033e038553p-7"),
+    "T* T T": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T* T T T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T* T T T*": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
+    "T* T T*": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T* T T* T": ("0x1.4848ef14a538ap-1", "0x0.0p+0", "0x1.8558beb9d17ffp-5"),
+    "T* T T* T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
     "T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T": ("0x1.359a147ab5172p-7", "-0x1.44a107f210014p-8", "0x1.9c5fa100b16dfp-8"),
-    "T* T* T T": ("0x1.09c5fb2f9b172p-3", "0x0.0p+0", "0x1.e4e07b241094cp-7"),
-    "T* T* T T*": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T* T* T": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
+    "T* T* T T": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
+    "T* T* T T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
     "T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T* T": ("0x1.37b246a41acfap-9", "-0x1.6730c299e0e60p-10", "0x1.65c31ec8308f4p-9"),
+    "T* T* T* T": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
     "T* T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
@@ -931,14 +963,15 @@ FROZEN_CALLS = {
 
 
 # (mean re, mean im, stderr) as float.hex at n = 3, recorded from the runner
-# that divided each trial's trace by n as a Python complex; a one-step numpy
-# complex division by n changes the last bit of each, so they must match exactly
+# when each run became one stream; it divides the traced rows by n part by
+# part, as a Python complex does, where a one-step numpy complex division by n
+# changes the last bit of each, so they must match exactly
 FROZEN_N3 = {
-    "dt": ("0x1.8d9989942b776p-3", "0x1.ed222d91df8a7p-65", "0x1.15ec9c32f89b8p-5"),
-    "z": ("0x1.2cb1cb40359cfp-3", "0x1.55e7b2a8f7c3dp-6", "0x1.8eada5eb4cc99p-3"),
-    "atomic": ("-0x1.7020d4780054ap-4", "0x1.f81655cbe48fap+0", "0x1.d9ef929c5618ep-3"),
-    "scaled-ellipse": ("-0x1.082e0c8282cb5p-6", "0x1.5800d103bdc78p-4", "0x1.26d7d69d64221p-2"),
-    "elliptic": ("0x1.6567ed3f47264p-7", "0x1.8a6b540dcbce3p-4", "0x1.6309ca2aef1f1p-3"),
+    "dt": ("0x1.8af8538802ee1p-3", "-0x1.75f953cc22f15p-61", "0x1.1cd22d47fa292p-5"),
+    "z": ("0x1.9ca035dd87467p-11", "0x1.87b53f6e15bd6p-3", "0x1.810cbf709202ep-3"),
+    "atomic": ("0x1.687bd48908539p-3", "0x1.224fe0ae3ec4fp+1", "0x1.e94b483ff1312p-2"),
+    "scaled-ellipse": ("-0x1.1000821270c56p-3", "0x1.04f917855419dp-2", "0x1.c687ee1de265dp-2"),
+    "elliptic": ("0x1.20aeb33dda942p-5", "0x1.8d6119bcb06ecp-4", "0x1.0a01976151d62p-3"),
 }
 FROZEN_N3_CALLS = {
     "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),
@@ -971,22 +1004,6 @@ class TestFrozenEstimates:
         assert {" ".join(w) for w in sweep} == set(FROZEN_SWEEP)
         for letters, est in sweep.items():
             assert_frozen(est, FROZEN_SWEEP[" ".join(letters)])
-
-
-# one-letter words and two trials: an unchecked path allocates a few
-# matrices of the oversize n and returns, so the tests fail fast
-EVERY_ESTIMATOR = pytest.mark.parametrize(
-    "run",
-    [
-        lambda n: estimate_word_moment(["T"], n, 2, 0),
-        lambda n: estimate_elliptic_moment(math.pi / 4, StarWord((ONE,)), n, 2, 0),
-        lambda n: deterministic_diagonal_run(
-            lambda m: [0.0] * m, 1.0, StarWord((ONE,)), n, 2, 0
-        ),
-        lambda n: pure_t_word_sweep(1, n, 2, 0),
-    ],
-    ids=["word", "elliptic", "fixed", "sweep"],
-)
 
 
 class TestSizeCap:
