@@ -8,11 +8,11 @@ numpy's ziggurat ``standard_normal`` for the n(n-1)/2 real parts and then the
 n(n-1)/2 imaginary parts of the entries above the diagonal, row by row, each
 of variance 1/(2n); a self-adjoint draw adds n diagonal entries of variance
 1/n.  Earlier versions drew a full n x n matrix and zeroed its lower half, so
-their estimates are not reproduced bit for bit.  A triangular trial makes one
-``standard_normal`` call, after one ``random`` call for its diagonal, if
-any, and an elliptic block one call for all its trials; each block is then
-scaled, placed and transformed at once, with estimates bit-identical to one
-draw per trial.
+their estimates are not reproduced bit for bit.  A block of triangular trials
+with no diagonal makes one ``standard_normal`` call, as does an elliptic
+block; a trial with a diagonal makes one ``random`` call for it, then one
+``standard_normal`` call.  Each block is then scaled, placed and transformed
+at once, with estimates bit-identical to one draw per trial.
 
 All estimators share one trial runner, and all but the elliptic one share
 one draw of T and D's diagonal.  The runner stacks max(1, 4096 // n^2) trials
@@ -21,9 +21,11 @@ n = 8-32; from n = 64 a block is one trial.  Each trial draws one matrix per
 unstarred letter and traces one word per class: the rotations of a word and
 of its adjoint, as tr(w) is unchanged by rotation and tr(w*) = conj tr(w).
 That trace is the trace of the product of the word's two halves, the second
-held as the lesser of it and its adjoint.  Each prefix of a half is one
-product per block, its shorter prefix's product times a letter, freed after
-its last use.  Each estimate is a mean over trials of the normalized matrix
+held as the lesser of it and its adjoint, or in a run of one class the halves
+with the fewest products.  Each prefix of a half is one product per block, its
+shorter prefix's product times a letter, freed after its last use; from
+n = 128 it skips the zero blocks of triangular factors (T, D, Z and their
+adjoints).  Each estimate is a mean over trials of the normalized matrix
 trace of a word, with the standard error taken per real/imaginary part (the
 larger of the two is reported).
 """
@@ -176,9 +178,50 @@ def _classes(words: Sequence[Sequence[str]]) -> tuple[list[tuple], list[tuple[in
     return list(index), members
 
 
+def _prefixes(a: tuple[str, ...], b: tuple[str, ...]) -> dict[tuple[str, ...], None]:
+    """The prefixes of two letters and more of the halves a and b, each once, in order."""
+    return dict.fromkeys(h[:k] for h in (a, b) for k in range(2, len(h) + 1))
+
+
+def _plan(word: tuple[str, ...], search: bool) -> tuple[tuple, tuple, bool]:
+    """Halves (a, b, flip) with tr(word) = tr(a b), b held as the rest's adjoint where ``flip``.
+    Canonically a = word[:ceil(L/2)] and b the lesser of the rest and its adjoint.
+    ``search`` takes, for up to DEFAULT_SWEEP_LEN_CAP letters, the fewest products,
+    L - 2 - max(0, lcp(a, b) - 1), over each rotation, split and form of b; a tie keeps the
+    canonical halves.  Holding a as its adjoint, or splitting the adjoint word, forms no
+    fewer: the held pair is a rotation's, or shares the suffix that a rotation puts first."""
+    mid = (len(word) + 1) // 2
+    plans = [(word, mid, _adjoint(word[mid:]) < word[mid:])]
+    if search and len(word) <= DEFAULT_SWEEP_LEN_CAP:
+        plans += [(word[r:] + word[:r], k, flip) for r in range(len(word)) for k in range(1, len(word))
+                  for flip in (False, True)]
+    halves = [(w[:k], _adjoint(w[k:]) if flip else w[k:], flip) for w, k, flip in plans]
+    return min(halves, key=lambda h: len(_prefixes(*h[:2])))
+
+
 _BLOCK_ENTRIES = 4096  # a block stacks max(1, 4096 // n^2) trials
 _TRACE = partial(np.trace, axis1=1, axis2=2)  # tr(x), trial by trial
 _TRACE_OF_PRODUCT = partial(np.einsum, "bij,bji->b")  # tr(x y), trial by trial
+
+
+def _product(x: np.ndarray, y: np.ndarray, sx: int, sy: int) -> np.ndarray:
+    """x @ y, ``sx`` and ``sy`` 1 for an upper triangular factor, -1 for a lower one, 0
+    for a full one.  From n = 128, p = min(8, n // 64) panels of y's columns [s, e) (x's
+    rows where y is full) are each one matmul over the blocks that can be nonzero, into a
+    zero result: upper times upper forms rows :e only, lower times lower rows s: only."""
+    n = x.shape[-1]
+    p = min(8, n // 64)
+    if p <= 1 or not sx | sy:
+        return x @ y
+    out = np.zeros(x.shape, dtype=complex)
+    for s, e in itertools.pairwise([n * j // p for j in range(p + 1)]):
+        k = slice(None, e) if (sy or -sx) > 0 else slice(s, None)  # where y's panel, or x's, can be nonzero
+        if sy:  # a panel of y's columns
+            rows = k if sx == sy else slice(None)
+            np.matmul(x[..., rows, k], y[..., k, s:e], out=out[..., rows, s:e])
+        else:  # a panel of x's rows
+            np.matmul(x[..., s:e, k], y[..., k, :], out=out[..., s:e, :])
+    return out
 
 
 def _run_trials(
@@ -187,19 +230,22 @@ def _run_trials(
     n: int,
     trials: int,
     seed: int,
+    upper: frozenset[str] = frozenset(),
 ) -> list[Estimate]:
     """One estimate per word, from trials run in blocks of B = max(1, 4096 // n^2).
 
     ``draw(rng, size)`` returns a (size, n, n) stack of each unstarred letter,
     its trials drawn in order from ``rng``, the run's one ``_rng(seed)``, so
-    each trial draws on from where the one before it stopped; a starred letter
-    is copied as its conjugate transpose only if a product uses it.  One word
-    per class is traced (the empty word's trace is 1), as the O(n^2) trace of
-    the product of its halves a = w[:ceil(|w|/2)] and b, the lesser of the rest
-    and its adjoint; where b is the adjoint, the trace reads it through
-    ``np.vdot``, trial by trial.  Each prefix p of a half, from two letters up,
-    is held once per block as held[p[:-1]] @ held[p[-1:]], so every product's
-    right factor is a letter.  The plan is made before the trials, and frees
+    each trial draws on from where the one before it stopped; the letters in
+    ``upper`` are upper triangular, and a starred letter is copied as its
+    conjugate transpose only if a product uses it.  One word per class is
+    traced (the empty word's trace is 1), as the O(n^2) trace of the product
+    of the halves ``_plan`` gives it: canonical ones, which classes share, or
+    in a run of one class the fewest products; where b is held as an adjoint,
+    the trace reads it through ``np.vdot``, trial by trial.  Each prefix p of
+    a half, from two letters up, is held once per block as ``_product`` of
+    held[p[:-1]] and held[p[-1:]], a letter, and is upper (lower) triangular
+    where all its letters are.  The plan is made before the trials, and frees
     each product and letter after its last use.  Stacked products and traces
     equal each trial's bit for bit, and go straight into the class's row of
     trial values; the traced rows are divided by n once, at the end.  From
@@ -208,18 +254,16 @@ def _run_trials(
     """
     reps, members = _classes(words)
     traced = [i for i, rep in enumerate(reps) if rep]
+    def side(key):  # 1 where every letter is upper triangular, -1 where every one is lower, else 0
+        return 1 if upper.issuperset(key) else -1 if upper.issuperset(map(_ADJOINT.get, key)) else 0
     steps, last = [], {}  # last: each key planned so far, to the step that uses it last
     for i in sorted(traced, key=reps.__getitem__):
-        rep = reps[i]
-        mid = (len(rep) + 1) // 2
-        a, b = rep[:mid], min(rep[mid:], _adjoint(rep[mid:]))
-        prefixes = dict.fromkeys(h[:k] for h in (a, b) for k in range(2, len(h) + 1))
-        forms = [p for p in prefixes if p not in last]
-        flip = b != rep[mid:]  # b held as adj(rep[mid:]): vdot(b, a) is tr(a b^H)
+        a, b, flip = _plan(reps[i], len(traced) == 1)
+        forms = [(p, side(p[:-1]), side(p[-1:])) for p in _prefixes(a, b) if p not in last]
         trace = (lambda x, y: [*map(np.vdot, x, y)]) if flip else _TRACE_OF_PRODUCT if b else _TRACE
-        keys = (b, a) if flip else (a, b) if b else (a,)
+        keys = (b, a) if flip else (a, b) if b else (a,)  # vdot(b, a) is tr(a b^H)
         steps.append((i, forms, trace, keys, []))
-        last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p in forms)), steps[-1]))
+        last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p, *_ in forms)), steps[-1]))
     for key, step in last.items():
         step[-1].append(key)
     letters = [key[0] for key in last if len(key) == 1]
@@ -233,8 +277,8 @@ def _run_trials(
                 for x in letters}
         del mats  # drops the letters no word uses
         for i, forms, trace, keys, frees in steps:
-            for key in forms:
-                held[key] = held[key[:-1]] @ held[key[-1:]]
+            for key, *sides in forms:
+                held[key] = _product(held[key[:-1]], held[key[-1:]], *sides)
             values[i, block] = trace(*[held[key] for key in keys])
             for key in frees:
                 del held[key]
@@ -251,16 +295,19 @@ def _triangular(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """A (size, n, n) stack of strictly upper triangular draws of variance 1/n,
     one per trial in order from ``rng``, and the (size, n) diagonals each trial
-    draws from ``mu`` first, if given: one ``random`` and one ``standard_normal``
-    call per trial, then one scaling, placement and transform of uniforms into
+    draws from ``mu`` first, if given: one ``standard_normal`` call per block
+    without ``mu``, one ``random`` and one ``standard_normal`` call per trial
+    with it, then one scaling, placement and transform of uniforms into
     diagonals per block."""
     n = len(upper)
     u = None if mu is None else np.empty((size, _uniform_rows(mu), n))  # refuses an unsampleable mu
     t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
-    for k in range(size):
-        if u is not None:
+    if u is None:
+        rng.standard_normal(out=normals)  # the normals one call per trial draws, in their order
+    else:
+        for k in range(size):  # a trial's uniforms come before its normals
             rng.random(out=u[k])
-        rng.standard_normal(out=normals[k])
+            rng.standard_normal(out=normals[k])
     _fill_upper(normals, upper, t)
     return t, None if u is None else _from_uniforms(mu, u)
 
@@ -287,7 +334,7 @@ def _dt_estimates(words: Sequence[Sequence[str]], n: int, trials: int, seed: int
             mats[x] = _with_diagonal(c * t if x == "Z" else np.zeros_like(t), d)
         return mats
 
-    return _run_trials(draw, words, n, trials, seed)
+    return _run_trials(draw, words, n, trials, seed, frozenset(("T", "D", "Z")))  # each upper triangular
 
 
 def estimate_word_moment(
@@ -377,9 +424,10 @@ def pure_t_word_sweep(
 
     One triangular sample per trial serves all words.  The runner traces one
     word per rotation-and-adjoint class through the products of its two
-    halves and their prefixes, each formed once per trial:
-    at ``max_len`` 6 the 126 words fall into 22 classes, and a trial forms 5
-    matrix products where the prefixes of all the words would take 60.  The
+    canonical halves and their prefixes, each formed once per trial and
+    shared across classes: at ``max_len`` 6 the 126 words fall into 22
+    classes, and a trial forms 5 matrix products where the prefixes of all
+    the words would take 60; from n = 128 each skips its zero blocks.  The
     plan is made before the first trial, so ``max_len`` is capped at 12.
     """
     n, trials, seed = _check_size(n, trials, seed)

@@ -258,6 +258,44 @@ def test_two_draws_feed_the_runner():
     assert runner_callers((PACKAGE / "rmt.py").read_text()) == ["_dt_estimates", "estimate_elliptic_moment"]
 
 
+MATRIX_PRODUCTS = {"matmul", "dot", "multi_dot", "tensordot", "inner", "matrix_power"}
+
+
+def matrix_product_sites(source: str) -> list[str]:
+    """The module-level functions of ``source`` whose bodies, nested functions
+    included, multiply matrices: by ``@`` or ``@=``, or by calling one of
+    numpy's matrix products, plain or through a module.  A product outside
+    every function is reported as ``<module>``."""
+    def multiplies(node):
+        return any(
+            isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+            or isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) in MATRIX_PRODUCTS
+            for n in ast.walk(node))
+
+    return sorted(
+        node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.parse(source).body if multiplies(node))
+
+
+def test_the_check_finds_matrix_products():
+    source = (
+        "import numpy as np\n"
+        "def a(x, y):\n    return x @ y\n"
+        "def b(x, y):\n    def inner(z):\n        z @= y\n    return np.matmul(x, y, out=x)\n"
+        "def c(xs):\n    return np.linalg.multi_dot(xs)\n"
+        "def d(x, y):\n    return np.vdot(x, y), np.einsum('bij,bji->b', x, y), x * y\n"
+        "e = np.dot\n"
+        "f = np.ones(2) @ np.ones(2)\n"
+    )
+    assert matrix_product_sites(source) == ["<module>", "a", "b", "c"]
+
+
+def test_rmt_multiplies_matrices_only_in_its_product_helper():
+    # every product of held matrices goes through rmt._product, which knows
+    # their triangles; traces of products (np.vdot, np.einsum) are not products
+    assert matrix_product_sites((PACKAGE / "rmt.py").read_text()) == ["_product"]
+
+
 def test_every_traced_name_resolves():
     # the benchmark's span recorder looks each name up with a bare getattr, so
     # a renamed or removed function would crash a traced run and no other test

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -713,6 +714,74 @@ def test_fixed_diagonal_estimates_agree_with_direct_traces():
         assert_agrees(est, direct[z_word(eps)], eps)
 
 
+@pytest.mark.parametrize("x_side, y_side", itertools.product((1, -1, 0), repeat=2))
+@pytest.mark.parametrize("n", [127, 128, 200, 512], ids=lambda n: f"n{n}")
+def test_a_product_in_panels_equals_the_plain_product(n, x_side, y_side):
+    # n = 127 is one panel, 128 two, 200 three of 66, 67 and 67 columns and
+    # 512 eight; a lower factor is an upper one's adjoint, as the runner holds it
+    rng = np.random.default_rng(n)
+
+    def stack(side):
+        m = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        return m if side == 0 else np.triu(m) if side == 1 else np.triu(m).conj().swapaxes(1, 2)
+
+    x, y = stack(x_side), stack(y_side)
+    got, want = rmt._product(x, y, x_side, y_side), x @ y
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if x_side == y_side == 1:
+        assert not np.tril(got, -1).any()
+    if n == 127 or not x_side | y_side:
+        assert got.tobytes() == want.tobytes()
+
+
+def panel_run(kind, n):
+    """The estimates and direct values of ``kind``'s words at size n, two trials."""
+    trials, seed, mu = 2, 71, UniformDisk(1)
+    entries = np.exp(2j * math.pi * np.arange(n) / n)
+
+    def draw_t(rng):
+        return {"T": utgrm(rng, n, 1.0 / n)}
+
+    def draw_fixed(rng):
+        return {"Z": np.diag(entries) + 0.5 * utgrm(rng, n, 1.0 / n)}
+
+    if kind == "sweep":
+        words = [w for k in range(1, 5) for w in itertools.product(("T", "T*"), repeat=k)]
+        draw, est = draw_t, pure_t_word_sweep(4, n, trials, seed)
+    elif kind == "fixed":
+        words, draw = [z_word(eps) for eps in STAR_WORDS], draw_fixed
+        est = {z_word(eps): deterministic_diagonal_run(lambda m: entries, 0.5, eps, n, trials, seed)
+               for eps in STAR_WORDS}
+    elif kind == "t":
+        words = [("T", "T", "T*"), ("T", "T*", "T*", "T", "T"), ("T*", "T", "T", "T*", "T*", "T")]
+        draw = draw_t
+        est = {w: estimate_word_moment(list(w), n, trials, seed) for w in words}
+    else:
+        words, c = (DT_WORDS, 1.0) if kind == "dt" else (Z_WORDS, 0.5)
+        draw = draw_dz(mu, c, n)
+        est = {w: estimate_word_moment(list(w), n, trials, seed, mu=mu, c=c) for w in words}
+    return est, direct_values(draw, words, n, trials, seed)
+
+
+@pytest.mark.parametrize("n", [128, 256], ids=lambda n: f"n{n}")  # two panels and four
+def test_panel_estimates_agree_with_direct_traces(monkeypatch, n):
+    sides, product = set(), rmt._product
+
+    def recording(x, y, x_side, y_side):
+        sides.add((x_side, y_side))
+        return product(x, y, x_side, y_side)
+
+    monkeypatch.setattr(rmt, "_product", recording)
+    for kind in ["t", "dt", "z", "fixed", "sweep"]:
+        est, direct = panel_run(kind, n)
+        assert set(est) == set(direct)
+        for w, values in direct.items():
+            assert_agrees(est[w], values, w)
+    # each right factor is a letter, upper (1) or lower (-1); each left one is
+    # upper, lower or, where its letters mix the two, full (0)
+    assert sides == set(itertools.product((1, -1, 0), (1, -1)))
+
+
 @pytest.fixture
 def products(monkeypatch):
     """What a run forms, counted on the matrices themselves: the letters each
@@ -776,16 +845,66 @@ def test_sweep_to_eight_letters_forms_thirteen_products(products):
     assert products.right_not_letter == products.conjugated == 0
 
 
+@pytest.mark.parametrize("word, count", [
+    (("Z", "Z", "Z", "Z", "Z*"), 2),  # Z Z times Z Z Z*, where Z Z Z times Z Z* forms 3
+    (("Z*", "Z", "Z*", "Z", "Z*", "Z*"), 3),  # Z Z* times Z Z* Z Z, where 4
+    (("D*", "T", "T*", "D"), 1),  # vdot(T* D, T* D), where D D* times T T* forms 2
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_a_one_word_run_forms_the_fewest_products(products, word, count):
+    trials = 3
+    estimate_word_moment(list(word), n=4, trials=trials, seed=0, mu=UniformDisk(1))
+    assert products.trials == [trials] * count
+
+
+def fewest_products(word):
+    """The fewest products over every rotation of ``word`` and of its adjoint,
+    every split into two halves and each half held as itself or its adjoint."""
+    rotations = [w[r:] + w[:r] for w in (word, rmt._adjoint(word)) for r in range(len(w))]
+    return min(
+        len({h[:k] for h in halves for k in range(2, len(h) + 1)})
+        for w in rotations for split in range(1, len(w))
+        for halves in itertools.product(*[(h, rmt._adjoint(h)) for h in (w[:split], w[split:])])
+    ) if len(word) > 1 else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(("D", "D*", "T", "T*")), min_size=1, max_size=8),
+    st.lists(st.sampled_from(("Z", "Z*")), min_size=1, max_size=8),
+))
+def test_a_one_word_plan_forms_the_brute_force_minimum(letters):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        formed = []
+        monkeypatch.setattr(rmt, "_product", lambda x, y, *sides: formed.append(None) or x @ y)
+        mu = None if set(letters) <= {"T", "T*"} else UniformDisk(1)
+        estimate_word_moment(letters, n=3, trials=2, seed=0, mu=mu)
+    assert len(formed) == fewest_products(tuple(letters)), letters
+
+
+def test_a_word_past_the_sweep_cap_keeps_its_canonical_halves(products):
+    # Z^12 Z* is canonically Z^7 times Z^5 Z*, 7 products; the search would
+    # find Z^6 Z* times Z^6, 6 products.  A 200-letter word would search
+    # 2 * 200 * 199 plans; it is planned without the search, in milliseconds
+    word = ("Z",) * 12 + ("Z*",)
+    assert fewest_products(word) == 6
+    estimate_word_moment(list(word), n=4, trials=3, seed=0, mu=UniformDisk(1))
+    assert products.trials == [3] * 7
+    long_word = tuple(itertools.islice(itertools.cycle(("Z", "Z*", "Z", "Z")), 200))
+    start = time.perf_counter()
+    assert rmt._plan(long_word, True) == rmt._plan(long_word, False)
+    assert time.perf_counter() - start < 0.05
+
+
 @pytest.mark.parametrize(
     "word",
     [("D", "D", "D", "T", "D", "T"), ("D", "D", "D", "T", "D*", "T*")],
     ids=" ".join,
 )
 def test_flagged_prefix_is_not_conjugated(products, word):
-    # the second halves are T D T and, as the lesser of T D* T* and its
-    # adjoint, T D T*; both start with T D, held as the plain product T @ D
-    # although its adjoint D* T* is the lesser, and the second word's trace
-    # reads T D T* through np.vdot
+    # the second word's halves are D D D and, as the lesser of T D* T* and its
+    # adjoint, T D T*, which starts with T D, held as the plain product T @ D
+    # although its adjoint D* T* is the lesser; its trace reads T D T* through
+    # np.vdot.  The first word is traced as D T times D T D D, 3 products
     n, trials, seed, mu = 8, 70, 51, UniformDisk(1)
     est = estimate_word_moment(list(word), n, trials, seed, mu=mu)
     assert_agrees(est, direct_values(draw_dz(mu, 1.0, n), [word], n, trials, seed)[word], word)
@@ -965,9 +1084,12 @@ FROZEN_CALLS = {
 # (mean re, mean im, stderr) as float.hex at n = 3, recorded from the runner
 # when each run became one stream; it divides the traced rows by n part by
 # part, as a Python complex does, where a one-step numpy complex division by n
-# changes the last bit of each, so they must match exactly
+# changes the last bit of each, so they must match exactly.  "dt" was
+# re-recorded when its one-class plan went from 2 products to 1, after it
+# agreed with direct_values to 1e-12: D* T T* D is now traced as
+# vdot(T* D, T* D), whose imaginary part is exactly 0
 FROZEN_N3 = {
-    "dt": ("0x1.8af8538802ee1p-3", "-0x1.75f953cc22f15p-61", "0x1.1cd22d47fa292p-5"),
+    "dt": ("0x1.8af8538802ee1p-3", "0x0.0p+0", "0x1.1cd22d47fa293p-5"),
     "z": ("0x1.9ca035dd87467p-11", "0x1.87b53f6e15bd6p-3", "0x1.810cbf709202ep-3"),
     "atomic": ("0x1.687bd48908539p-3", "0x1.224fe0ae3ec4fp+1", "0x1.e94b483ff1312p-2"),
     "scaled-ellipse": ("-0x1.1000821270c56p-3", "0x1.04f917855419dp-2", "0x1.c687ee1de265dp-2"),
