@@ -10,12 +10,12 @@ times the tree's linear-extension count, all divided by (k/2 + 1)!.
 The pairings are never enumerated: :func:`_word_sum` sums over all of them
 at once by an interval DP over letter positions, with one rank vector per
 root exponent pair (r, s): a polynomial in the root's position x, which an
-arc integrates once, when it closes, and a join multiplies.  That is O(k^5)
-integer operations for a T-word of k letters, not Catalan(k/2) tree counts.
-Every letter is one position: D a diagonal part, T a triangular part, and a
-letter of the combined generator Z = D + c*T both, so one DP sums over the
-2^k choices of parts of a Z-word of k letters.  :func:`word_moment` is the
-one entry point; the word types' functions spell their words as letters.
+arc integrates once and a join multiplies, held as integers over one
+denominator (Gaussian integers for non-real moments, floats over 1 for float
+ones) that only the trace divides: O(k^5) integer operations for a T-word of
+k letters, not Catalan(k/2) tree counts.  Each letter is one position: D a
+diagonal part, T a triangular part, Z = D + c*T both, so one DP sums over the
+2^k part choices of a Z-word.  :func:`word_moment` is the one entry point.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, cos, factorial, hypot, pi, sin
+from math import comb, cos, factorial, gcd, hypot, lcm, pi, sin
+from typing import NamedTuple
 
 from .errors import WordParseError
 from .exact import ComplexRational, MomentValue, as_cq, order, parse_rational, positive, rational_sqrt
 from .measures import Atomic, MeasureModel, UniformEllipse, conjugate, scale
 from .ncpair import ONE, STAR, StarWord
 
-# a cold (Z*Z)^12 on the unit disk takes about 0.4 s, and two more letters
-# multiply that by about 1.8 ((Z*Z)^16 about 1.7 s)
+# a cold (Z*Z)^12 on the unit disk takes 0.03-0.05 s, and two more letters
+# multiply that by about 1.4 ((Z*Z)^16 0.12-0.2 s)
 DEFAULT_Z_LEN_CAP = 24
 
 T_LETTERS = ("T", "T*")
@@ -132,41 +133,80 @@ def _word_sum(parts, moment, c_sq=1):
     triangular symbol, or None; each triangular part weighs c.  Positions
     a..e-1 fold to a tree rooted at the class of the corners before a and
     after e - 1; ``G[a][e]`` maps the root's exponents (r, s) to its rank
-    vector, summed over part choices and pairings.  A diagonal part at a
-    joins the root; an arc from a to j closes the class of a+1..j-1, and
-    ``closed[a][j]``, its vector integrated once times its moment and c^2,
-    multiplies the root.  The trace sums moment(r, s) * sum(vec) / len(vec)!.
+    vector (numerators, d), summed over part choices and pairings.  A diagonal
+    part at a joins the root; an arc from a to j closes the class of a+1..j-1,
+    and ``closed[a][j]``, its vector times its moment and c^2, cut by one gcd
+    and integrated once, multiplies the root.  The trace divides once: it sums
+    moment(r, s) * sum(vec) / (d * len(vec)!).
     """
     n = len(parts)
-    empty = {(0, 0): [1]}
-    G = [[empty] * (n + 1) for _ in range(n + 1)]
+    weights: dict = {}
+    G = [[{(0, 0): ([1], 1)}] * (n + 1) for _ in range(n + 1)]
     closed: list[dict] = [{} for _ in range(n)]
     for length in range(1, n + 1):
         for a in range(n - length + 1):
             e = a + length
             diag, sym = parts[a]
             if sym is not None and parts[e - 1][1] not in (None, sym):
-                child: list = []
-                for (r, s), vec in G[a + 1][e - 1].items():
-                    if m := moment(r, s) * c_sq:
-                        child = _add(child, [m * x for x in vec])
+                child, d = [], 1
+                for (r, s), (vec, vd) in G[a + 1][e - 1].items():
+                    w, wd = weights.get((r, s)) or weights.setdefault((r, s), _lift(moment(r, s) * c_sq))
+                    child, d = _plus((child, d), vec, vd * wd, w) if w else (child, d)
                 if child:
-                    closed[a][e - 1] = _integral(child, sym == STAR)
-            root = {}
-            if diag is not None:
-                for (r, s), vec in G[a + 1][e].items():
-                    root[r + diag[0], s + diag[1]] = vec
-            for j, child in closed[a].items():
-                for (r, s), vec in G[j + 1][e].items():
-                    root[r, s] = _add(root.get((r, s), []), _mul(vec, child))
+                    g = gcd(d, *(x.real for x in child), *(x.imag for x in child)) if d > 1 else 1
+                    child = [x // g for x in child] if g > 1 else child
+                    closed[a][e - 1] = _integral(child, sym == STAR), d // g
+            root = {(r + diag[0], s + diag[1]): vec for (r, s), vec in G[a + 1][e].items()} if diag else {}
+            for j, (cv, cd) in closed[a].items():
+                for (r, s), (vec, d) in G[j + 1][e].items():
+                    root[r, s] = _plus(root.get((r, s)) or ([], 1), _mul(vec, cv), d * cd)
             G[a][e] = root
     total = 0
-    for (r, s), vec in G[0][n].items():
+    for (r, s), (vec, d) in G[0][n].items():
         if m := moment(r, s):
-            total = m * sum(vec) * Fraction(1, factorial(len(vec))) + total
+            x = ComplexRational(*x) if type(x := sum(vec)) is _GaussInt else x
+            total = m * x * Fraction(1, d * factorial(len(vec))) + total
     # M(0, 0) and c^0 are 1 in the measure's and the scale's own arithmetic:
     # a float measure or scale keeps its float tag when every term vanished
     return total * moment(0, 0) * c_sq**0
+
+
+class _GaussInt(NamedTuple):
+    """A Gaussian integer real + imag*i: the numerator of a non-real exact weight."""
+
+    real: int
+    imag: int
+
+    def __add__(self, o):
+        return _GaussInt(self.real + o.real, self.imag + o.imag)
+
+    def __mul__(self, o):
+        if type(o) is _GaussInt:
+            return _GaussInt(self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real)
+        return _GaussInt(self.real * o, self.imag * o)
+
+    def __floordiv__(self, k: int):
+        return _GaussInt(self.real // k, self.imag // k)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _lift(x) -> tuple:
+    """A weight as (numerator, denominator), a float or a real complex as a float over 1."""
+    if isinstance(x, ComplexRational):
+        d = lcm(x.re.denominator, x.im.denominator)
+        return _GaussInt(int(x.re * d), int(x.im * d)), d
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else ((x if x.imag else x.real), 1)
+
+
+def _plus(f: tuple, g: list, gd: int, w=1) -> tuple:
+    """The pair f, numerators and denominator, plus w times g over gd: over the lcm of the two."""
+    f, fd = f
+    if fd == gd and w == 1:
+        return _add(f, g), fd
+    d = lcm(fd, gd)
+    k = d // gd * w
+    return _add(f if fd == d else [d // fd * x for x in f], g if k == 1 else [k * x for x in g]), d
 
 
 def _integral(g: list, below: bool) -> list:
@@ -184,8 +224,8 @@ def _integral(g: list, below: bool) -> list:
 
 
 def _mul(f: list, h: list) -> list:
-    """Product of two rank vectors as polynomials; entries may be counts or
-    their exact or float weighted sums."""
+    """Product of two rank vectors as polynomials; entries may be counts,
+    weighted sums' integer or Gaussian-integer numerators, or floats."""
     m, q = len(f), len(h) - 1
     out = [0] * (m + q)
     for i, fi in enumerate(f):

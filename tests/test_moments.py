@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import math
@@ -22,13 +23,18 @@ from dtmoments.measures import (
     conjugate,
     mixed_moment,
 )
+from dtmoments import moments
 from dtmoments.moments import (
+    _PARTS,
     DEFAULT_Z_LEN_CAP,
     DTWord,
     ZWord,
+    _GaussInt,
     _integral,
     _moments_of,
     _mul,
+    _narrow,
+    _word_sum,
     adjoint_dt,
     dt_word_moment,
     elliptic_dt,
@@ -396,6 +402,91 @@ def test_integral_and_mul_are_the_polynomial_integral_and_product():
                 at(power_coefficients(f), x) * at(power_coefficients(g), x))
         if trial % 2:
             assert all(isinstance(y, int) for y in below + above + product)
+
+
+def test_long_z_words_equal_their_closed_forms():
+    # (Z*Z)^p at c = 1 up to the length cap: Catalan(p) on the unit disk, and
+    # on annulus:a the free Poisson moment sum_k N(p, k) a^k, with the
+    # Narayana numbers N(p, k) = C(p, k) C(p, k-1) / p
+    for p in range(9, DEFAULT_Z_LEN_CAP // 2 + 1):
+        letters = ["Z*", "Z"] * p
+        assert word_moment(letters, UniformDisk(1)).value == comb(2 * p, p) // (p + 1)
+        for a in (F(3, 2), F(2)):
+            want = sum(comb(p, k) * comb(p, k - 1) // p * a**k for k in range(1, p + 1))
+            assert word_moment(letters, UniformAnnulus(a)).value == want
+
+
+def test_rank_vector_entries_are_integers_or_floats(monkeypatch):
+    # the DP multiplies integer numerators over an exact real measure, integers
+    # or Gaussian integers over non-real atoms, and floats over a float
+    # measure, where only the 0 and 1 the DP starts from are ints; never a
+    # Fraction or a ComplexRational, whose arithmetic made it 10x slower
+    seen = []
+
+    def recording_mul(f, h):
+        seen.extend(f + h)
+        return _mul(f, h)
+
+    monkeypatch.setattr(moments, "_mul", recording_mul)
+    words = [["Z*", "Z"] * 5, ["Z", "Z", "Z*", "Z*", "Z", "Z*", "Z"], "D T D* T* T D D T* D*".split()]
+    for mu in (UniformDisk(1), UniformAnnulus(F(3, 2)), UniformEllipse(1, F(1, 2)), MEASURE_KINDS[1], UniformDisk(1.0)):
+        seen.clear()
+        for letters in words:
+            word_moment(letters, mu, F(2, 3) if "Z" in letters else 1)
+        types = collections.Counter(map(type, seen))
+        if mu is MEASURE_KINDS[1]:
+            assert set(types) == {int, _GaussInt}, types
+        elif is_float_measure(mu):
+            assert float in types and all(type(x) is float or x in (0, 1) and type(x) is int for x in seen), types
+        else:
+            assert set(types) == {int}, types
+
+
+class CountingMeasure:
+    """A measure that counts its moment reads by (r, s)."""
+
+    def __init__(self, mu):
+        self.mu, self.reads = mu, collections.Counter()
+
+    def moment(self, r, s):
+        self.reads[r, s] += 1
+        return self.mu.moment(r, s)
+
+
+def test_each_moment_is_read_on_demand_and_once_per_word():
+    # (Z*Z)^8 on the disk reads its 9 moments M(r, r), not its 9 x 9 grid
+    mu = CountingMeasure(UniformDisk(1))
+    word_moment(["Z*", "Z"] * 8, mu)
+    assert len(mu.reads) <= 9 and set(mu.reads.values()) == {1}
+    rng = random.Random(38)
+    for base in (MEASURE_KINDS[1], UniformEllipse(1, F(1, 2)), MEASURE_KINDS[6], UniformDisk(1.0)):
+        for letters in (["Z*", "Z", "Z", "Z*", "Z*", "Z", "Z*", "Z"], "D T D* D T* T D* T*".split()):
+            mu = CountingMeasure(base)
+            word_moment(rng.sample(letters, len(letters)), mu, F(2, 3) if "Z" in letters else 1)
+            assert set(mu.reads.values()) == {1}, (base, letters)
+
+
+@pytest.mark.parametrize(
+    "letters, mu, c, kind",
+    [
+        (["Z*", "Z"] * 3, UniformDisk(1), 1, F),
+        (["T*", "T"], DELTA0, 1, F),
+        (["T", "T"], DELTA0, 1, int),  # no pairing, so every term vanished
+        (["Z", "Z"], UniformDisk(1), F(2, 3), F),  # every term vanished, exact scale
+        (["Z"], MEASURE_KINDS[1], 1, CQ),
+        (["Z*", "Z"] * 2, MEASURE_KINDS[1], F(2, 3), F),
+        (["Z*", "Z"] * 3, UniformDisk(1.0), 1, complex),
+        (["T", "T"], UniformDisk(1.0), 1, complex),  # every term vanished, float measure
+        (["Z", "Z"], DELTA0, 0.7, float),  # every term vanished, float scale
+        (["Z*", "Z"], UniformDisk(1), 0.7, float),
+    ],
+)
+def test_word_sum_keeps_each_value_type(letters, mu, c, kind):
+    # an exact real stays a rational, a non-real exact value a ComplexRational
+    # and a float value a float, whatever the DP's vectors held
+    raw = _word_sum([_PARTS[t] for t in letters], _moments_of(mu), _narrow(c * c))
+    assert type(raw) is kind
+    assert MomentValue.wrap(raw) == word_moment(letters, mu, c)
 
 
 @pytest.mark.parametrize(
