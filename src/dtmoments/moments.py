@@ -272,15 +272,24 @@ def _spell(eps: StarWord, letter: str) -> tuple[str, ...]:
     return tuple(letter if sym == ONE else letter + "*" for sym in eps.symbols)
 
 
-def word_moment(letters, mu: MeasureModel = Atomic.delta(0), c=1,
+def _read_measure(letters: tuple[str, ...], mu: MeasureModel | None) -> MeasureModel:
+    """``mu``, where None is the point mass at 0 on a word without D or Z letters."""
+    if mu is None and any(t not in T_LETTERS for t in letters):
+        raise WordParseError("words with D or Z letters need a measure")
+    return Atomic.delta(0) if mu is None else mu
+
+
+def word_moment(letters, mu: MeasureModel | None = Atomic.delta(0), c=1,
                 max_len: int = DEFAULT_Z_LEN_CAP) -> MomentValue:
     """Limit trace of a word in T, T*, D, D* or in Z = D + c*T, Z*, over ``mu``.
 
     Each letter is one position of the interval DP, and a Z letter offers it
     both parts.  ``max_len`` caps words with Z letters, and a ``c`` other than
-    1 needs Z letters.  Over a float measure or with a float scale every word
-    comes back tagged float, whatever its value."""
+    1 needs Z letters; ``mu`` may be None on a word without D or Z letters.
+    Over a float measure or with a float scale every word comes back tagged
+    float, whatever its value."""
     letters = _check_letters(letters)
+    mu = _read_measure(letters, mu)
     c = positive(c, "the scale c")
     max_len = order(max_len, "max_len", 0)
     if any(t in Z_LETTERS for t in letters):

@@ -3,15 +3,15 @@
 Every run draws from one counter-based Philox stream keyed by its seed, a
 whole number from 0 to 2^64 - 1, and its trials take their draws from it in
 order: trial 0 draws what a stream keyed by (seed, 0) did in earlier
-versions, and later trials differ from theirs.  A triangular draw takes
-numpy's ziggurat ``standard_normal`` for the n(n-1)/2 real parts and then the
-n(n-1)/2 imaginary parts of the entries above the diagonal, row by row, each
-of variance 1/(2n); a self-adjoint draw adds n diagonal entries of variance
-1/n.  Earlier versions drew a full n x n matrix and zeroed its lower half, so
-their estimates are not reproduced bit for bit.  A block of triangular trials
-with no diagonal makes one ``standard_normal`` call, as does an elliptic
-block; a trial with a diagonal makes one ``random`` call for it, then one
-``standard_normal`` call.  Each block is then scaled, placed and transformed
+versions, and later trials differ from theirs.  Every draw is numpy's
+ziggurat ``standard_normal``: a triangular draw takes the n(n-1)/2 real parts
+and then the n(n-1)/2 imaginary parts of the entries above the diagonal, row
+by row, each of variance 1/(2n); a self-adjoint draw adds n diagonal entries
+of variance 1/n; a trial's draw from a measure comes first, 2n normals whose
+pairs (x, y) give the uniform exp(-(x^2 + y^2)/2) and the direction of x + iy.
+Earlier versions drew a full n x n matrix and zeroed its lower half, and a
+measure from uniforms, so their estimates are not reproduced bit for bit.  A
+block of trials makes one such call, then is scaled, placed and transformed
 at once, with estimates bit-identical to one draw per trial.
 
 All estimators share one trial runner, and all but the elliptic one share
@@ -52,7 +52,7 @@ from .measures import (
     UniformDisk,
     UniformEllipse,
 )
-from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, _spell, elliptic_dt
+from .moments import D_LETTERS, T_LETTERS, Z_LETTERS, _check_letters, _read_measure, _spell, elliptic_dt
 from .ncpair import StarWord
 
 DEFAULT_SIZE_CAP = 2048
@@ -75,44 +75,49 @@ def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None
     out.imag[mask] = normals[:, 1].ravel()
 
 
-def _uniform_rows(mu: MeasureModel) -> int:
-    """Uniforms per entry of a draw from ``mu``: an atom's, or a radius's and an
-    angle's.  Every sampler asks first, so what it cannot draw is refused undrawn."""
+def _check_sampleable(mu: MeasureModel) -> None:
+    """Refuse what no sampler can draw.  Every sampler asks first, so it is refused undrawn."""
+    if isinstance(mu, ScaledMeasure):
+        return _check_sampleable(mu.base)
     if isinstance(mu, MomentTable):
         raise ValueError("moment tables expose no sampler")
-    if not isinstance(mu, (Atomic, UniformDisk, UniformAnnulus, UniformEllipse, ScaledMeasure)):
+    if not isinstance(mu, (Atomic, UniformDisk, UniformAnnulus, UniformEllipse)):
         raise TypeError(f"cannot sample measure model {mu!r}")
-    return _uniform_rows(mu.base) if isinstance(mu, ScaledMeasure) else 1 if isinstance(mu, Atomic) else 2
 
 
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. complex draws from a measure model, from one ``rng.random`` call."""
-    return _from_uniforms(mu, rng.random((_uniform_rows(mu), n)))
+    """n i.i.d. complex draws from a measure model, from one ``rng.standard_normal`` call."""
+    _check_sampleable(mu)
+    return _from_normals(mu, rng.standard_normal((2, n)))
 
 
-def _from_uniforms(mu: MeasureModel, u: np.ndarray) -> np.ndarray:
-    """Draws from ``mu`` made from uniforms of shape (..., ``_uniform_rows(mu)``, n).
+def _from_normals(mu: MeasureModel, g: np.ndarray) -> np.ndarray:
+    """Draws from ``mu`` made from standard normals (x, y) of shape (..., 2, n).
 
-    Atomic uses inverse-CDF on the weights; disk and annulus use the exact
-    radial inverse CDF of row 0 and the angle 2 pi times row 1; the ellipse
-    maps a unit-disk draw z to alpha*z + beta*conj(z), as its model does."""
-    if isinstance(mu, Atomic):
-        cum = np.cumsum([float(w) for _, w in mu.atoms])
-        locs = np.array([loc.to_complex() for loc, _ in mu.atoms])
-        idx = np.searchsorted(cum, u[..., 0, :], side="right")
-        return locs[np.minimum(idx, len(locs) - 1)]
+    A pair gives a uniform u = exp(-(x^2 + y^2)/2) and, independent of it, the
+    uniform direction (x + iy)/|x + iy|, 1 where x = y = 0 (Box and Muller).
+    Atomic inverts the CDF of its weights at u; disk and annulus take the exact
+    radial inverse CDF at u and the direction; the ellipse maps a unit-disk
+    draw z to alpha*z + beta*conj(z), as its model does."""
     if isinstance(mu, UniformEllipse):
         a2, b2 = float(mu.a) ** 2, float(mu.b) ** 2
         alpha = math.sqrt(a2 + b2)
-        disk = _from_uniforms(UniformDisk(1), u)
+        disk = _from_normals(UniformDisk(1), g)
         return alpha * disk + (a2 - b2) / alpha * disk.conj()
     if isinstance(mu, ScaledMeasure):
-        return mu.lam.to_complex() * _from_uniforms(mu.base, u)
+        return mu.lam.to_complex() * _from_normals(mu.base, g)
+    z = g[..., 0, :] + 1j * g[..., 1, :]
+    r = np.abs(z)
+    u = np.exp(-0.5 * r * r)
+    if isinstance(mu, Atomic):
+        cum = np.cumsum([float(w) for _, w in mu.atoms])
+        locs = np.array([loc.to_complex() for loc, _ in mu.atoms])
+        return locs[np.minimum(np.searchsorted(cum, u, side="right"), len(locs) - 1)]
     if isinstance(mu, UniformDisk):
-        radius = np.sqrt(float(mu.radius) ** 2 * u[..., 0, :])
-    else:  # UniformAnnulus, the last model _uniform_rows lets through
-        radius = np.sqrt(float(mu.c) - 1.0 + u[..., 0, :])
-    return radius * np.exp(1j * (2.0 * math.pi * u[..., 1, :]))
+        radius = np.sqrt(float(mu.radius) ** 2 * u)
+    else:  # UniformAnnulus, the last model _check_sampleable lets through
+        radius = np.sqrt(float(mu.c) - 1.0 + u)
+    return radius * np.divide(z, r, out=np.ones_like(z), where=r > 0)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -206,21 +211,19 @@ _TRACE_OF_PRODUCT = partial(np.einsum, "bij,bji->b")  # tr(x y), trial by trial
 
 def _product(x: np.ndarray, y: np.ndarray, sx: int, sy: int) -> np.ndarray:
     """x @ y, ``sx`` and ``sy`` 1 for an upper triangular factor, -1 for a lower one, 0
-    for a full one.  From n = 128, p = min(8, n // 64) panels of y's columns [s, e) (x's
-    rows where y is full) are each one matmul over the blocks that can be nonzero, into a
-    zero result: upper times upper forms rows :e only, lower times lower rows s: only."""
+    for a full one; y is a letter, and the runner's letters are all triangular or all full.
+    From n = 128, p = min(8, n // 64) panels of y's columns [s, e) are each one matmul over
+    the blocks that can be nonzero, into a zero result: upper times upper forms rows :e
+    only, lower times lower rows s: only."""
     n = x.shape[-1]
     p = min(8, n // 64)
-    if p <= 1 or not sx | sy:
+    if p <= 1 or not sy:
         return x @ y
     out = np.zeros(x.shape, dtype=complex)
     for s, e in itertools.pairwise([n * j // p for j in range(p + 1)]):
-        k = slice(None, e) if (sy or -sx) > 0 else slice(s, None)  # where y's panel, or x's, can be nonzero
-        if sy:  # a panel of y's columns
-            rows = k if sx == sy else slice(None)
-            np.matmul(x[..., rows, k], y[..., k, s:e], out=out[..., rows, s:e])
-        else:  # a panel of x's rows
-            np.matmul(x[..., s:e, k], y[..., k, :], out=out[..., s:e, :])
+        k = slice(None, e) if sy > 0 else slice(s, None)  # where y's panel can be nonzero
+        rows = k if sx == sy else slice(None)
+        np.matmul(x[..., rows, k], y[..., k, s:e], out=out[..., rows, s:e])
     return out
 
 
@@ -294,22 +297,17 @@ def _triangular(
     mu: MeasureModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """A (size, n, n) stack of strictly upper triangular draws of variance 1/n,
-    one per trial in order from ``rng``, and the (size, n) diagonals each trial
-    draws from ``mu`` first, if given: one ``standard_normal`` call per block
-    without ``mu``, one ``random`` and one ``standard_normal`` call per trial
-    with it, then one scaling, placement and transform of uniforms into
-    diagonals per block."""
+    and the (size, n) diagonals drawn from ``mu``, if given, from one
+    ``standard_normal`` call per block: each trial draws in order from ``rng``
+    its diagonal's 2n normals, then the triangle's real parts, then its
+    imaginary parts.  The block is then scaled, placed and transformed at once."""
     n = len(upper)
-    u = None if mu is None else np.empty((size, _uniform_rows(mu), n))  # refuses an unsampleable mu
-    t, normals = np.zeros((size, n, n), dtype=complex), np.empty((size, 2, n * (n - 1) // 2))
-    if u is None:
-        rng.standard_normal(out=normals)  # the normals one call per trial draws, in their order
-    else:
-        for k in range(size):  # a trial's uniforms come before its normals
-            rng.random(out=u[k])
-            rng.standard_normal(out=normals[k])
-    _fill_upper(normals, upper, t)
-    return t, None if u is None else _from_uniforms(mu, u)
+    m, d = n * (n - 1) // 2, 0 if mu is None else 2 * n
+    if mu is not None:
+        _check_sampleable(mu)
+    normals, t = rng.standard_normal((size, d + 2 * m)), np.zeros((size, n, n), dtype=complex)
+    _fill_upper(normals[:, d:].reshape(size, 2, m), upper, t)
+    return t, None if mu is None else _from_normals(mu, normals[:, :d].reshape(size, 2, n))
 
 
 def _with_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -355,10 +353,8 @@ def estimate_word_moment(
     """
     n, trials, seed = _check_size(n, trials, seed)
     letters = _check_letters(letters)
-    needs_mu = any(t not in T_LETTERS for t in letters)
-    if needs_mu and mu is None:
-        raise WordParseError("words with D or Z letters need a measure")
-    if not needs_mu and mu not in (None, Atomic.delta(0)):
+    mu = _read_measure(letters, mu)
+    if all(t in T_LETTERS for t in letters) and mu != Atomic.delta(0):
         raise WordParseError("a measure is the law of D; it needs a word with D or Z letters")
     c = float(positive(c, "the scale c"))
     if c != 1 and not any(t in Z_LETTERS for t in letters):

@@ -15,12 +15,12 @@ as it ran before it moved to integers, is the oracle of the integer solve in
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-import warnings
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 from dtmoments.exact import CQ_ONE, CQ_ZERO, ComplexRational, format_rational
 from dtmoments.linext import nto
@@ -127,27 +127,27 @@ def moment_cumulant_solve_on_fractions(known: Series, known_are_moments: bool) -
 def quadrature_mixed_moment(lo, hi, r: int, s: int) -> complex:
     """Numeric M(r, s) = E[z^r conj(z)^s] over the uniform measure on the
     region lo(t) <= |z| <= hi(t), z = |z| e^(it), by 2-D quadrature in polar
-    coordinates.
+    coordinates: Gauss-Legendre in |z|, exact for the integrand's polynomial
+    in |z|, and the trapezoid rule in t, which converges geometrically for
+    smooth periodic limits.
 
-    ``lo`` and ``hi`` are smooth functions of the angle t, or constants.  A
-    quadrature warning is raised as an error, so an oracle that fails to
-    converge fails its test.
+    ``lo`` and ``hi`` are smooth functions of the angle t, or constants.  The
+    rule runs on 256 and on 512 angles, and an oracle whose two values differ
+    by more than 1e-13 fails its test, as one that does not converge.
     """
-    from scipy.integrate import dblquad
+    x, w = np.polynomial.legendre.leggauss(r + s + 2)
 
-    def integrate(f):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            val, _ = dblquad(lambda rho, t: f(rho * cmath.exp(1j * t)) * rho,
-                             0.0, 2 * math.pi, lo, hi, epsabs=1e-10, epsrel=1e-10)
-        return val
+    def rule(k):
+        t = 2 * math.pi * np.arange(k) / k
+        a, b = (np.array([f(u) for u in t] if callable(f) else [f] * k)[:, None] for f in (lo, hi))
+        rho = a + (b - a) * (x + 1) / 2
+        area = (b - a) / 2 * w * rho  # rho d(rho), up to the angle step 2 pi / k
+        z = rho * np.exp(1j * t)[:, None]
+        return complex((z**r * z.conj() ** s * area).sum() / area.sum())
 
-    def moment(z):
-        return z**r * z.conjugate() ** s
-
-    area = integrate(lambda z: 1.0)
-    return complex(integrate(lambda z: moment(z).real) / area,
-                   integrate(lambda z: moment(z).imag) / area)
+    coarse, fine = rule(256), rule(512)
+    assert abs(coarse - fine) <= 1e-13 * max(1.0, abs(fine)), "the quadrature did not converge"
+    return fine
 
 
 def measure_spec(mu) -> dict:

@@ -361,10 +361,21 @@ class TestWordMoment:
     def test_a_measure_on_a_t_word_is_not_read(self):
         assert word_moment(["T*", "T"], UniformDisk(3)).as_fraction() == F(1, 2)
 
+    def test_no_measure_reads_as_the_estimator_reads_it(self):
+        # word_moment(letters, None) raised AttributeError for every word, where
+        # estimate_word_moment takes mu=None on a T-word
+        assert word_moment(["T*", "T"], None).as_fraction() == F(1, 2)
+        assert word_moment([], None).as_fraction() == 1
+        for letters in (["D", "T*", "T"], ["Z*", "Z"]):
+            with pytest.raises(WordParseError, match="words with D or Z letters need a measure"):
+                word_moment(letters, None)
+
 
 def test_integer_moments_stay_integers():
-    # a T-word reads the point mass's M(0, 0); as Fraction(1) it made the
-    # rank vectors of (T*T)^20 Fractions, about 20 times slower
+    # the rank vectors hold integers whatever type a weight has, but a real
+    # moment left a ComplexRational takes the Gaussian-integer path and the
+    # trace's ComplexRational arithmetic: without _narrow, a batch of Z-words
+    # of 4-12 letters over disks and an annulus took about five times as long
     assert type(_moments_of(DELTA0)(0, 0)) is int
     disk = _moments_of(UniformDisk(1))
     assert type(disk(0, 0)) is int
@@ -489,6 +500,19 @@ def test_word_sum_keeps_each_value_type(letters, mu, c, kind):
     assert MomentValue.wrap(raw) == word_moment(letters, mu, c)
 
 
+def mask_sum(symbols, mu, c) -> MomentValue:
+    """The Z-word's moment as the plain expansion into all 2^k D/T words, each
+    summed pairing by pairing and weighted by c to its number of T letters."""
+    total = 0
+    for mask in range(1 << len(symbols)):
+        letters = [
+            ("T" if s == ONE else "T*") if mask >> j & 1 else ("D" if s == ONE else "D*")
+            for j, s in enumerate(symbols)
+        ]
+        total = pairing_sum(DTWord.from_letters(letters), mu) * c ** mask.bit_count() + total
+    return MomentValue.wrap(total)
+
+
 @pytest.mark.parametrize(
     "mu",
     [
@@ -514,14 +538,7 @@ def test_z_words_equal_the_sum_over_all_masks(mu):
         for symbols in itertools.product((ONE, STAR), repeat=k):
             cls = min((symbols[i:] + symbols[:i] for i in range(k)), default=())
             if cls not in expanded:
-                total = 0
-                for mask in range(1 << k):
-                    letters = [
-                        ("T" if s == ONE else "T*") if mask >> j & 1 else ("D" if s == ONE else "D*")
-                        for j, s in enumerate(symbols)
-                    ]
-                    total = pairing_sum(DTWord.from_letters(letters), mu) * c ** mask.bit_count() + total
-                expanded[cls] = MomentValue.wrap(total)
+                expanded[cls] = mask_sum(symbols, mu, c)
             want = expanded[cls]
             letters = ["Z" if s == ONE else "Z*" for s in symbols]
             for got in (z_word_moment(ZWord(StarWord(symbols), c), mu), word_moment(letters, mu, c)):
@@ -579,6 +596,21 @@ def test_z_word_symmetries_past_8_letters(symbols, mu, shift):
     assert z(symbols[shift:] + symbols[:shift]) == value
     assert z([swap[s] for s in reversed(symbols)]) == value.conjugate()
     assert z([swap[s] for s in symbols], conjugate(mu)) == value
+
+
+@given(
+    symbols=st.integers(9, 12).flatmap(lambda k: st.lists(st.sampled_from((ONE, STAR)), min_size=k, max_size=k)),
+    mu=st.sampled_from([MEASURE_KINDS[1], MEASURE_KINDS[4], MEASURE_KINDS[6]]),
+)
+@settings(max_examples=4, deadline=None)
+def test_long_z_words_equal_the_sum_over_all_masks(symbols, mu):
+    # words past the exhaustive test's 8 letters, on non-real atoms, an
+    # ellipse and a scaled one, against the plain expansion into all 2^k D/T
+    # words, each summed pairing by pairing; a 12-letter word takes 0.2-0.4 s,
+    # so four examples keep the test under 3 s
+    c = F(2, 3)
+    got = word_moment(["Z" if s == ONE else "Z*" for s in symbols], mu, c)
+    assert got.exact and got.value == mask_sum(symbols, mu, c).value
 
 
 def adjoint(w: DTWord) -> DTWord:

@@ -238,9 +238,9 @@ SAMPLED = {
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("kind", list(SAMPLED))
 def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
-    # a block calls random and standard_normal once per trial, then scales,
-    # places and transforms the whole block; trial t must still equal, bit for
-    # bit, sample_measure and then utgrm, trial by trial on one _rng(seed)
+    # a block makes one standard_normal call, then scales, places and
+    # transforms the whole block; trial t must still equal, bit for bit,
+    # sample_measure and then utgrm, trial by trial on one _rng(seed)
     mu, seed, size = SAMPLED[kind], 61, 7
     t, d = rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool), mu)
     assert t.shape == (size, n, n)
@@ -249,6 +249,49 @@ def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
         if mu is not None:
             assert d[k].tobytes() == sample_measure(mu, n, rng).tobytes()
         assert t[k].tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
+
+
+@pytest.mark.parametrize("kind", [kind for kind, mu in SAMPLED.items() if mu is not None])
+def test_two_zero_normals_draw_a_point_of_the_support(kind):
+    # their direction (x + iy)/|x + iy| is 0/0, which filterwarnings = error
+    # would fail; it is taken as 1, and u = exp(0) = 1 puts disk and annulus
+    # draws on their outer circle
+    d = rmt._from_normals(SAMPLED[kind], np.zeros((2, 3)))
+    assert np.isfinite(d).all() and len(set(d)) == 1
+    outer = {"disk": 1.5, "annulus": math.sqrt(1.5)}
+    if kind in outer:
+        assert d[0] == outer[kind]
+
+
+class CallLog:
+    """A generator that logs the name of each method called on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("kind", list(SAMPLED))
+def test_a_block_makes_one_standard_normal_call(monkeypatch, kind):
+    # a trial with a diagonal made one random and one standard_normal call
+    # of its own; n = 8 stacks 64 trials a block, so 100 trials take two
+    mu, logs = SAMPLED[kind], []
+
+    def logged(seed):
+        logs.append(CallLog(_rng(seed)))
+        return logs[-1]
+
+    monkeypatch.setattr(rmt, "_rng", logged)
+    letters = ["T*", "T"] if mu is None else ["Z*", "Z"]
+    estimate_word_moment(letters, 8, 100, 3, mu=mu)
+    assert [log.calls for log in logs] == [["standard_normal"] * 2]
+    if mu is not None:
+        rng = CallLog(_rng(3))
+        sample_measure(mu, 8, rng)
+        assert rng.calls == ["standard_normal"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
@@ -1024,10 +1067,12 @@ def test_runner_is_exactly_invariant(eps):
 # (mean re, mean im, stderr) as float.hex, recorded from the runner when each
 # run became one Philox stream keyed by its seed, with n(n-1)/2 real then
 # n(n-1)/2 imaginary normals per triangular draw; the runner must reproduce
-# them to 1e-12 of max(|mean|, stderr).
+# them to 1e-12 of max(|mean|, stderr).  "dt" and "z" were re-recorded when
+# measures came to be drawn from 2n normals each, after they agreed with
+# direct_values to 1e-12.
 FROZEN = {
-    "dt": ("-0x1.f7c4ecca01116p-9", "0x1.2085c83ba30a4p-11", "0x1.04ce6593b0f49p-7"),
-    "z": ("0x1.eb34c3c658452p-1", "0x0.0p+0", "0x1.0d3cbaca5ece8p-4"),
+    "dt": ("0x1.227d907423758p-11", "0x1.24714f3047f5ep-8", "0x1.3054659d57c27p-7"),
+    "z": ("0x1.ddba818baa9ccp-1", "0x0.0p+0", "0x1.9ad51fb72d7a8p-5"),
     "elliptic": ("0x1.19945286ccf08p-7", "0x1.bd97f7a836428p-6", "0x1.0981518200cb7p-2"),
     "fixed": ("0x1.363eab65c3100p+0", "0x0.0p+0", "0x1.ba1a3376217ebp-8"),
 }
@@ -1087,12 +1132,14 @@ FROZEN_CALLS = {
 # changes the last bit of each, so they must match exactly.  "dt" was
 # re-recorded when its one-class plan went from 2 products to 1, after it
 # agreed with direct_values to 1e-12: D* T T* D is now traced as
-# vdot(T* D, T* D), whose imaginary part is exactly 0
+# vdot(T* D, T* D), whose imaginary part is exactly 0.  "dt", "z", "atomic" and
+# "scaled-ellipse" were re-recorded, likewise checked, when measures came to be
+# drawn from 2n normals each
 FROZEN_N3 = {
-    "dt": ("0x1.8af8538802ee1p-3", "0x0.0p+0", "0x1.1cd22d47fa293p-5"),
-    "z": ("0x1.9ca035dd87467p-11", "0x1.87b53f6e15bd6p-3", "0x1.810cbf709202ep-3"),
-    "atomic": ("0x1.687bd48908539p-3", "0x1.224fe0ae3ec4fp+1", "0x1.e94b483ff1312p-2"),
-    "scaled-ellipse": ("-0x1.1000821270c56p-3", "0x1.04f917855419dp-2", "0x1.c687ee1de265dp-2"),
+    "dt": ("0x1.bfd961150ba8dp-3", "0x0.0p+0", "0x1.3ca8c2f8f1d16p-5"),
+    "z": ("0x1.10b6ecdf7fc1ep-2", "-0x1.ef74b7073169cp-3", "0x1.9440263c4e2a8p-3"),
+    "atomic": ("0x1.a6ac9ec962ac7p-4", "0x1.7b546e197c0f2p+0", "0x1.519dcce59bcdep-2"),
+    "scaled-ellipse": ("-0x1.aea8dd622dd2dp-6", "0x1.cc9757ed6b0a7p-7", "0x1.588d5bd2d7819p-2"),
     "elliptic": ("0x1.20aeb33dda942p-5", "0x1.8d6119bcb06ecp-4", "0x1.0a01976151d62p-3"),
 }
 FROZEN_N3_CALLS = {
