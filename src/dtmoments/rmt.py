@@ -209,6 +209,11 @@ _TRACE = partial(np.trace, axis1=1, axis2=2)  # tr(x), trial by trial
 _TRACE_OF_PRODUCT = partial(np.einsum, "bij,bji->b")  # tr(x y), trial by trial
 
 
+def _trace_of_adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(y x^H), trial by trial: one vecdot over the block, np.vdot's value bit for bit."""
+    return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1))
+
+
 def _product(x: np.ndarray, y: np.ndarray, sx: int, sy: int) -> np.ndarray:
     """x @ y, ``sx`` and ``sy`` 1 for an upper triangular factor, -1 for a lower one, 0
     for a full one; y is a letter, and the runner's letters are all triangular or all full.
@@ -245,7 +250,7 @@ def _run_trials(
     traced (the empty word's trace is 1), as the O(n^2) trace of the product
     of the halves ``_plan`` gives it: canonical ones, which classes share, or
     in a run of one class the fewest products; where b is held as an adjoint,
-    the trace reads it through ``np.vdot``, trial by trial.  Each prefix p of
+    the trace reads it through one ``np.vecdot`` over the block.  Each prefix p of
     a half, from two letters up, is held once per block as ``_product`` of
     held[p[:-1]] and held[p[-1:]], a letter, and is upper (lower) triangular
     where all its letters are.  The plan is made before the trials, and frees
@@ -263,8 +268,8 @@ def _run_trials(
     for i in sorted(traced, key=reps.__getitem__):
         a, b, flip = _plan(reps[i], len(traced) == 1)
         forms = [(p, side(p[:-1]), side(p[-1:])) for p in _prefixes(a, b) if p not in last]
-        trace = (lambda x, y: [*map(np.vdot, x, y)]) if flip else _TRACE_OF_PRODUCT if b else _TRACE
-        keys = (b, a) if flip else (a, b) if b else (a,)  # vdot(b, a) is tr(a b^H)
+        trace = _trace_of_adjoint_product if flip else _TRACE_OF_PRODUCT if b else _TRACE
+        keys = (b, a) if flip else (a, b) if b else (a,)  # the adjoint product's (b, a) is tr(a b^H)
         steps.append((i, forms, trace, keys, []))
         last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p, *_ in forms)), steps[-1]))
     for key, step in last.items():

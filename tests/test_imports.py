@@ -283,7 +283,7 @@ def test_the_check_finds_matrix_products():
         "def a(x, y):\n    return x @ y\n"
         "def b(x, y):\n    def inner(z):\n        z @= y\n    return np.matmul(x, y, out=x)\n"
         "def c(xs):\n    return np.linalg.multi_dot(xs)\n"
-        "def d(x, y):\n    return np.vdot(x, y), np.einsum('bij,bji->b', x, y), x * y\n"
+        "def d(x, y):\n    return np.vdot(x, y), np.vecdot(x, y), np.einsum('bij,bji->b', x, y), x * y\n"
         "e = np.dot\n"
         "f = np.ones(2) @ np.ones(2)\n"
     )
@@ -292,7 +292,7 @@ def test_the_check_finds_matrix_products():
 
 def test_rmt_multiplies_matrices_only_in_its_product_helper():
     # every product of held matrices goes through rmt._product, which knows
-    # their triangles; traces of products (np.vdot, np.einsum) are not products
+    # their triangles; traces of products (np.vecdot, np.einsum) are not products
     assert matrix_product_sites((PACKAGE / "rmt.py").read_text()) == ["_product"]
 
 

@@ -947,12 +947,32 @@ def test_flagged_prefix_is_not_conjugated(products, word):
     # the second word's halves are D D D and, as the lesser of T D* T* and its
     # adjoint, T D T*, which starts with T D, held as the plain product T @ D
     # although its adjoint D* T* is the lesser; its trace reads T D T* through
-    # np.vdot.  The first word is traced as D T times D T D D, 3 products
+    # np.vecdot.  The first word is traced as D T times D T D D, 3 products
     n, trials, seed, mu = 8, 70, 51, UniformDisk(1)
     est = estimate_word_moment(list(word), n, trials, seed, mu=mu)
     assert_agrees(est, direct_values(draw_dz(mu, 1.0, n), [word], n, trials, seed)[word], word)
     assert products.right_not_letter == 0  # every product is a prefix times a letter
     assert products.conjugated == 0
+
+
+@pytest.mark.parametrize("n, trials, blocks", [(8, 64, [64]), (16, 16, [16]), (64, 2, [1, 1])])
+def test_a_stacked_adjoint_trace_equals_each_trials_vdot(monkeypatch, n, trials, blocks):
+    # D* T T* D is traced as tr(a b^H) with both halves T* D, held through the
+    # conjugate transpose of T; a block's one vecdot must equal np.vdot trial
+    # by trial, bit for bit, on held products and on conjugate-transposed letters
+    traced, stacked = [], rmt._trace_of_adjoint_product
+
+    def recording(x, y):
+        traced.append((x, y, stacked(x, y)))
+        return traced[-1][-1]
+
+    monkeypatch.setattr(rmt, "_trace_of_adjoint_product", recording)
+    estimate_word_moment(["D*", "T", "T*", "D"], n, trials, 3, mu=UniformDisk(1))
+    assert [len(values) for *_, values in traced] == blocks
+    t = triangular(3, n, blocks[0])
+    traced.append((t.conj().swapaxes(1, 2), t, stacked(t.conj().swapaxes(1, 2), t)))
+    for x, y, values in traced:
+        assert values.tobytes() == np.array([*map(np.vdot, x, y)]).tobytes()
 
 
 @pytest.mark.parametrize("n, trials", [(8, 70), (16, 5)], ids=["64+6", "5-of-16"])
