@@ -1,18 +1,18 @@
 """Seeded random-matrix sampling and trace estimators.
 
-Every run draws from one counter-based Philox stream keyed by its seed, a
-whole number from 0 to 2^64 - 1, and its trials take their draws from it in
-order: trial 0 draws what a stream keyed by (seed, 0) did in earlier
-versions, and later trials differ from theirs.  Every draw is numpy's
+Every run draws from one numpy SFC64 stream seeded by its seed, a whole
+number from 0 to 2^64 - 1, and its trials take their draws from it in
+order, each from where the one before it stopped.  Every draw is numpy's
 ziggurat ``standard_normal``: a triangular draw takes the n(n-1)/2 real parts
 and then the n(n-1)/2 imaginary parts of the entries above the diagonal, row
 by row, each of variance 1/(2n); a self-adjoint draw adds n diagonal entries
 of variance 1/n; a trial's draw from a measure comes first, 2n normals whose
 pairs (x, y) give the uniform exp(-(x^2 + y^2)/2) and the direction of x + iy.
-Earlier versions drew a full n x n matrix and zeroed its lower half, and a
-measure from uniforms, so their estimates are not reproduced bit for bit.  A
-block of trials makes one such call, then is scaled, placed and transformed
-at once, with estimates bit-identical to one draw per trial.
+Earlier versions drew from Philox streams, drew a full n x n matrix and
+zeroed its lower half, and drew a measure from uniforms, so their estimates
+are not reproduced bit for bit.  A block of trials makes one such call, then
+is scaled, placed and transformed at once, with estimates bit-identical to
+one draw per trial.
 
 All estimators share one trial runner, and all but the elliptic one share
 one draw of T and D's diagonal.  The runner stacks max(1, 4096 // n^2) trials
@@ -62,7 +62,7 @@ _ADJOINT = {a: b for x, y in _PAIRS for a, b in ((x, y), (y, x))}
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
@@ -155,7 +155,7 @@ def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
 
 
 def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
-    # two trials are the fewest with a standard error; a seed is a 64-bit Philox key
+    # two trials are the fewest with a standard error; each seed below 2^64 seeds its own SFC64 stream
     return (order(n, "matrix size", 1, DEFAULT_SIZE_CAP), order(trials, "trials", 2),
             order(seed, "seed", 0, 2**64 - 1))
 
@@ -269,7 +269,7 @@ def _run_trials(
         a, b, flip = _plan(reps[i], len(traced) == 1)
         forms = [(p, side(p[:-1]), side(p[-1:])) for p in _prefixes(a, b) if p not in last]
         trace = _trace_of_adjoint_product if flip else _TRACE_OF_PRODUCT if b else _TRACE
-        keys = (b, a) if flip else (a, b) if b else (a,)  # the adjoint product's (b, a) is tr(a b^H)
+        keys = (b, a) if flip else (a, b) if b else (a,)  # its trace of (b, a) is tr(a b^H)
         steps.append((i, forms, trace, keys, []))
         last.update(dict.fromkeys(set(keys).union(*((p[:-1], p[-1:]) for p, *_ in forms)), steps[-1]))
     for key, step in last.items():

@@ -16,6 +16,7 @@ substitution removes entirely.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -116,6 +117,17 @@ def _weight(v: float) -> float:
     return ((v - s) ** 2 + 2.0 * v * s * (1.0 - math.cos(v))) / (math.pi * v * v)
 
 
+@functools.cache
+def _quadrature() -> tuple[tuple[float, float], ...]:
+    """(pi/2 * w * _weight(v), rho(v)) for each Gauss-Legendre node t of weight w, at v = pi/2 * (t + 1)."""
+    from numpy.polynomial.legendre import leggauss  # numpy only once a moment is asked for
+
+    nodes, weights = leggauss(_QUADRATURE_NODES)
+    half = 0.5 * math.pi
+    vs = [half * (t + 1.0) for t in nodes.tolist()]
+    return tuple((half * w * _weight(v), rho(v)) for v, w in zip(vs, weights.tolist()))
+
+
 def density_moment(p: int) -> float:
     """integral of x^p phi(x) dx over (0, e), by a fixed Gauss-Legendre rule in v.
 
@@ -124,15 +136,7 @@ def density_moment(p: int) -> float:
     p = 332, as rho(v)^p crowds the integrand toward v = 0.  p is an integer.
     """
     p = order(p, "p", 0, DEFAULT_MOMENT_CAP)
-    from numpy.polynomial.legendre import leggauss  # numpy only once a moment is asked for
-
-    nodes, weights = leggauss(_QUADRATURE_NODES)
-    half = 0.5 * math.pi
-    terms = []
-    for t, w in zip(nodes.tolist(), weights.tolist()):
-        v = half * (t + 1.0)
-        terms.append(half * w * _weight(v) * rho(v) ** p)
-    return math.fsum(terms)
+    return math.fsum(hw * r ** p for hw, r in _quadrature())
 
 
 def density_grid(num_points: int = 200) -> list[DensityPoint]:

@@ -353,13 +353,17 @@ class TestStream:
         assert sizes == [16, 4]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_a_run_goes_on_from_what_the_seed_and_trial_0_key_drew(self, seed):
-        # earlier versions keyed trial t by (seed, t): trial 0 draws as it did
-        # then, and trial 1 takes the next draws of the same stream
-        old = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        trials = [utgrm(old, 5, 1 / 5) for _ in range(2)]
+    def test_a_run_draws_its_trials_in_order_from_one_sfc64_stream(self, seed):
+        # trial 0 takes the first draws of the seed's SFC64 stream, and trial 1 the next
+        rng = np.random.Generator(np.random.SFC64(seed))
+        trials = [utgrm(rng, 5, 1 / 5) for _ in range(2)]
         values = np.array([np.trace(m.conj().T @ m) / 5 for m in trials])
         assert_agrees(estimate_word_moment(["T*", "T"], 5, 2, seed), values, "T* T")
+
+    def test_no_two_seeds_draw_alike(self):
+        # the extremes, and two seeds with the same low 32 bits, each draw their own run
+        means = {estimate_word_moment(["T*", "T"], 5, 2, seed).mean for seed in (0, 1, 2**32, 2**64 - 1)}
+        assert len(means) == 4
 
     @EVERY_ESTIMATOR
     @pytest.mark.parametrize("seed, error, match", [
@@ -1085,47 +1089,46 @@ def test_runner_is_exactly_invariant(eps):
 
 
 # (mean re, mean im, stderr) as float.hex, recorded from the runner when each
-# run became one Philox stream keyed by its seed, with n(n-1)/2 real then
-# n(n-1)/2 imaginary normals per triangular draw; the runner must reproduce
-# them to 1e-12 of max(|mean|, stderr).  "dt" and "z" were re-recorded when
-# measures came to be drawn from 2n normals each, after they agreed with
-# direct_values to 1e-12.
+# run came to draw from one SFC64 stream seeded by its seed, with n(n-1)/2
+# real then n(n-1)/2 imaginary normals per triangular draw and each measure
+# drawn from 2n normals, each after it agreed with direct_values to 1e-12; the
+# runner must reproduce them to 1e-12 of max(|mean|, stderr).
 FROZEN = {
-    "dt": ("0x1.227d907423758p-11", "0x1.24714f3047f5ep-8", "0x1.3054659d57c27p-7"),
-    "z": ("0x1.ddba818baa9ccp-1", "0x0.0p+0", "0x1.9ad51fb72d7a8p-5"),
-    "elliptic": ("0x1.19945286ccf08p-7", "0x1.bd97f7a836428p-6", "0x1.0981518200cb7p-2"),
-    "fixed": ("0x1.363eab65c3100p+0", "0x0.0p+0", "0x1.ba1a3376217ebp-8"),
+    "dt": ("-0x1.14e559aeec22dp-7", "-0x1.3efab449b5530p-10", "0x1.653245fdf72d1p-8"),
+    "z": ("0x1.d625eeb0f571dp-1", "0x0.0p+0", "0x1.19a66e629e8bfp-5"),
+    "elliptic": ("-0x1.4e2f5d9b31358p-5", "0x1.ba5a4f5158dedp-3", "0x1.5f84982f448b2p-3"),
+    "fixed": ("0x1.352ddb1b1f79ep+0", "0x0.0p+0", "0x1.e987198b93af6p-8"),
 }
 FROZEN_SWEEP = {
     "T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     "T T T T": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T T T T*": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
-    "T T T*": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T T T* T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
-    "T T T* T*": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
-    "T T*": ("0x1.decea0953b13fp-2", "0x0.0p+0", "0x1.d58033e038553p-7"),
-    "T T* T": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T T* T T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
-    "T T* T T*": ("0x1.4848ef14a538ap-1", "0x0.0p+0", "0x1.8558beb9d17ffp-5"),
-    "T T* T*": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T T* T* T": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
-    "T T* T* T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T T T T*": ("0x1.048e8ff8c1ce8p-11", "-0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
+    "T T T*": ("0x1.4e910a63d9209p-8", "0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T T T* T": ("0x1.048e8ff8c1ce8p-11", "-0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
+    "T T T* T*": ("0x1.f281d455235e2p-4", "0x0.0p+0", "0x1.2cf2dd0b5b71bp-7"),
+    "T T*": ("0x1.c76ff4991a7d0p-2", "0x0.0p+0", "0x1.8703a3b47885dp-7"),
+    "T T* T": ("0x1.4e910a63d9209p-8", "0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T T* T T": ("0x1.048e8ff8c1ce8p-11", "-0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
+    "T T* T T*": ("0x1.17a6b5ad43022p-1", "0x0.0p+0", "0x1.0d310e19a367ap-5"),
+    "T T* T*": ("0x1.4e910a63d9209p-8", "-0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T T* T* T": ("0x1.f281d455235e2p-4", "0x0.0p+0", "0x1.2cf2dd0b5b71bp-7"),
+    "T T* T* T*": ("0x1.048e8ff8c1ce8p-11", "0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
     "T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T": ("0x1.decea0953b13fp-2", "0x0.0p+0", "0x1.d58033e038553p-7"),
-    "T* T T": ("0x1.a1445159c44b7p-9", "-0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T* T T T": ("-0x1.7eb146f3faba0p-14", "0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
-    "T* T T T*": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
-    "T* T T*": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T* T T* T": ("0x1.4848ef14a538ap-1", "0x0.0p+0", "0x1.8558beb9d17ffp-5"),
-    "T* T T* T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T* T": ("0x1.c76ff4991a7d0p-2", "0x0.0p+0", "0x1.8703a3b47885dp-7"),
+    "T* T T": ("0x1.4e910a63d9209p-8", "0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T* T T T": ("0x1.048e8ff8c1ce8p-11", "-0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
+    "T* T T T*": ("0x1.f281d455235e2p-4", "0x0.0p+0", "0x1.2cf2dd0b5b71bp-7"),
+    "T* T T*": ("0x1.4e910a63d9209p-8", "-0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T* T T* T": ("0x1.17a6b5ad43022p-1", "0x0.0p+0", "0x1.0d310e19a367ap-5"),
+    "T* T T* T*": ("0x1.048e8ff8c1ce8p-11", "0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
     "T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T": ("0x1.a1445159c44b7p-9", "0x1.1645be9df591bp-8", "0x1.f005f25aeb087p-8"),
-    "T* T* T T": ("0x1.fdba9c07f7f44p-4", "0x0.0p+0", "0x1.21f7bc56f865fp-7"),
-    "T* T* T T*": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T* T* T": ("0x1.4e910a63d9209p-8", "-0x1.2693d123f2a83p-8", "0x1.8bee4fc12bf99p-8"),
+    "T* T* T T": ("0x1.f281d455235e2p-4", "0x0.0p+0", "0x1.2cf2dd0b5b71bp-7"),
+    "T* T* T T*": ("0x1.048e8ff8c1ce8p-11", "0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
     "T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    "T* T* T* T": ("-0x1.7eb146f3faba0p-14", "-0x1.0ea3e93b64da4p-8", "0x1.4e733383e0cd2p-9"),
+    "T* T* T* T": ("0x1.048e8ff8c1ce8p-11", "0x1.5ff2e9794279bp-10", "0x1.02dff465f4191p-9"),
     "T* T* T* T*": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
@@ -1147,20 +1150,17 @@ FROZEN_CALLS = {
 
 
 # (mean re, mean im, stderr) as float.hex at n = 3, recorded from the runner
-# when each run became one stream; it divides the traced rows by n part by
-# part, as a Python complex does, where a one-step numpy complex division by n
-# changes the last bit of each, so they must match exactly.  "dt" was
-# re-recorded when its one-class plan went from 2 products to 1, after it
-# agreed with direct_values to 1e-12: D* T T* D is now traced as
-# vdot(T* D, T* D), whose imaginary part is exactly 0.  "dt", "z", "atomic" and
-# "scaled-ellipse" were re-recorded, likewise checked, when measures came to be
-# drawn from 2n normals each
+# when each run came to draw from one SFC64 stream, each after it agreed with
+# direct_values to 1e-12; it divides the traced rows by n part by part, as a
+# Python complex does, where a one-step numpy complex division by n changes
+# the last bit of each, so they must match exactly.  D* T T* D ("dt") is
+# traced as vdot(T* D, T* D), whose imaginary part is exactly 0
 FROZEN_N3 = {
-    "dt": ("0x1.bfd961150ba8dp-3", "0x0.0p+0", "0x1.3ca8c2f8f1d16p-5"),
-    "z": ("0x1.10b6ecdf7fc1ep-2", "-0x1.ef74b7073169cp-3", "0x1.9440263c4e2a8p-3"),
-    "atomic": ("0x1.a6ac9ec962ac7p-4", "0x1.7b546e197c0f2p+0", "0x1.519dcce59bcdep-2"),
-    "scaled-ellipse": ("-0x1.aea8dd622dd2dp-6", "0x1.cc9757ed6b0a7p-7", "0x1.588d5bd2d7819p-2"),
-    "elliptic": ("0x1.20aeb33dda942p-5", "0x1.8d6119bcb06ecp-4", "0x1.0a01976151d62p-3"),
+    "dt": ("0x1.94d2374619168p-3", "0x0.0p+0", "0x1.35f5b22d48770p-6"),
+    "z": ("0x1.c65a5ed31594dp-4", "0x1.1c1b9571e0ff0p-5", "0x1.4e2e27f1f657dp-3"),
+    "atomic": ("-0x1.162363148981ap-4", "0x1.0afb71104474dp+0", "0x1.670a94b4c343dp-2"),
+    "scaled-ellipse": ("-0x1.61030e61123c4p-2", "0x1.1e871c518100ap-1", "0x1.6bd62bda8f1d6p-2"),
+    "elliptic": ("0x1.28e9f6a88664ap-4", "0x1.45a3cdcd46c27p-8", "0x1.4468f62c5d150p-3"),
 }
 FROZEN_N3_CALLS = {
     "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),

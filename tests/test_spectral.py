@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy.polynomial.legendre as legendre
 import pytest
 
 import dtmoments
+from dtmoments import spectral
 from dtmoments.errors import CapExceededError
 from dtmoments.quasinil import tstt_moment
 from dtmoments.spectral import (
@@ -124,6 +126,22 @@ class TestDensityMoments:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             density_moment(DEFAULT_MOMENT_CAP + 1)
+
+    def test_the_rule_is_computed_once_and_every_moment_keeps_its_bits(self, monkeypatch):
+        # leggauss(64) costs about 1.6 ms; two moments make one call, and each
+        # moment equals the rule summed term by term, as it was before the table
+        calls, leggauss = [], legendre.leggauss
+        monkeypatch.setattr(legendre, "leggauss", lambda k: calls.append(k) or leggauss(k))
+        spectral._quadrature.cache_clear()
+        density_moment(3)
+        density_moment(5)
+        assert calls == [64]
+        nodes, weights = leggauss(64)
+        half = 0.5 * math.pi
+        vs = [half * (t + 1.0) for t in nodes.tolist()]
+        for p in range(DEFAULT_MOMENT_CAP + 1):
+            terms = [half * w * spectral._weight(v) * rho(v) ** p for v, w in zip(vs, weights.tolist())]
+            assert density_moment(p).hex() == math.fsum(terms).hex(), p
 
     def test_support_stays_below_e(self):
         pts = density_grid(500)
