@@ -39,6 +39,9 @@ T_LETTERS = ("T", "T*")
 D_LETTERS = ("D", "D*")
 Z_LETTERS = ("Z", "Z*")
 ALL_LETTERS = T_LETTERS + D_LETTERS + Z_LETTERS
+# each letter's diagonal exponents (r, s), or None, and triangular symbol, or None
+_PARTS = {"T": (None, ONE), "T*": (None, STAR), "D": ((1, 0), None), "D*": ((0, 1), None),
+          "Z": ((1, 0), ONE), "Z*": ((0, 1), STAR)}
 
 
 def parse_word(text: str) -> tuple[str, ...]:
@@ -83,26 +86,22 @@ class DTWord:
 
     @classmethod
     def from_letters(cls, letters) -> "DTWord":
-        eps: list[str] = []
-        blocks: list[list[int]] = []
-        current = [0, 0]
+        eps, blocks, a, b = [], [], 0, 0
         for tok in letters:
-            if tok == "D":
-                current[0] += 1
-            elif tok == "D*":
-                current[1] += 1
-            elif tok in T_LETTERS:
-                eps.append(ONE if tok == "T" else STAR)
-                blocks.append(current)
-                current = [0, 0]
-            else:
+            if tok not in D_LETTERS + T_LETTERS:
                 raise WordParseError(f"letter {tok!r} is not a D/T letter")
-        if eps:
-            blocks[0] = [blocks[0][0] + current[0], blocks[0][1] + current[1]]
-            return cls(StarWord(tuple(eps)), tuple((a, b) for a, b in blocks))
-        if current != [0, 0]:
-            return cls(StarWord(()), ((current[0], current[1]),))
-        return cls(StarWord(()), ())
+            diag, sym = _PARTS[tok]
+            if sym is None:
+                a, b = a + diag[0], b + diag[1]
+            else:
+                eps.append(sym)
+                blocks.append((a, b))
+                a, b = 0, 0
+        if eps:  # the trailing diagonal factor joins the first block
+            blocks[0] = (blocks[0][0] + a, blocks[0][1] + b)
+        elif a or b:
+            blocks = [(a, b)]
+        return cls(StarWord(tuple(eps)), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,11 @@ class ZWord:
 
     @classmethod
     def from_letters(cls, letters, c=Fraction(1)) -> "ZWord":
-        eps = []
+        letters = tuple(letters)
         for tok in letters:
             if tok not in Z_LETTERS:
                 raise WordParseError(f"letter {tok!r} is not a Z letter")
-            eps.append(ONE if tok == "Z" else STAR)
-        return cls(StarWord(tuple(eps)), c)
+        return cls(StarWord(tuple(_PARTS[tok][1] for tok in letters)), c)
 
 
 def _word_sum(parts, moment, c_sq=1):
@@ -260,11 +258,6 @@ def _narrow(x):
 def _moments_of(mu: MeasureModel):
     """``mu.moment``, narrowed and cached by (r, s) for one word."""
     return cache(lambda r, s: _narrow(mu.moment(r, s)))
-
-
-# each letter's diagonal exponents (r, s), or None, and triangular symbol, or None
-_PARTS = {"T": (None, ONE), "T*": (None, STAR), "D": ((1, 0), None), "D*": ((0, 1), None),
-          "Z": ((1, 0), ONE), "Z*": ((0, 1), STAR)}
 
 
 def _spell(eps: StarWord, letter: str) -> tuple[str, ...]:

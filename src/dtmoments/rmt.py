@@ -7,12 +7,10 @@ ziggurat ``standard_normal``: a triangular draw takes the n(n-1)/2 real parts
 and then the n(n-1)/2 imaginary parts of the entries above the diagonal, row
 by row, each of variance 1/(2n); a self-adjoint draw adds n diagonal entries
 of variance 1/n; a trial's draw from a measure comes first, 2n normals whose
-pairs (x, y) give the uniform exp(-(x^2 + y^2)/2) and the direction of x + iy.
-Earlier versions drew from Philox streams, drew a full n x n matrix and
-zeroed its lower half, and drew a measure from uniforms, so their estimates
-are not reproduced bit for bit.  A block of trials makes one such call, then
-is scaled, placed and transformed at once, with estimates bit-identical to
-one draw per trial.
+pairs (x, y) give the uniform exp(-(x^2 + y^2)/2) and the direction of x + iy,
+through the measure's sampler, built once per run.  A block of trials makes
+one such call, then is scaled, placed and transformed at once, with estimates
+bit-identical to one draw per trial.
 
 All estimators share one trial runner, and all but the elliptic one share
 one draw of T and D's diagonal.  The runner stacks max(1, 4096 // n^2) trials
@@ -75,49 +73,47 @@ def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None
     out.imag[mask] = normals[:, 1].ravel()
 
 
-def _check_sampleable(mu: MeasureModel) -> None:
-    """Refuse what no sampler can draw.  Every sampler asks first, so it is refused undrawn."""
-    if isinstance(mu, ScaledMeasure):
-        return _check_sampleable(mu.base)
-    if isinstance(mu, MomentTable):
-        raise ValueError("moment tables expose no sampler")
-    if not isinstance(mu, (Atomic, UniformDisk, UniformAnnulus, UniformEllipse)):
-        raise TypeError(f"cannot sample measure model {mu!r}")
-
-
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. complex draws from a measure model, from one ``rng.standard_normal`` call."""
-    _check_sampleable(mu)
-    return _from_normals(mu, rng.standard_normal((2, n)))
+    return _sampler(mu)(rng.standard_normal((2, n)))
 
 
-def _from_normals(mu: MeasureModel, g: np.ndarray) -> np.ndarray:
-    """Draws from ``mu`` made from standard normals (x, y) of shape (..., 2, n).
+def _sampler(mu: MeasureModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from standard normals (x, y) of shape (..., 2, n) to draws from ``mu``,
+    its constants computed once.  What no sampler can draw is refused here, undrawn.
 
     A pair gives a uniform u = exp(-(x^2 + y^2)/2) and, independent of it, the
     uniform direction (x + iy)/|x + iy|, 1 where x = y = 0 (Box and Muller).
     Atomic inverts the CDF of its weights at u; disk and annulus take the exact
     radial inverse CDF at u and the direction; the ellipse maps a unit-disk
     draw z to alpha*z + beta*conj(z), as its model does."""
+    if isinstance(mu, ScaledMeasure):
+        lam, base = mu.lam.to_complex(), _sampler(mu.base)
+        return lambda g: lam * base(g)
     if isinstance(mu, UniformEllipse):
         a2, b2 = float(mu.a) ** 2, float(mu.b) ** 2
-        alpha = math.sqrt(a2 + b2)
-        disk = _from_normals(UniformDisk(1), g)
-        return alpha * disk + (a2 - b2) / alpha * disk.conj()
-    if isinstance(mu, ScaledMeasure):
-        return mu.lam.to_complex() * _from_normals(mu.base, g)
-    z = g[..., 0, :] + 1j * g[..., 1, :]
-    r = np.abs(z)
-    u = np.exp(-0.5 * r * r)
+        alpha, disk = math.sqrt(a2 + b2), _sampler(UniformDisk(1))
+        beta = (a2 - b2) / alpha
+        return lambda g: alpha * (z := disk(g)) + beta * z.conj()
+    if isinstance(mu, MomentTable):
+        raise ValueError("moment tables expose no sampler")
     if isinstance(mu, Atomic):
         cum = np.cumsum([float(w) for _, w in mu.atoms])
         locs = np.array([loc.to_complex() for loc, _ in mu.atoms])
-        return locs[np.minimum(np.searchsorted(cum, u, side="right"), len(locs) - 1)]
-    if isinstance(mu, UniformDisk):
-        radius = np.sqrt(float(mu.radius) ** 2 * u)
-    else:  # UniformAnnulus, the last model _check_sampleable lets through
-        radius = np.sqrt(float(mu.c) - 1.0 + u)
-    return radius * np.divide(z, r, out=np.ones_like(z), where=r > 0)
+        point = lambda z, r, u: locs[np.minimum(np.searchsorted(cum, u, side="right"), len(locs) - 1)]
+    elif isinstance(mu, (UniformDisk, UniformAnnulus)):  # u to the squared radius: r^2 u, or c - 1 + u
+        square = (partial(np.multiply, float(mu.radius) ** 2) if isinstance(mu, UniformDisk)
+                  else partial(np.add, float(mu.c) - 1.0))
+        point = lambda z, r, u: np.sqrt(square(u)) * np.divide(z, r, out=np.ones_like(z), where=r > 0)
+    else:
+        raise TypeError(f"cannot sample measure model {mu!r}")
+
+    def draw(g):
+        z = g[..., 0, :] + 1j * g[..., 1, :]
+        r = np.abs(z)
+        return point(z, r, np.exp(-0.5 * r * r))
+
+    return draw
 
 
 # -- estimators ---------------------------------------------------------------
@@ -299,20 +295,18 @@ def _triangular(
     rng: np.random.Generator,
     size: int,
     upper: np.ndarray,
-    mu: MeasureModel | None = None,
+    sample: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """A (size, n, n) stack of strictly upper triangular draws of variance 1/n,
-    and the (size, n) diagonals drawn from ``mu``, if given, from one
-    ``standard_normal`` call per block: each trial draws in order from ``rng``
-    its diagonal's 2n normals, then the triangle's real parts, then its
+    and the (size, n) diagonals a measure's ``_sampler`` makes, if given, from
+    one ``standard_normal`` call per block: each trial draws in order from
+    ``rng`` its diagonal's 2n normals, then the triangle's real parts, then its
     imaginary parts.  The block is then scaled, placed and transformed at once."""
     n = len(upper)
-    m, d = n * (n - 1) // 2, 0 if mu is None else 2 * n
-    if mu is not None:
-        _check_sampleable(mu)
+    m, d = n * (n - 1) // 2, 0 if sample is None else 2 * n
     normals, t = rng.standard_normal((size, d + 2 * m)), np.zeros((size, n, n), dtype=complex)
     _fill_upper(normals[:, d:].reshape(size, 2, m), upper, t)
-    return t, None if mu is None else _from_normals(mu, normals[:, :d].reshape(size, 2, n))
+    return t, None if sample is None else sample(normals[:, :d].reshape(size, 2, n))
 
 
 def _with_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -326,11 +320,11 @@ def _dt_estimates(words: Sequence[Sequence[str]], n: int, trials: int, seed: int
     the words use them; D's diagonal is drawn per trial from the measure
     ``diagonal``, or is the array ``diagonal`` in every trial."""
     drawn = {x[0] for word in words for x in word}  # the unstarred letters
-    mu = diagonal if drawn - {"T"} and not isinstance(diagonal, np.ndarray) else None
+    sample = _sampler(diagonal) if drawn - {"T"} and not isinstance(diagonal, np.ndarray) else None
     upper = ~np.tri(n, dtype=bool)
 
     def draw(rng, size):
-        t, d = _triangular(rng, size, upper, mu)
+        t, d = _triangular(rng, size, upper, sample)
         d = diagonal if d is None else d
         mats = {"T": t}
         for x in drawn - {"T"}:  # Z = c*T + diag(d) and D = diag(d), d onto a zero diagonal

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtmoments.errors import CapExceededError
-from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, order, parse_rational
+from dtmoments.exact import CQ_ONE, CQ_ZERO, MomentValue, order, parse_rational, rational_sqrt
 from dtmoments.exact import ComplexRational as CQ
 from dtmoments.linext import TreePoset
 from dtmoments.measures import MomentTable, UniformAnnulus, UniformDisk, mixed_moment
@@ -345,3 +345,20 @@ class TestReaders:
     def test_a_value_at_its_cap_is_read(self):
         assert order(24.0, "k", 0, 24) == 24
         assert MomentTable(2, ()).moment(1, 1) == CQ_ZERO
+
+
+class TestFloatFallbacksAndRefusals:
+    def test_a_float_operand_gives_a_complex(self):
+        a = CQ(F(1, 2), F(-1, 4))
+        for got, want in ((a + 0.5, 1 - 0.25j), (0.5 + a, 1 - 0.25j), (a / 2.0, 0.25 - 0.125j),
+                          (1.0 / CQ(0, 2), -0.5j)):
+            assert type(got) is complex and got == want
+
+    @pytest.mark.parametrize("k", [-1, 1.5, F(1, 2), 2.0], ids=["negative", "float", "fraction", "float-integer"])
+    def test_only_nonnegative_int_powers_are_exact(self, k):
+        with pytest.raises(ValueError, match="only nonnegative integer powers are exact"):
+            CQ(1, 1) ** k
+
+    def test_rational_sqrt_refuses_a_negative(self):
+        with pytest.raises(ValueError, match="negative operand"):
+            rational_sqrt(F(-1, 4))

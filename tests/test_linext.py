@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -141,3 +142,15 @@ def test_add_sums_rank_vectors_of_any_lengths_as_polynomials():
         if trial % 2:
             assert all(isinstance(y, int) for y in got)
         assert _add(f, []) == f and _add([], g) == g
+
+
+@pytest.mark.parametrize("n, covers, text", [
+    (3, ((0, 1),), "cover support of a tree has exactly n-1 edges"),
+    (3, ((0, 1), (1, 1)), "bad cover pair (1, 1)"),
+    (3, ((0, 1), (1, 3)), "bad cover pair (1, 3)"),
+    (3, ((0, -1), (1, 2)), "bad cover pair (0, -1)"),
+    (4, ((0, 1), (1, 0), (2, 3)), "cover support is not connected"),
+], ids=["edge-count", "loop", "out-of-range", "negative", "disconnected"])
+def test_a_support_that_is_no_tree_is_refused(n, covers, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        TreePoset(n, covers)

@@ -529,3 +529,18 @@ class TestJsonSpec:
     @settings(max_examples=60, deadline=None)
     def test_shorthand_json_spec_and_model_agree(self, mu):
         assert parse_measure_arg(shorthand(mu)) == parse_measure_arg(json.dumps(measure_spec(mu))) == mu
+
+
+def test_a_table_whose_total_mass_is_not_one_is_refused():
+    for mass in (CQ(F(1, 2)), CQ(0), CQ(1, 1)):
+        with pytest.raises(ValueError, match=r"^M\(0, 0\) must be 1$"):
+            MomentTable(2, (((0, 0), mass),))
+
+
+def test_the_conjugate_of_a_scaled_measure_swaps_its_orders():
+    mu = ScaledMeasure(UniformEllipse(F(1), F(1, 2)), CQ(F(1, 2), F(-1, 3)))
+    nu = conjugate(mu)
+    assert isinstance(nu, ScaledMeasure) and nu.lam == mu.lam.conjugate()
+    for r in range(4):
+        for s in range(4):
+            assert nu.moment(r, s) == mu.moment(s, r)

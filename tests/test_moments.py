@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import math
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -139,6 +140,11 @@ class TestDTWord:
     def test_rejects_z_letters(self):
         with pytest.raises(WordParseError):
             DTWord.from_letters(["Z"])
+
+    @pytest.mark.parametrize("blocks", [((0, 0),), ((0, 0),) * 3], ids=["too-few", "too-many"])
+    def test_a_block_count_off_the_t_slots_is_refused(self, blocks):
+        with pytest.raises(ValueError, match="^need exactly one diagonal block per T-slot$"):
+            DTWord(StarWord((ONE, STAR)), blocks)
 
     def test_pure_d_moment_is_mixed_moment(self):
         mu = UniformDisk(1)
@@ -900,3 +906,25 @@ def test_parse_word():
         parse_word("T X")
     with pytest.raises(WordParseError):
         parse_word("Z T")
+
+
+@pytest.mark.parametrize("make, letters, bad, text", [
+    (DTWord.from_letters, ["D", "T", "D*", "D", "T*", "D*"], "Z", "letter 'Z' is not a D/T letter"),
+    (DTWord.from_letters, ["D*", "D"], "x", "letter 'x' is not a D/T letter"),
+    (ZWord.from_letters, ["Z*", "Z", "Z"], "T", "letter 'T' is not a Z letter"),
+], ids=["dt", "pure-d", "z"])
+def test_from_letters_reads_any_iterable_once(make, letters, bad, text):
+    # each letter's parts come from _PARTS; a generator gives its list twin
+    assert make(x for x in letters) == make(iter(letters)) == make(letters)
+    for word in ([bad], letters + [bad], [*letters[:1], bad, *letters[1:]]):
+        with pytest.raises(WordParseError, match=f"^{re.escape(text)}$"):
+            make(x for x in word)
+
+
+@given(letters=st.lists(st.sampled_from(("D", "D*", "T", "T*")), max_size=8),
+       mu=st.sampled_from([MEASURE_KINDS[1], UniformAnnulus(F(3, 2))]))
+@settings(max_examples=120, deadline=None)
+def test_a_folded_dt_word_keeps_its_letters_trace(letters, mu):
+    # from_letters folds trailing D letters into the first block: a rotation,
+    # which the trace does not see
+    assert dt_word_moment(DTWord.from_letters(letters), mu) == word_moment(letters, mu)

@@ -201,3 +201,16 @@ def test_pairing_rejects_non_matchings():
         Pairing(((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         Pairing(((1, 1),))
+
+
+def test_a_star_word_refuses_a_symbol_and_iterates_its_symbols():
+    with pytest.raises(ValueError, match="^bad star-word symbol 'T'$"):
+        StarWord((ONE, "T"))
+    assert list(StarWord((STAR, ONE, ONE))) == [STAR, ONE, ONE]
+
+
+def test_a_pairing_of_another_length_is_incompatible_and_not_folded():
+    sigma, eps = Pairing(((1, 2),)), word(ONE, STAR, ONE, STAR)
+    assert is_compatible(sigma, eps) is False
+    with pytest.raises(ValueError, match="^pairing size does not match word length$"):
+        quotient_graph(sigma, eps)

@@ -242,7 +242,7 @@ def test_a_block_equals_its_trials_drawn_one_by_one(kind, n):
     # transforms the whole block; trial t must still equal, bit for bit,
     # sample_measure and then utgrm, trial by trial on one _rng(seed)
     mu, seed, size = SAMPLED[kind], 61, 7
-    t, d = rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool), mu)
+    t, d = rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool), None if mu is None else rmt._sampler(mu))
     assert t.shape == (size, n, n)
     rng = _rng(seed)
     for k in range(size):
@@ -256,7 +256,7 @@ def test_two_zero_normals_draw_a_point_of_the_support(kind):
     # their direction (x + iy)/|x + iy| is 0/0, which filterwarnings = error
     # would fail; it is taken as 1, and u = exp(0) = 1 puts disk and annulus
     # draws on their outer circle
-    d = rmt._from_normals(SAMPLED[kind], np.zeros((2, 3)))
+    d = rmt._sampler(SAMPLED[kind])(np.zeros((2, 3)))
     assert np.isfinite(d).all() and len(set(d)) == 1
     outer = {"disk": 1.5, "annulus": math.sqrt(1.5)}
     if kind in outer:
@@ -292,6 +292,27 @@ def test_a_block_makes_one_standard_normal_call(monkeypatch, kind):
         rng = CallLog(_rng(3))
         sample_measure(mu, 8, rng)
         assert rng.calls == ["standard_normal"]
+
+
+@pytest.mark.parametrize("kind", ["atomic", "disk"])
+def test_a_run_builds_one_sampler_for_all_its_blocks(monkeypatch, kind):
+    # the atoms' CDF table and the radius were computed once per block
+    mu, built, blocks = SAMPLED[kind], [], []
+    sampler, triangular_block = rmt._sampler, rmt._triangular
+
+    def counting_sampler(measure):
+        built.append(measure)
+        return sampler(measure)
+
+    def counting_block(*args):
+        blocks.append(args[1])
+        return triangular_block(*args)
+
+    monkeypatch.setattr(rmt, "_sampler", counting_sampler)
+    monkeypatch.setattr(rmt, "_triangular", counting_block)
+    estimate_word_moment(["Z*", "Z"], 8, 200, 3, mu=mu)
+    assert blocks == [64, 64, 64, 8]
+    assert built == [mu]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])

@@ -185,3 +185,13 @@ class TestRangeEnds:
         overflow = [v for v in grid[kept:] if rho(v) > 0.0 and _log_phi_of_v(v) > log_max]
         assert underflow and overflow
         assert len(underflow) + len(overflow) == n - kept
+
+
+def test_the_float_below_e_resolves_and_e_itself_is_refused():
+    # log of every float below e rounds below log rho(1e-8) = 1, so phi_at
+    # never reaches the bisection's endpoint refusal; its own domain check
+    # refuses e
+    x = math.nextafter(SUPPORT_UPPER, 0)
+    assert 0 < phi_at(x) < 1e-7
+    with pytest.raises(ValueError, match="too close to the upper support endpoint to resolve"):
+        spectral._solve_v(SUPPORT_UPPER)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from functools import partial
 from math import comb, factorial, prod
@@ -340,3 +341,15 @@ class TestInversionChecks:
             monkeypatch.setattr(transforms, fn, no_series_work)
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: Series((0, 1, 2)).shift(-2), "cannot shift down past nonzero coefficients"),
+    (lambda: Series((0, 1, 2)).reciprocal(), "reciprocal needs a nonzero constant term"),
+    (lambda: Series((1, 1)).compose(Series((F(1, 2), 1))), "composition needs inner(0) = 0"),
+    (lambda: moments_to_free_cumulants(Series((1, 1, 2))), "moment series must start at index 1 (m0 = 1 implied)"),
+    (lambda: free_cumulants_to_moments(Series((1, 1, 1))), "cumulant series must start at index 1"),
+], ids=["shift", "reciprocal", "compose", "to-cumulants", "to-moments"])
+def test_a_series_outside_an_operation_is_refused(call, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()
