@@ -187,10 +187,9 @@ class TestRangeEnds:
         assert len(underflow) + len(overflow) == n - kept
 
 
-def test_the_float_below_e_resolves_and_e_itself_is_refused():
-    # log of every float below e rounds below log rho(1e-8) = 1, so phi_at
-    # never reaches the bisection's endpoint refusal; its own domain check
-    # refuses e
+def test_the_float_below_e_resolves_and_the_bisection_refuses_e():
+    # log of every float below e rounds below log rho(1e-8) = 1, and phi_at
+    # refuses e itself, so only a direct call reaches the endpoint refusal
     x = math.nextafter(SUPPORT_UPPER, 0)
     assert 0 < phi_at(x) < 1e-7
     with pytest.raises(ValueError, match="too close to the upper support endpoint to resolve"):
