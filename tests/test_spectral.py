@@ -101,6 +101,26 @@ class TestSmallXInversion:
         assert abs(phi_at(x) * x * math.log(x) ** 2 - 1.20113) <= 1e-4
 
 
+class TestNearEInversion:
+    """Near e, phi_at must be as accurate as the rounding of log x allows."""
+
+    # phi at x = e (1 - 10^-k), from a 90-digit mpmath bisection of log rho(v) = log x
+    REFERENCE = {
+        5: "0.0005236883773544663534371896",
+        6: "0.0001656040190410352811147576",
+        7: "0.00005236856410081259214671212",
+        8: "0.00001656039327459578550808582",
+        9: "0.000005236856056151444777532052",
+    }
+
+    @pytest.mark.parametrize("k", sorted(REFERENCE))
+    def test_relative_error_within_twice_the_log_x_rounding(self, k):
+        # phi's relative sensitivity to log x grows like 10^k / 2 here, so
+        # rounding log x alone costs about 10^(k-16) / 2
+        x = math.e * (1 - 10.0**-k)
+        assert abs(phi_at(x) / float(self.REFERENCE[k]) - 1) <= 10.0 ** (k - 16)
+
+
 class TestDensityMoments:
     def test_total_mass(self):
         assert abs(density_moment(0) - 1.0) <= 1e-10
