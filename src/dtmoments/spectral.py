@@ -26,7 +26,6 @@ from .exact import order
 SUPPORT_UPPER = math.e  # the spectral law of T*T lives on [0, e]
 DEFAULT_MOMENT_CAP = 300
 _V_EPS = 1e-8
-_LOG_RHO_TOL = 1e-15
 _QUADRATURE_NODES = 64
 
 
@@ -51,8 +50,6 @@ def rho(v: float) -> float:
         raise ValueError(f"rho requires 0 <= v <= pi, got {v}")
     if v == 0.0:
         return math.e
-    if v == math.pi:
-        return 0.0
     return math.sin(v) / v * math.exp(_v_cot_v(v))
 
 
@@ -70,24 +67,14 @@ def _log_rho(v: float) -> float:
 
 
 def _solve_v(x: float) -> float:
-    """Bisect log rho(v) = log x on (0, pi]; rho is strictly decreasing.
-
-    Stops once rho(v) matches x to a relative 1e-15 (scaled by |log x| when
-    that exceeds 1) or the bracket can no longer be halved in floating point.
-    """
+    """Bisect log rho(v) = log x on [1e-8, pi] until the bracket reaches float resolution."""
     if x < sys.float_info.min:  # subnormal x has lost bits; phi overflows near 1e-314
         raise ValueError(f"{x} is below the smallest normal float; phi cannot be resolved there")
     target = math.log(x)
     lo, hi = _V_EPS, math.pi
-    if target >= _log_rho(lo):
-        raise ValueError(f"{x} is too close to the upper support endpoint to resolve")
-    tol = _LOG_RHO_TOL * max(1.0, -target)
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        val = _log_rho(mid)
-        if abs(val - target) <= tol:
-            break
-        if val > target:
+        if _log_rho(mid) > target:
             lo = mid
         else:
             hi = mid
@@ -99,9 +86,8 @@ def phi_at(x: float) -> float:
     """Density at x in (0, e), by bisecting the parametrization.
 
     rho is strictly decreasing, so bisection on log rho is unconditionally
-    safe; it stops once rho(v) matches x to a relative 1e-15 (1e-15 |log x|
-    for x < 1/e) or the bracket reaches floating-point resolution.  Near 0,
-    phi(x) ~ 1/(x log^2 x) with a relative correction of order
+    safe; it halves the bracket until it reaches floating-point resolution.
+    Near 0, phi(x) ~ 1/(x log^2 x) with a relative correction of order
     log|log x| / |log x|.  An x below ``sys.float_info.min`` raises
     ``ValueError``.
     """

@@ -60,3 +60,12 @@ def test_uncommitted_source_is_refused(bench_record, monkeypatch):
     monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: SimpleNamespace(stdout=" M src/x.py\n"))
     with pytest.raises(SystemExit, match="differs from the commit"):
         bench_record.main(["bench_record.py", "41"])
+
+
+@pytest.mark.parametrize("path", ["perfbench/run.py", "BENCHMARK.json"])
+def test_uncommitted_benchmark_is_refused(bench_record, monkeypatch, path):
+    def status(args, **kwargs):  # git reports the change only when asked about its path
+        return SimpleNamespace(stdout=f" M {path}\n" if path.split("/")[0] in args else "")
+    monkeypatch.setattr(subprocess, "run", status)
+    with pytest.raises(SystemExit, match="differs from the commit"):
+        bench_record.main(["bench_record.py", "41"])

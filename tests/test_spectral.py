@@ -207,10 +207,8 @@ class TestRangeEnds:
         assert len(underflow) + len(overflow) == n - kept
 
 
-def test_the_float_below_e_resolves_and_the_bisection_refuses_e():
-    # log of every float below e rounds below log rho(1e-8) = 1, and phi_at
-    # refuses e itself, so only a direct call reaches the endpoint refusal
+def test_the_float_below_e_resolves():
+    # phi_at refuses e itself (TestPhi.test_domain); the float below it
+    # bisects to the bottom of the bracket, where phi is just above 0
     x = math.nextafter(SUPPORT_UPPER, 0)
     assert 0 < phi_at(x) < 1e-7
-    with pytest.raises(ValueError, match="too close to the upper support endpoint to resolve"):
-        spectral._solve_v(SUPPORT_UPPER)

@@ -4,7 +4,8 @@ Usage, from anywhere in a checkout whose changes are committed::
 
     python3 tools/bench_record.py 41
 
-It refuses a checkout whose ``src/`` differs from its commit.
+It refuses a checkout whose ``src/``, ``perfbench/`` or ``BENCHMARK.json``
+differs from its commit, since ``git_sha`` must name the measured code.
 
 For each workload in ``BENCHMARK.json`` and seeds 1 to 5, it runs the
 benchmark's command (``perfbench/run.py --workload W --seed S --seconds
@@ -49,9 +50,10 @@ def summary(values: list[float]) -> dict:
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not argv[1].isdigit():
         sys.exit("usage: bench_record.py <pr number>")
-    if subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True,
-                      text=True, check=True).stdout:
-        sys.exit("bench_record: src/ differs from the commit; commit it, so git_sha names the measured code")
+    if subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json"], cwd=ROOT,
+                      capture_output=True, text=True, check=True).stdout:
+        sys.exit("bench_record: src/, perfbench/ or BENCHMARK.json differs from the commit; "
+                 "commit it, so git_sha names the measured code")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in spec["end_to_end"]]
     workloads, calibration, shared = {}, [], set()
