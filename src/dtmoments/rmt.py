@@ -5,8 +5,8 @@ number from 0 to 2^64 - 1, and its trials take their draws from it in
 order, each from where the one before it stopped.  Every draw is numpy's
 ziggurat ``standard_normal``: a triangular draw takes the n(n-1)/2 real parts
 and then the n(n-1)/2 imaginary parts of the entries above the diagonal, row
-by row, each of variance 1/(2n); a self-adjoint draw adds n diagonal entries
-of variance 1/n; a trial's draw from a measure comes first, 2n normals whose
+by row, each of variance 1/(2n), and the elliptic draw those of all n^2
+entries; a trial's draw from a measure comes first, 2n normals whose
 pairs (x, y) give the uniform exp(-(x^2 + y^2)/2) and the direction of x + iy,
 through the measure's sampler, built once per run.  A block of trials makes
 one such call, then is scaled, placed and transformed at once, with estimates
@@ -61,16 +61,6 @@ _ADJOINT = {a: b for x, y in _PAIRS for a, b in ((x, y), (y, x))}
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
-
-
-def _fill_upper(normals: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
-    """Scale the (B, 2, n(n-1)/2) normals in place by sqrt(1/(2n)) and put each
-    matrix's rows 0 and 1 as the real and imaginary parts above the diagonal of
-    the (B, n, n) zero stack ``out``, row by row, where the mask ``upper`` is set."""
-    normals *= math.sqrt(1.0 / len(upper) / 2.0)
-    mask = upper[None].repeat(len(out), 0)  # out.real[:, upper] and a stride-0 mask are slower
-    out.real[mask] = normals[:, 0].ravel()
-    out.imag[mask] = normals[:, 1].ravel()
 
 
 def sample_measure(mu: MeasureModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -305,7 +295,10 @@ def _triangular(
     n = len(upper)
     m, d = n * (n - 1) // 2, 0 if sample is None else 2 * n
     normals, t = rng.standard_normal((size, d + 2 * m)), np.zeros((size, n, n), dtype=complex)
-    _fill_upper(normals[:, d:].reshape(size, 2, m), upper, t)
+    parts = normals[:, d:].reshape(size, 2, m)
+    parts *= math.sqrt(1.0 / n / 2.0)
+    mask = upper[None].repeat(size, 0)  # t.real[:, upper] and a stride-0 mask are slower
+    t.real[mask], t.imag[mask] = parts[:, 0].ravel(), parts[:, 1].ravel()
     return t, None if sample is None else sample(normals[:, :d].reshape(size, 2, n))
 
 
@@ -364,24 +357,21 @@ def estimate_word_moment(
 def estimate_elliptic_moment(
     theta: float, eps: StarWord, n: int, trials: int, seed: int
 ) -> Estimate:
-    """Monte Carlo trace of the star-word applied to cos(theta)H1 + i sin(theta)H2.
-
-    H1 and H2 are independent self-adjoint Gaussian matrices with entry
-    variance 1/n; theta is read by ``elliptic_dt``.  A block's one
-    ``standard_normal`` call draws, trial by trial, H1's upper parts and
-    diagonal, then H2's.
-    """
+    """Monte Carlo trace of the star-word applied to ((a + b)G + (a - b)G^H)/sqrt(2),
+    (a, b) = (cos(theta), sin(theta)) as ``elliptic_dt`` reads theta: in law,
+    cos(theta)H1 + i sin(theta)H2 for the independent self-adjoint H1 = (G +
+    G^H)/sqrt(2) and H2 = (G - G^H)/(i sqrt(2)) of entry variance 1/n, and G
+    at theta = pi/4, up to rounding.  G is Ginibre: a block's one
+    ``standard_normal`` call draws, trial by trial, its n^2 real and then n^2
+    imaginary parts, row by row, each of variance 1/(2n)."""
     n, trials, seed = _check_size(n, trials, seed)
     ellipse = elliptic_dt(theta)[0]
-    upper, m = ~np.tri(n, dtype=bool), n * (n - 1) // 2
+    p, q = (ellipse.a + ellipse.b) / math.sqrt(2.0), (ellipse.a - ellipse.b) / math.sqrt(2.0)
 
     def draw(rng, size):
-        h, normals = np.zeros((size, 2, n, n), dtype=complex), rng.standard_normal((size, 2, 2 * m + n))
-        for hj, nj in zip(h.swapaxes(0, 1), normals.swapaxes(0, 1)):  # H1, then H2
-            _fill_upper(nj[:, : 2 * m].reshape(size, 2, m), upper, hj)
-            hj += hj.conj().swapaxes(1, 2)
-            _with_diagonal(hj, math.sqrt(1.0 / n) * nj[:, 2 * m :])  # its reshape views the strided hj
-        return {"Z": ellipse.a * h[:, 0] + 1j * ellipse.b * h[:, 1]}
+        parts = math.sqrt(1.0 / n / 2.0) * rng.standard_normal((size, 2, n, n))
+        g = parts[:, 0] + 1j * parts[:, 1]
+        return {"Z": p * g + q * g.conj().swapaxes(1, 2)}
 
     return _run_trials(draw, [_spell(eps, "Z")], n, trials, seed)[0]
 

@@ -162,6 +162,18 @@ def test_recursion_reaches_degree_800(monkeypatch):
     assert m_recursive((800, 800)) == conjecture_value(800, 1)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_degree_1000_equals_the_closed_form_in_a_fresh_process():
+    # a cold memo recurses one frame per unit of degree and raises
+    # RecursionError here; a recursion run from an explicit stack returns
+    code = ("from dtmoments.quasinil import conjecture_value, m_recursive\n"
+            "print(m_recursive((1000, 1000)) == conjecture_value(1000, 1))")
+    env = {**os.environ, "PYTHONPATH": str(Path(dtmoments.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.strip() == "True"
+
+
 def balanced_sequences(max_degree, max_blocks):
     """Every balanced nonnegative sequence of at most max_blocks blocks and
     total degree 2m <= max_degree, zero runs included."""

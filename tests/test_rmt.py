@@ -26,7 +26,7 @@ from dtmoments.measures import (
     mixed_moment,
     scale,
 )
-from dtmoments.moments import ZWord, t_word_moment, z_word_moment
+from dtmoments.moments import ZWord, elliptic_dt, t_word_moment, word_moment, z_word_moment
 from dtmoments.ncpair import ONE, STAR, StarWord
 from dtmoments.rmt import (
     DEFAULT_SIZE_CAP,
@@ -50,13 +50,14 @@ def utgrm(rng, n, sigma_sq):
     return m
 
 
-def sgrm(rng, n, sigma_sq):
-    """One self-adjoint draw: ``utgrm`` plus its adjoint, then sqrt(sigma_sq)
-    times the next n normals on the diagonal."""
-    m = utgrm(rng, n, sigma_sq)
-    m += m.conj().T
-    m[np.diag_indices(n)] = math.sqrt(sigma_sq) * rng.standard_normal(n)
-    return m
+def elliptic_grm(rng, n, theta):
+    """One elliptic draw ((a + b)G + (a - b)G^H)/sqrt(2), (a, b) = (cos(theta),
+    sin(theta)), for a Ginibre G: n^2 real parts, then n^2 imaginary parts,
+    each row by row and of variance 1/(2n)."""
+    a, b = math.cos(theta), math.sin(theta)
+    parts = math.sqrt(1.0 / n / 2.0) * rng.standard_normal((2, n, n))
+    g = parts[0] + 1j * parts[1]
+    return (a + b) / math.sqrt(2.0) * g + (a - b) / math.sqrt(2.0) * g.conj().T
 
 
 def triangular(seed, n, size=1):
@@ -64,34 +65,19 @@ def triangular(seed, n, size=1):
     return rmt._triangular(_rng(seed), size, ~np.tri(n, dtype=bool))[0]
 
 
-@pytest.fixture
-def elliptic_block(monkeypatch):
-    """``block(theta, n, size, seed)`` gives the Z, H1 and H2 stacks of trials 0
-    to size - 1 of ``seed`` as the elliptic estimator's draw makes them.  The
-    draw is taken from the estimator's call to ``_run_trials``, and H1 and H2
-    from its two calls to ``_with_diagonal``."""
-    draws, filled = [], []
-    run, with_diagonal = rmt._run_trials, rmt._with_diagonal
+def elliptic_draw(monkeypatch, theta, n):
+    """The elliptic estimator's own draw at theta and n, taken from its call
+    to ``_run_trials``."""
+    draws, run = [], rmt._run_trials
 
     def capture(draw, *args):
         draws.append(draw)
         return run(draw, *args)
 
-    def recording(m, d):
-        filled.append(with_diagonal(m, d))
-        return filled[-1]
-
-    monkeypatch.setattr(rmt, "_run_trials", capture)
-    monkeypatch.setattr(rmt, "_with_diagonal", recording)
-
-    def block(theta, n, size, seed):
-        estimate_elliptic_moment(theta, StarWord((ONE,)), n, 2, seed)
-        filled.clear()
-        z = draws[-1](_rng(seed), size)["Z"]
-        assert len(filled) == 2
-        return z, *filled
-
-    return block
+    with monkeypatch.context() as m:
+        m.setattr(rmt, "_run_trials", capture)
+        estimate_elliptic_moment(theta, StarWord((ONE,)), n, 2, 0)
+    return draws[-1]
 
 
 class TestSamplers:
@@ -116,27 +102,6 @@ class TestSamplers:
                     want[i, j] = complex(scale * re[k], scale * im[k])
                     k += 1
             assert np.array_equal(block[t], want)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 17])
-    def test_elliptic_pair_is_hermitian_with_a_real_diagonal(self, elliptic_block, n):
-        # a block of 7 trials, so H1 and H2 are strided views of one buffer
-        _, h1, h2 = elliptic_block(math.pi / 3, n, 7, 1)
-        for h in (h1, h2):
-            assert h.shape == (7, n, n)
-            assert np.array_equal(h, h.conj().swapaxes(1, 2))
-            assert not np.diagonal(h, axis1=1, axis2=2).imag.any()
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 17])
-    def test_elliptic_diagonals_are_the_next_normals(self, elliptic_block, n):
-        # H1's upper parts, then its n diagonal normals, then H2's, from one stream
-        size = 7
-        _, h1, h2 = elliptic_block(math.pi / 3, n, size, 31)
-        rng = _rng(31)
-        for t in range(size):
-            for h in (h1, h2):
-                assert np.triu(h[t], k=1).tobytes() == utgrm(rng, n, 1.0 / n).tobytes()
-                want = math.sqrt(1.0 / n) * rng.standard_normal(n)
-                assert np.diagonal(h[t]).tobytes() == want.astype(complex).tobytes()
 
     def test_reproducible_across_calls(self):
         a = triangular(42, 8, size=5)
@@ -211,13 +176,14 @@ class TestSamplers:
         def fill(*args):
             raise AssertionError("a block was drawn")
 
-        monkeypatch.setattr(rmt, "_fill_upper", fill)
+        undrawn = SimpleNamespace(standard_normal=fill)
+        monkeypatch.setattr(rmt, "_rng", lambda seed: undrawn)
         with pytest.raises(error, match=match):
             estimate_word_moment(["Z*", "Z"], 64, 2, 0, mu=mu)
         with pytest.raises(error, match=match):
             estimate_word_moment(["D", "T"], 64, 2, 0, mu=mu)
         with pytest.raises(error, match=match):
-            sample_measure(mu, 3, SimpleNamespace(random=fill))
+            sample_measure(mu, 3, undrawn)
 
     def test_elliptic_theta_domain(self):
         for theta in (0.0, math.pi / 2):
@@ -317,17 +283,16 @@ def test_a_run_builds_one_sampler_for_all_its_blocks(monkeypatch, kind):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 3, 0.3], ids=["pi/4", "pi/3", "0.3"])
-def test_an_elliptic_block_equals_its_trials_drawn_one_by_one(elliptic_block, theta, n):
-    # an elliptic block makes one standard_normal call and fills H1 and H2 at
-    # once; trial t must still equal, bit for bit, cos(theta) sgrm + i
-    # sin(theta) sgrm, trial by trial on one _rng(seed)
+def test_an_elliptic_block_equals_its_trials_drawn_one_by_one(monkeypatch, theta, n):
+    # an elliptic block makes one standard_normal call and forms every trial's
+    # G and Z at once; trial t must still equal, bit for bit, elliptic_grm,
+    # trial by trial on one _rng(seed)
     seed, size = 67, 7
-    z, _, _ = elliptic_block(theta, n, size, seed)
+    z = elliptic_draw(monkeypatch, theta, n)(_rng(seed), size)["Z"]
     assert z.shape == (size, n, n)
     rng = _rng(seed)
     for t in range(size):
-        h1, h2 = sgrm(rng, n, 1.0 / n), sgrm(rng, n, 1.0 / n)
-        assert z[t].tobytes() == (math.cos(theta) * h1 + 1j * math.sin(theta) * h2).tobytes()
+        assert z[t].tobytes() == elliptic_grm(rng, n, theta).tobytes()
 
 
 # one-letter words and two trials: an unchecked path allocates a few
@@ -749,14 +714,8 @@ def z_word(eps):
 
 
 def draw_elliptic(theta, n):
-    """Z = cos(theta) H1 + i sin(theta) H2, as the elliptic estimator draws it."""
-
-    def draw(rng):
-        h1 = sgrm(rng, n, 1.0 / n)
-        h2 = sgrm(rng, n, 1.0 / n)
-        return {"Z": math.cos(theta) * h1 + 1j * math.sin(theta) * h2}
-
-    return draw
+    """Z = ((a + b)G + (a - b)G^H)/sqrt(2), as the elliptic estimator draws it."""
+    return lambda rng: {"Z": elliptic_grm(rng, n, theta)}
 
 
 def test_elliptic_estimates_agree_with_direct_traces():
@@ -767,6 +726,30 @@ def test_elliptic_estimates_agree_with_direct_traces():
     for eps in STAR_WORDS:
         est = estimate_elliptic_moment(theta, eps, n, trials, seed)
         assert_agrees(est, direct[z_word(eps)], eps)
+
+
+EVERY_Z_WORD = [w for k in range(1, 7) for w in itertools.product(("Z", "Z*"), repeat=k)]
+
+
+@pytest.mark.parametrize("theta, seed", [(math.pi / 4, 81), (math.pi / 3, 82), (0.3, 83)],
+                         ids=["pi/4", "pi/3", "0.3"])
+def test_the_elliptic_model_is_the_dt_operator_on_every_z_word(monkeypatch, theta, seed):
+    # the circular operator (theta = pi/4) is DT(disk:1, 1) and its elliptic
+    # deformations are DT(elliptic_dt(theta)); the Ginibre model is not
+    # triangular, so this checks the identification, not the DT draw again.
+    # The bound was fixed before the seeds were chosen: 4 stderr, plus 10/n^2
+    # as these models are unitarily invariant
+    n = 128
+    estimates = rmt._run_trials(elliptic_draw(monkeypatch, theta, n), EVERY_Z_WORD, n, 100, seed)
+
+    def worst(mu, c):  # the largest share of its bound that a word's estimate is off
+        return max(abs(est.mean - word_moment(list(w), mu, c).as_complex()) / (4 * est.stderr + 10 / n**2)
+                   for w, est in zip(EVERY_Z_WORD, estimates))
+
+    assert len(estimates) == 126
+    assert worst(*((UniformDisk(1), 1) if theta == math.pi / 4 else elliptic_dt(theta))) <= 1
+    assert worst(UniformDisk(2), 1) > 1  # the same estimates refuse a wrong operator
+    assert worst(*elliptic_dt(theta + 0.1)) > 1
 
 
 def test_fixed_diagonal_estimates_agree_with_direct_traces():
@@ -1111,13 +1094,14 @@ def test_runner_is_exactly_invariant(eps):
 
 # (mean re, mean im, stderr) as float.hex, recorded from the runner when each
 # run came to draw from one SFC64 stream seeded by its seed, with n(n-1)/2
-# real then n(n-1)/2 imaginary normals per triangular draw and each measure
-# drawn from 2n normals, each after it agreed with direct_values to 1e-12; the
+# real then n(n-1)/2 imaginary normals per triangular draw, n^2 real then n^2
+# imaginary normals per elliptic draw's Ginibre matrix and each measure drawn
+# from 2n normals, each after it agreed with direct_values to 1e-12; the
 # runner must reproduce them to 1e-12 of max(|mean|, stderr).
 FROZEN = {
     "dt": ("-0x1.14e559aeec22dp-7", "-0x1.3efab449b5530p-10", "0x1.653245fdf72d1p-8"),
     "z": ("0x1.d625eeb0f571dp-1", "0x0.0p+0", "0x1.19a66e629e8bfp-5"),
-    "elliptic": ("-0x1.4e2f5d9b31358p-5", "0x1.ba5a4f5158dedp-3", "0x1.5f84982f448b2p-3"),
+    "elliptic": ("0x1.fb462a161c136p-5", "0x1.0215b5d618a67p-4", "0x1.90ffe30693cf2p-4"),
     "fixed": ("0x1.352ddb1b1f79ep+0", "0x0.0p+0", "0x1.e987198b93af6p-8"),
 }
 FROZEN_SWEEP = {
@@ -1181,7 +1165,7 @@ FROZEN_N3 = {
     "z": ("0x1.c65a5ed31594dp-4", "0x1.1c1b9571e0ff0p-5", "0x1.4e2e27f1f657dp-3"),
     "atomic": ("-0x1.162363148981ap-4", "0x1.0afb71104474dp+0", "0x1.670a94b4c343dp-2"),
     "scaled-ellipse": ("-0x1.61030e61123c4p-2", "0x1.1e871c518100ap-1", "0x1.6bd62bda8f1d6p-2"),
-    "elliptic": ("0x1.28e9f6a88664ap-4", "0x1.45a3cdcd46c27p-8", "0x1.4468f62c5d150p-3"),
+    "elliptic": ("0x1.b7b7f4302fa4cp-6", "-0x1.792f935ed0854p-3", "0x1.7df3d807607e0p-3"),
 }
 FROZEN_N3_CALLS = {
     "dt": lambda: estimate_word_moment(["D*", "T", "T*", "D"], n=3, trials=20, seed=0, mu=UniformDisk(1)),

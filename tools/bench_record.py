@@ -31,14 +31,15 @@ SEEDS = range(1, 6)
 SHARED = ("git_sha", "src_lines", "src_sha256", "python", "numpy", "blas")
 
 
-def run(spec: dict, workload: str, seed: int) -> dict:
-    """One benchmark run: its result line and its ``result.json``."""
+def run(spec: dict, workload: str, seed: int, root: Path | None = None) -> dict:
+    """One benchmark run in the checkout ``root``, this one if None: its result line and its ``result.json``."""
+    root = root or ROOT
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(spec["run_seconds"]), "--trace", "0"]
-    done = subprocess.run(spec["command"] + args, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(spec["command"] + args, cwd=root, capture_output=True, text=True)
     if done.returncode:
-        sys.exit(f"bench_record: {workload} seed {seed} exited {done.returncode}:\n{done.stderr}")
+        sys.exit(f"{root}: {workload} seed {seed} exited {done.returncode}:\n{done.stderr}")
     line = json.loads(done.stdout.strip().splitlines()[-1])
-    record = json.loads((ROOT / ".perfbench" / f"{workload}-seed{seed}-trace0" / "result.json").read_text())
+    record = json.loads((root / ".perfbench" / f"{workload}-seed{seed}-trace0" / "result.json").read_text())
     return {"correct": line["correct"], "failed": line["failed"], **record}
 
 
