@@ -55,9 +55,9 @@ def bench_pairs(monkeypatch):
     return module
 
 
-def pairs(module, dirs, *extra):
+def pairs(module, dirs):
     return module.main(["bench_pairs.py", str(dirs["parent"]), str(dirs["change"]), "--workload", "mc-large",
-                        "--seeds", "31-34", *extra])
+                        "--seeds", "31-34"])
 
 
 def test_pairs_alternate_which_side_runs_first(bench_pairs, checkouts):
@@ -66,11 +66,6 @@ def test_pairs_alternate_which_side_runs_first(bench_pairs, checkouts):
     assert order == [("parent", "31"), ("change", "31"), ("change", "32"), ("parent", "32"),
                      ("parent", "33"), ("change", "33"), ("change", "34"), ("parent", "34")]
     assert all(cmd[:2] == SPEC["command"] and cmd[cmd.index("--seconds") + 1] == "3" for _, cmd in bench_pairs.calls)
-
-
-def test_seconds_overrides_the_run_seconds(bench_pairs, checkouts):
-    pairs(bench_pairs, checkouts, "--seconds", "10")
-    assert {cmd[cmd.index("--seconds") + 1] for _, cmd in bench_pairs.calls} == {"10"}
 
 
 def test_wins_follow_the_better_side_and_ties_count_for_neither(bench_pairs, checkouts, capsys):

@@ -172,11 +172,11 @@ class TestSamplers:
         ("disk:1", TypeError, "cannot sample measure model"),
     ], ids=["table", "scaled-table", "not-a-model"])
     def test_an_unsampleable_measure_is_refused_before_a_draw(self, monkeypatch, mu, error, match):
-        # the estimator filled a 2048 x 2048 block before it reached the refusal
-        def fill(*args):
+        # any standard_normal call on the run's generator counts as a draw
+        def draw(*args):
             raise AssertionError("a block was drawn")
 
-        undrawn = SimpleNamespace(standard_normal=fill)
+        undrawn = SimpleNamespace(standard_normal=draw)
         monkeypatch.setattr(rmt, "_rng", lambda seed: undrawn)
         with pytest.raises(error, match=match):
             estimate_word_moment(["Z*", "Z"], 64, 2, 0, mu=mu)

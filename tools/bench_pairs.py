@@ -2,17 +2,17 @@
 
 Usage::
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 31-40 [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 31-40
 
 PARENT and CHANGE are checkout directories, and their ``BENCHMARK.json`` files
-must be equal.  Pair i takes the i-th seed of the range and runs the
-benchmark's command (``perfbench/run.py --workload W --seed S --seconds S
---trace 0``, with ``run_seconds`` unless ``--seconds`` is given) in both
-checkouts, the parent first on even i and the change first on odd i, so a
-drift of the host falls on both sides alike.  For each end-to-end metric it
-prints both sides' median and quartiles (as ``bench_record.py`` summarizes
-them), how many pairs the change won on the metric's better side (a tie
-counts for neither) and the metric's bound.  A run that exits nonzero, is not
+must be equal.  Pair i takes the i-th seed N of the range and runs the
+benchmark's command (``perfbench/run.py --workload W --seed N --seconds S
+--trace 0``, S the benchmark's ``run_seconds``) in both checkouts, the parent
+first on even i and the change first on odd i, so a drift of the host falls
+on both sides alike.  For each end-to-end metric it prints both sides' median
+and quartiles (as ``bench_record.py`` summarizes them), how many pairs the
+change won on the metric's better side (a tie counts for neither) and the
+metric's bound.  A run that exits nonzero, is not
 ``correct`` or has a ``failed`` item stops the comparison with exit status 1.
 """
 
@@ -43,14 +43,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_range, required=True)
-    ap.add_argument("--seconds", type=int)
     args = ap.parse_args(argv[1:])
     texts = [(getattr(args, side) / "BENCHMARK.json").read_text() for side in SIDES]
     if texts[0] != texts[1]:
         sys.exit("bench_pairs: the checkouts' BENCHMARK.json files differ, so their runs would not compare")
     spec = json.loads(texts[0])
-    if args.seconds is not None:
-        spec["run_seconds"] = args.seconds
     metrics = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
