@@ -23,6 +23,7 @@ from dtmoments.measures import (
     UniformEllipse,
     conjugate,
     mixed_moment,
+    scale,
 )
 from dtmoments import moments
 from dtmoments.moments import (
@@ -504,6 +505,29 @@ def test_word_sum_keeps_each_value_type(letters, mu, c, kind):
     raw = _word_sum([_PARTS[t] for t in letters], _moments_of(mu), _narrow(c * c))
     assert type(raw) is kind
     assert MomentValue.wrap(raw) == word_moment(letters, mu, c)
+
+
+TILTED = scale(UniformEllipse(1.0, 0.5), CQ(F(3, 5), F(4, 5)))
+
+
+@pytest.mark.parametrize(
+    "word, mu, c, re_hex, im_hex",
+    [
+        ("Z Z* Z* Z Z Z*", UniformAnnulus(1.5), 1, "0x1.67fffffffffffp+2", "0x0.0p+0"),
+        ("Z* Z Z* Z Z* Z", UniformDisk(1), 0.7, "0x1.98a917507e9d6p+0", "0x0.0p+0"),
+        ("Z Z Z* Z Z* Z*", UniformEllipse(0.5, 1.0), 1, "0x1.cbc49ba5e3540p+2", "0x0.0p+0"),
+        ("Z* Z Z Z* Z* Z Z* Z", UniformEllipse(0.5, 1.0), 0.7, "0x1.a014e0250810fp+3", "0x0.0p+0"),
+        # two rotations of one word, a last bit apart: the pin sees the order of operations
+        ("Z Z Z* Z", TILTED, F(2, 3), "-0x1.cd242e6bdc807p-2", "0x1.8b4395810624ep+0"),
+        ("Z* Z Z Z", TILTED, F(2, 3), "-0x1.cd242e6bdc808p-2", "0x1.8b4395810624dp+0"),
+        ("D D T* T T* T", TILTED, 1, "-0x1.1eb851eb851ecp-3", "0x1.eb851eb851eb8p-2"),
+        ("T* T T* T T* T", UniformDisk(1.0), 1, "0x1.2000000000000p+0", "0x0.0p+0"),
+    ],
+)
+def test_float_words_keep_their_bits(word, mu, c, re_hex, im_hex):
+    # a float-tagged word's value, bit for bit: the DP's sums keep their order
+    value = complex(word_moment(word.split(), mu, c).value)
+    assert (value.real.hex(), value.imag.hex()) == (re_hex, im_hex)
 
 
 def mask_sum(symbols, mu, c) -> MomentValue:
