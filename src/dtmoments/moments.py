@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, cos, factorial, gcd, hypot, lcm, pi, sin
 from typing import NamedTuple
 
@@ -210,15 +211,7 @@ def _plus(f: tuple, g: list, gd: int, w=1) -> tuple:
 def _integral(g: list, below: bool) -> list:
     """Rank vector g integrated from 0 to x (``below``) or from x to 1: its
     prefix or suffix sums, one entry longer (:func:`_add` has the format)."""
-    q = len(g)
-    h = [0] * (q + 1)
-    if below:
-        for j in range(q):
-            h[j + 1] = h[j] + g[j]
-    else:
-        for j in range(q - 1, -1, -1):
-            h[j] = h[j + 1] + g[j]
-    return h
+    return [0, *accumulate(g)] if below else [*accumulate(reversed(g))][::-1] + [0]
 
 
 def _mul(f: list, h: list) -> list:

@@ -23,9 +23,9 @@ held as the lesser of it and its adjoint, or in a run of one class the halves
 with the fewest products.  Each prefix of a half is one product per block, its
 shorter prefix's product times a letter, freed after its last use; from
 n = 128 it skips the zero blocks of triangular factors (T, D, Z and their
-adjoints).  Each estimate is a mean over trials of the normalized matrix
-trace of a word, with the standard error taken per real/imaginary part (the
-larger of the two is reported).
+adjoints).  Each class gets one mean over trials of its normalized matrix
+trace and one standard error, the larger of its real and imaginary parts';
+a word reached through its adjoint reports the conjugate mean.
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ class Estimate:
         return rec
 
 
-def _summarize(values: np.ndarray, n: int, seed: int) -> Estimate:
-    se = max(values.real.std(ddof=1), values.imag.std(ddof=1)) / math.sqrt(values.size)
-    return Estimate(complex(values.mean()), float(se), n, values.size, seed)
-
-
 def _check_size(n: int, trials: int, seed: int) -> tuple[int, int, int]:
     # two trials are the fewest with a standard error; each seed below 2^64 seeds its own SFC64 stream
     return (order(n, "matrix size", 1, DEFAULT_SIZE_CAP), order(trials, "trials", 2),
@@ -242,9 +237,9 @@ def _run_trials(
     where all its letters are.  The plan is made before the trials, and frees
     each product and letter after its last use.  Stacked products and traces
     equal each trial's bit for bit, and go straight into the class's row of
-    trial values; the traced rows are divided by n once, at the end.  From
-    n = 64 on, a product's arithmetic outweighs numpy's per-call cost, so a
-    block is one trial and holds no more than one.
+    trial values; the traced rows are divided by n once, at the end.  Each row
+    gives its class one mean and standard error; a word reached through its
+    adjoint takes the conjugate mean, its imaginary part 0.0 - y so 0 stays +0.0.
     """
     reps, members = _classes(words)
     traced = [i for i, rep in enumerate(reps) if rep]
@@ -278,7 +273,10 @@ def _run_trials(
                 del held[key]
     values.real[traced] /= n  # part by part: Python's complex(v) / n, up to a zero part's sign
     values.imag[traced] /= n
-    return [_summarize(values[i].conj() if flag else values[i], n, seed) for i, flag in members]
+    means = values.mean(axis=1)
+    errors = np.maximum(values.real.std(axis=1, ddof=1), values.imag.std(axis=1, ddof=1)) / math.sqrt(trials)
+    return [Estimate(complex(means[i].real, 0.0 - means[i].imag if flag else means[i].imag), float(errors[i]),
+                     n, trials, seed) for i, flag in members]
 
 
 def _triangular(
