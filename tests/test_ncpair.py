@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction as F
 
 import pytest
 from conftest import all_perfect_matchings, has_crossing
@@ -13,6 +14,7 @@ from dtmoments.ncpair import (
     is_noncrossing,
     quotient_graph,
 )
+from dtmoments.moments import DTWord, ZWord, t_word_moment
 
 
 def word(*symbols):
@@ -207,6 +209,17 @@ def test_a_star_word_refuses_a_symbol_and_iterates_its_symbols():
     with pytest.raises(ValueError, match="^bad star-word symbol 'T'$"):
         StarWord((ONE, "T"))
     assert list(StarWord((STAR, ONE, ONE))) == [STAR, ONE, ONE]
+
+
+def test_a_star_word_stores_its_symbols_as_a_tuple():
+    # a string or an iterator passes the symbol check one symbol at a time and
+    # is kept as the tuple it spells, so every spelling is one word
+    spellings = [StarWord("1*"), StarWord((ONE, STAR)), StarWord(iter("1*"))]
+    assert [eps.symbols for eps in spellings] == [(ONE, STAR)] * 3
+    assert {t_word_moment(eps).as_fraction() for eps in spellings} == {F(1, 2)}
+    for make in (lambda eps: eps, lambda eps: DTWord(eps, ((1, 0), (0, 1))), lambda eps: ZWord(eps, F(1, 2))):
+        first, *others = map(make, spellings)
+        assert all(w == first and hash(w) == hash(first) for w in others)
 
 
 def test_a_pairing_of_another_length_is_incompatible_and_not_folded():
