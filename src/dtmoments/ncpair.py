@@ -24,6 +24,7 @@ class StarWord:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
             if s not in _SYMBOLS:
                 raise ValueError(f"bad star-word symbol {s!r}")
