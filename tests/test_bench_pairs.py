@@ -78,9 +78,29 @@ def test_wins_follow_the_better_side_and_ties_count_for_neither(bench_pairs, che
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "mc-large, 4 pairs, seeds 31-34, 3 s a run"
     assert lines[1] == ("wall_s: parent 1 (1-1), change 0.85 (0.775-0.975); change better (lower) in 3 of 4; "
-                        "bound 0.24")
-    assert lines[2].endswith("change better (lower) in 0 of 4; bound 0.05")
-    assert lines[3].endswith("change better (higher) in 1 of 4; bound 0.1")
+                        "bound 0.24; within bound")
+    assert lines[2].endswith("change better (lower) in 0 of 4; bound 0.05; within bound")
+    assert lines[3].endswith("change better (higher) in 1 of 4; bound 0.1; worse")
+
+
+@pytest.mark.parametrize("parent, change, verdict, score_verdict", [
+    ([1.0] * 4, [0.8] * 4, "gain", "gain"),  # every pair won, by more than the parent's spread
+    ([1.0] * 4, [0.8, 0.8, 0.8, 1.0], "within bound", "within bound"),  # 3 of 4 pairs is under nine tenths
+    ([1.0, 2.0, 1.0, 2.0], [1.5] * 4, "unresolved", "unresolved"),  # a parent spread of 1 is past the bound
+    ([1.0, 2.0, 1.0, 2.0], [0.6] * 4, "within bound", "within bound"),  # every change run better, by < 1
+    ([1.0] * 4, [1.3] * 4, "worse", "worse"),  # 0.3 worse is past 0.24 x 1 and 0.1 x 1
+    ([1.0] * 4, [1.2] * 4, "within bound", "worse"),  # 0.2 worse is within 0.24 x 1, past 0.1 x 1
+], ids=["gain", "too-few-wins", "unresolved", "every-run-better", "worse", "within-bound"])
+def test_each_metric_gets_the_first_verdict_that_holds(bench_pairs, checkouts, capsys, parent, change, verdict,
+                                                        score_verdict):
+    # the higher-is-better score takes the wall times mirrored about 2
+    runs = {"parent": parent, "change": change}
+    bench_pairs.outcome = lambda side, seed: {"wall_s": runs[side][seed - 31], "score": 2 - runs[side][seed - 31]}
+    pairs(bench_pairs, checkouts)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(f"bound 0.24; {verdict}")
+    assert lines[2].endswith("bound 0.05; within bound")  # peak RSS ties on every pair
+    assert lines[3].endswith(f"bound 0.1; {score_verdict}")
 
 
 def test_checkouts_with_different_benchmarks_are_refused(bench_pairs, checkouts):

@@ -11,8 +11,9 @@ benchmark's command (``perfbench/run.py --workload W --seed N --seconds S
 first on even i and the change first on odd i, so a drift of the host falls
 on both sides alike.  For each end-to-end metric it prints both sides' median
 and quartiles (as ``bench_record.py`` summarizes them), how many pairs the
-change won on the metric's better side (a tie counts for neither) and the
-metric's bound.  A run that exits nonzero, is not
+change won on the metric's better side (a tie counts for neither), the
+metric's bound and a verdict (``gain``, ``unresolved``, ``worse`` or ``within
+bound``; see :func:`judge`).  A run that exits nonzero, is not
 ``correct`` or has a ``failed`` item stops the comparison with exit status 1.
 """
 
@@ -35,6 +36,22 @@ def seed_range(text: str) -> range:
     if len(seeds) < 2:
         raise argparse.ArgumentTypeError("need a range A-B of at least two seeds")
     return seeds
+
+
+def judge(stats: dict, values: dict, sign: int, share_won: float, bound: float) -> str:
+    """The first verdict that holds, for parent and change medians p and c,
+    the parent's quartiles q1 and q3, bound b and better side ``sign`` (1
+    lower, -1 higher): ``gain`` if the change won at least nine tenths of the
+    pairs and beats p by more than q3 - q1; ``unresolved`` if q3 - q1 > b p,
+    unless every change run is better than every parent run; ``worse`` if c
+    is worse than p by more than b p; else ``within bound``."""
+    p, c = stats["parent"]["median"], stats["change"]["median"]
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    if share_won >= 0.9 and sign * (p - c) > spread:
+        return "gain"
+    if spread > bound * p and max(sign * x for x in values["change"]) >= min(sign * x for x in values["parent"]):
+        return "unresolved"
+    return "worse" if sign * (c - p) > bound * p else "within bound"
 
 
 def main(argv: list[str]) -> int:
@@ -64,7 +81,8 @@ def main(argv: list[str]) -> int:
         won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: summary(values[side]) for side in SIDES}
         sides = ", ".join(f"{side} {s['median']:.4g} ({s['q1']:.4g}-{s['q3']:.4g})" for side, s in stats.items())
-        print(f"{name}: {sides}; change better ({m['better']}) in {won} of {pairs}; bound {m['bound']}")
+        verdict = judge(stats, values, sign, won / pairs, m["bound"])
+        print(f"{name}: {sides}; change better ({m['better']}) in {won} of {pairs}; bound {m['bound']}; {verdict}")
     return 0
 
 
