@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import all_perfect_matchings, has_crossing
 
+from dtmoments.moments import DTWord, ZWord, t_word_moment
 from dtmoments.ncpair import (
     ONE,
     STAR,
@@ -14,7 +15,6 @@ from dtmoments.ncpair import (
     is_noncrossing,
     quotient_graph,
 )
-from dtmoments.moments import DTWord, ZWord, t_word_moment
 
 
 def word(*symbols):
